@@ -85,15 +85,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         tag = self.name or ("param" if self.requires_grad else "tensor")
         return "Tensor<%s shape=%s>" % (tag, self.shape)
@@ -589,19 +580,25 @@ def load_checkpoint(path: str):
     import json
 
     with open(path, "rb") as fh:
+        def read(n: int) -> bytes:
+            data = fh.read(n)
+            if len(data) != n:
+                raise ValueError("%s: checkpoint truncated at byte %d" % (path, fh.tell()))
+            return data
+
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise ValueError("%s is not a checkpoint (bad magic)" % path)
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        (count,) = struct.unpack("<I", fh.read(4))
+        (hlen,) = struct.unpack("<I", read(4))
+        header = json.loads(read(hlen).decode("utf-8"))
+        (count,) = struct.unpack("<I", read(4))
         params = {}
         for _ in range(count):
-            (nlen,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(nlen).decode("utf-8")
-            (ndim,) = struct.unpack("<B", fh.read(1))
-            shape = tuple(struct.unpack("<I", fh.read(4))[0] for _ in range(ndim))
+            (nlen,) = struct.unpack("<H", read(2))
+            name = read(nlen).decode("utf-8")
+            (ndim,) = struct.unpack("<B", read(1))
+            shape = tuple(struct.unpack("<I", read(4))[0] for _ in range(ndim))
             n = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(fh.read(8 * n), dtype="<f8").reshape(shape).astype(np.float64)
+            data = np.frombuffer(read(8 * n), dtype="<f8").reshape(shape).astype(np.float64)
             params[name] = data
     return header, params

@@ -21,12 +21,14 @@ from . import autodiff as ad
 from .config import ConfigError, TrainConfig, apply_setting, parse_config_text
 from .corpus import Corpus, PreprocessRules, preprocess_corpus
 from .evaluation import (
-    induce_trees,
-    length_filter,
     perplexity,
+    pick_stream,
     render_parallel,
     report_to_json,
+    resolve_layer,
+    sentence_distances,
     structure_report,
+    trees_from_distances,
 )
 from .models import build_model
 from .training import TrainingDiverged, train
@@ -193,6 +195,7 @@ def _load_model(checkpoint: str):
 
 def cmd_eval(args, argv) -> int:
     model, cfg, header = _load_model(args.checkpoint)
+    resolve_layer(cfg.model, args.layer)  # a bad --layer fails before any work
     corpus = Corpus.load(args.corpus)
     if cfg.model.vocab_size != len(corpus.vocab):
         raise ConfigError("vocab mismatch: model %d vs corpus %d"
@@ -206,17 +209,24 @@ def cmd_eval(args, argv) -> int:
                                  bptt_length=args.bptt),
     }
 
+    # one forward pass per sentence batch gives every stream's trees
     have_gold = any(t is not None for t in corpus.gold_trees_nary)
+    streams = {}
+    if have_gold or args.render:
+        dists = sentence_distances(model, corpus, layer=args.layer)
+        streams = {name: trees_from_distances(corpus, d, args.algo) for name, d in dists.items()}
     report = None
     if have_gold:
-        pred = induce_trees(model, corpus, stream=args.trees, algo=args.algo, layer=args.layer)
+        pred = pick_stream(streams, args.trees)
         report = structure_report(pred, corpus.gold_trees_nary)
         metrics["structure"] = report.to_json_dict()
         if args.wsj10_maxlen:
-            sub = length_filter(corpus, args.wsj10_maxlen)
-            pred_sub = induce_trees(model, sub, stream=args.trees, algo=args.algo, layer=args.layer)
-            short = structure_report(pred_sub, sub.gold_trees_nary)
-            metrics["structure_short"] = dict(short.to_json_dict(), max_len=args.wsj10_maxlen)
+            short = [i for i, (s, e) in enumerate(corpus.sentence_spans)
+                     if e - s <= args.wsj10_maxlen]
+            report_short = structure_report([pred[i] for i in short],
+                                            [corpus.gold_trees_nary[i] for i in short])
+            metrics["structure_short"] = dict(report_short.to_json_dict(),
+                                              max_len=args.wsj10_maxlen)
     else:
         metrics["structure"] = None
 
@@ -234,16 +244,12 @@ def cmd_eval(args, argv) -> int:
 
     if args.render:
         indices = [int(tok) for tok in args.render.split(",") if tok.strip() != ""]
-        streams = [("gold", corpus.gold_trees_nary)]
-        lm_trees = induce_trees(model, corpus, stream="lm", algo=args.algo, layer=args.layer)
-        streams.insert(0, ("lm", lm_trees))
-        if model.config.supervision_mode != "none":
-            syd_trees = induce_trees(model, corpus, stream="syd", algo=args.algo, layer=args.layer)
-            streams.insert(0, ("syd", syd_trees))
+        rendered = [(name, streams[name]) for name in ("syd", "lm") if name in streams]
+        rendered.append(("gold", corpus.gold_trees_nary))
         for i in indices:
             if not 0 <= i < corpus.n_sentences:
                 raise ConfigError("--render index %d out of range" % i)
-            rows = [(name, trees[i]) for name, trees in streams if trees[i] is not None]
+            rows = [(name, trees[i]) for name, trees in rendered if trees[i] is not None]
             print(render_parallel(corpus.sentence_words(i), rows))
             print()
     return EXIT_OK
@@ -252,6 +258,13 @@ def cmd_eval(args, argv) -> int:
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be >= 1, got %d" % value)
+    return value
+
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="sydlm", description=__doc__)
@@ -278,12 +291,13 @@ def build_parser() -> _Parser:
     p.add_argument("--out", help="metrics JSON path (default stdout)")
     p.add_argument("--trees", choices=["lm", "syd"], default="syd")
     p.add_argument("--algo", choices=["biased", "unbiased"], default="unbiased")
-    p.add_argument("--layer", type=int, help="distance layer for --trees lm (1-based)")
-    p.add_argument("--wsj10-maxlen", type=int, help="also report on sentences <= K tokens")
+    p.add_argument("--layer", type=_positive_int, help="distance layer for --trees lm (1-based)")
+    p.add_argument("--wsj10-maxlen", type=_positive_int,
+                   help="also report on sentences <= K tokens")
     p.add_argument("--render", help="comma-separated sentence indices to print")
     p.add_argument("--plot-csv", help="write height-accuracy CSV here")
-    p.add_argument("--bptt", type=int, default=70)
-    p.add_argument("--batch-size", type=int, default=1)
+    p.add_argument("--bptt", type=_positive_int, default=70)
+    p.add_argument("--batch-size", type=_positive_int, default=1)
     return parser
 
 
@@ -299,7 +313,7 @@ def main(argv=None) -> int:
         return cmd_eval(args, argv)
     except _UsageExit:
         return EXIT_USAGE
-    except (ConfigError, TreebankError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, TreebankError, OSError, ValueError) as exc:
         print("data error: %s" % exc, file=sys.stderr)
         return EXIT_DATA
     except (ad.NumericError, TrainingDiverged) as exc:

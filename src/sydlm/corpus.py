@@ -17,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 
+from .config import ConfigError
 from .distance import DistanceSeq, tree_to_distances
 from .trees import Tree, binarize_right, map_leaf_tokens, parse_bracketed, prune_leaves, render_bracketed
 
@@ -30,10 +31,6 @@ DEFAULT_DROP_TAGS = frozenset({".", ",", ":", "``", "''", "-LRB-", "-RRB-", "#",
 DEFAULT_NUMBER_PATTERN = r"[0-9][0-9.,/:\-]*"
 
 MODES = ("concat", "sepsent")
-
-
-class ConfigError(ValueError):
-    pass
 
 
 class Vocab:
@@ -173,6 +170,9 @@ class Corpus:
             raise ConfigError("%s is not a corpus dump (bad magic)" % path)
         if payload.get("version") != CORPUS_VERSION:
             raise ConfigError("unsupported corpus version %r" % payload.get("version"))
+        for key in ("tokens", "sentence_spans", "gold_trees", "gold_trees_nary", "vocab", "mode"):
+            if key not in payload:
+                raise ConfigError("%s: corpus dump has no %r" % (path, key))
 
         def load_tree(text: Optional[str], binary: bool) -> Optional[Tree]:
             if text is None:

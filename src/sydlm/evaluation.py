@@ -16,9 +16,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import autodiff as ad
 from .corpus import Corpus, Vocab
 from .distance import distances_to_tree_biased, distances_to_tree_unbiased
+from .training import validation_pass
 from .trees import Tree, fill_heights
 
 DEFAULT_TAGS = ("ADJP", "NP", "VP", "PP")
@@ -32,43 +32,41 @@ def perplexity(model, corpus: Corpus, batch_size: int = 1, bptt_length: int = 70
     """exp(mean NLL per predicted token), dropout disabled.  Concatenated
     corpora are scored as a stream (eos predicted like any token);
     separate-sentence corpora per sentence with an eos frame."""
-    from .training import bptt_batches
-
-    total, count = 0.0, 0.0
-    state = None
-    for batch in bptt_batches(corpus, batch_size, bptt_length, tree_source="none"):
-        if not batch.carry_state:
-            state = None
-        out = model.forward(batch.inputs, state)
-        state = out.state
-        ce = ad.cross_entropy_logits(out.logits, batch.targets.reshape(-1)).data
-        w = batch.target_weight.reshape(-1)
-        total += float(ce @ w)
-        count += float(w.sum())
-    if count == 0:
-        raise ValueError("perplexity: corpus has no targets")
-    return float(np.exp(total / count))
+    return validation_pass(model, corpus, batch_size, bptt_length, "none")[0]
 
 
 # ---------------------------------------------------------------------------
 # Distance extraction and tree induction
 # ---------------------------------------------------------------------------
 
+def resolve_layer(config, layer: Optional[int] = None) -> int:
+    """0-based index of the LM distance layer to read.  ON-LSTM emits one
+    distance layer per recurrent layer, PRPN one; the default is the
+    supervision layer (the only one for PRPN)."""
+    n_layers = config.n_layers if config.model == "onlstm-syd" else 1
+    if layer is None:
+        layer = min(config.supervision_layer, n_layers)
+    if not 1 <= layer <= n_layers:
+        raise ValueError("layer %d outside the model's distance layers 1..%d" % (layer, n_layers))
+    return layer - 1
+
+
 def sentence_distances(
     model,
     corpus: Corpus,
-    stream: str = "syd",
     layer: Optional[int] = None,
     batch_size: int = 64,
-) -> list:
-    """Per-sentence distance arrays (N-1 slots) from a chosen model stream.
+) -> dict:
+    """Per-sentence distance arrays (N-1 slots) of every stream the model
+    emits, from one forward per sentence batch: {"lm": [...], "syd": [...]},
+    "syd" only when the model has a supervised stream.  "lm" reads the
+    given distance layer (see resolve_layer).
 
     Each sentence is framed as [eos] + words with fresh state, so the model
     step reading word k+1 yields the slot between words k and k+1.
     """
-    if stream not in ("syd", "lm"):
-        raise ValueError("stream must be 'syd' or 'lm'")
-    out: list = [None] * corpus.n_sentences
+    idx = resolve_layer(model.config, layer)
+    out: dict = {}
     order = sorted(range(corpus.n_sentences),
                    key=lambda i: (corpus.sentence_spans[i][1] - corpus.sentence_spans[i][0], i))
     for lo in range(0, len(order), batch_size):
@@ -80,17 +78,33 @@ def sentence_distances(
             s, e = corpus.sentence_spans[i]
             inputs[1 : n + 1, j] = corpus.tokens[s:e]
         fwd = model.forward(inputs, None)
-        if stream == "syd":
-            if fwd.d_syd is None:
-                raise ValueError("model has no supervised distance stream (supervision_mode none)")
-            vals = fwd.d_syd.data.reshape(t_len, len(group))
-        else:
-            idx = (layer or getattr(model.config, "supervision_layer", 1)) - 1
-            idx = min(max(idx, 0), len(fwd.d_lm) - 1)
-            vals = fwd.d_lm[idx].data.reshape(t_len, len(group))
-        for j, (i, n) in enumerate(zip(group, lens)):
-            out[i] = vals[2 : n + 1, j].copy() if n >= 2 else np.zeros(0)
+        streams = {"lm": fwd.d_lm[idx]}
+        if fwd.d_syd is not None:
+            streams["syd"] = fwd.d_syd
+        for name, dist in streams.items():
+            vals = dist.data.reshape(t_len, len(group))
+            per_sentence = out.setdefault(name, [None] * corpus.n_sentences)
+            for j, (i, n) in enumerate(zip(group, lens)):
+                per_sentence[i] = vals[2 : n + 1, j].copy() if n >= 2 else np.zeros(0)
     return out
+
+
+def pick_stream(streams: dict, stream: str):
+    """The entry of a per-stream dict (as sentence_distances returns)."""
+    if stream not in ("syd", "lm"):
+        raise ValueError("stream must be 'syd' or 'lm'")
+    if stream not in streams:
+        raise ValueError("model has no supervised distance stream (supervision_mode none)")
+    return streams[stream]
+
+
+def trees_from_distances(corpus: Corpus, dists: list, algo: str) -> list[Tree]:
+    """One tree per sentence, recovered from its slot distances."""
+    if algo not in ("unbiased", "biased"):
+        raise ValueError("algo must be 'unbiased' or 'biased'")
+    # module-level names, looked up per call so that rebinding them takes effect
+    recover = distances_to_tree_unbiased if algo == "unbiased" else distances_to_tree_biased
+    return [recover(dists[i], corpus.sentence_words(i)) for i in range(corpus.n_sentences)]
 
 
 def induce_trees(
@@ -100,17 +114,8 @@ def induce_trees(
     algo: str = "unbiased",
     layer: Optional[int] = None,
 ) -> list[Tree]:
-    if algo not in ("unbiased", "biased"):
-        raise ValueError("algo must be 'unbiased' or 'biased'")
-    dists = sentence_distances(model, corpus, stream=stream, layer=layer)
-    trees = []
-    for i in range(corpus.n_sentences):
-        words = corpus.sentence_words(i)
-        if algo == "unbiased":
-            trees.append(distances_to_tree_unbiased(dists[i], words))
-        else:
-            trees.append(distances_to_tree_biased(dists[i], words))
-    return trees
+    dists = pick_stream(sentence_distances(model, corpus, layer=layer), stream)
+    return trees_from_distances(corpus, dists, algo)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +214,7 @@ def per_tag_accuracy(pred_trees, gold_nary_trees, tags: Sequence[str] = DEFAULT_
 def depth_and_ratio(trees: Sequence[Tree]):
     """(mean max root-to-leaf depth, pooled left/right attachment ratio):
     leaf words that are non-rightmost children of their parent over those
-    that are rightmost."""
+    that are rightmost; the ratio is None when no leaf is rightmost."""
     depths = []
     left = right = 0
     for tree in trees:
@@ -225,7 +230,7 @@ def depth_and_ratio(trees: Sequence[Tree]):
                     else:
                         left += 1
     mean_depth = float(np.mean(depths)) if depths else 0.0
-    ratio = left / right if right else float("nan")
+    ratio = left / right if right else None
     return mean_depth, ratio
 
 
@@ -256,31 +261,6 @@ def accuracy_by_height(pred_trees, gold_trees) -> dict:
     return {h: tuple(v) for h, v in sorted(buckets.items())}
 
 
-def length_filter(corpus: Corpus, max_len: int) -> Corpus:
-    """Sub-corpus of sentences with at most max_len tokens."""
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
-    keep = [i for i, (s, e) in enumerate(corpus.sentence_spans) if e - s <= max_len]
-    tokens: list[int] = []
-    spans = []
-    for i in keep:
-        s, e = corpus.sentence_spans[i]
-        start = len(tokens)
-        tokens.extend(corpus.tokens[s:e])
-        spans.append((start, len(tokens)))
-        if corpus.mode == "concat":
-            tokens.append(Vocab.eos_id)
-    return Corpus(
-        tokens=np.array(tokens, dtype=np.int64),
-        sentence_spans=spans,
-        gold_trees=[corpus.gold_trees[i] for i in keep],
-        gold_trees_nary=[corpus.gold_trees_nary[i] for i in keep],
-        vocab=corpus.vocab,
-        mode=corpus.mode,
-        manifest=corpus.manifest,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Reports
 # ---------------------------------------------------------------------------
@@ -291,7 +271,7 @@ class StructureReport:
     f1_macro: float
     per_tag: dict
     mean_depth: float
-    left_right_ratio: float
+    left_right_ratio: Optional[float]
     height_accuracy: dict  # height -> {"correct", "total", "accuracy"}
     n_sentences: int
 
@@ -351,4 +331,4 @@ def render_parallel(words: list, named_trees: list) -> str:
 
 
 def report_to_json(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"

@@ -32,7 +32,6 @@ class StepOutput:
     master_input: Tensor
     d_lm: Tensor
     d_syd: Optional[Tensor]
-    hf_pre: Tensor
 
 
 @dataclass
@@ -41,6 +40,17 @@ class ForwardOut:
     d_lm: list                     # per layer, each (T*B,)
     d_syd: Optional[Tensor]        # (T*B,) or None
     state: list                    # detached (h, c) numpy pairs per layer
+
+
+def locked_mask(rng: Optional[np.random.Generator], train_cfg: Optional[TrainConfig],
+                rate: str, shape: tuple) -> Optional[Tensor]:
+    """Inverted-dropout mask at the train_cfg rate named `rate`, drawn once
+    and reused at every step of a window; None when not training or the
+    rate is 0."""
+    p = getattr(train_cfg, rate, 0.0)
+    if rng is None or p == 0.0:
+        return None
+    return Tensor((rng.random(shape) >= p) / (1.0 - p))
 
 
 def extract_distance(master_forget: Tensor) -> Tensor:
@@ -105,8 +115,7 @@ def onlstm_step(
     i_hat = i * omega + (i_mx - omega)
     c = f_hat * c_prev + i_hat * c_hat
     h = o * ad.tanh(c)
-    return StepOutput(h=h, c=c, master_forget=f_m, master_input=i_m,
-                      d_lm=d_lm, d_syd=d_syd, hf_pre=hf_pre)
+    return StepOutput(h=h, c=c, master_forget=f_m, master_input=i_m, d_lm=d_lm, d_syd=d_syd)
 
 
 class OnLstmLM:
@@ -198,30 +207,21 @@ class OnLstmLM:
         if state is None:
             state = self.init_state(batch)
 
-        def locked_mask(shape, p):
-            # one mask reused across all timesteps of the window
-            if rng is None or train_cfg is None or p == 0.0:
-                return None
-            return Tensor((rng.random(shape) >= p) / (1.0 - p))
-
         emb_matrix = self.embedding
-        if rng is not None and train_cfg is not None and train_cfg.dropout_embedding > 0:
-            rows = locked_mask((cfg.vocab_size, 1), train_cfg.dropout_embedding)
+        rows = locked_mask(rng, train_cfg, "dropout_embedding", (cfg.vocab_size, 1))
+        if rows is not None:
             emb_matrix = emb_matrix * rows
         x_all = ad.embedding(emb_matrix, inputs)  # (T, B, E)
-        word_mask = locked_mask((1, batch, cfg.embedding_size),
-                                train_cfg.dropout_words if train_cfg else 0.0)
+        word_mask = locked_mask(rng, train_cfg, "dropout_words", (1, batch, cfg.embedding_size))
         if word_mask is not None:
             x_all = x_all * word_mask
 
-        rec_masks = [locked_mask((batch, cfg.layer_hidden(l)),
-                                 train_cfg.dropout_recurrent if train_cfg else 0.0)
+        rec_masks = [locked_mask(rng, train_cfg, "dropout_recurrent", (batch, cfg.layer_hidden(l)))
                      for l in range(cfg.n_layers)]
-        mid_masks = [locked_mask((batch, cfg.layer_hidden(l)),
-                                 train_cfg.dropout_layers if train_cfg else 0.0)
+        mid_masks = [locked_mask(rng, train_cfg, "dropout_layers", (batch, cfg.layer_hidden(l)))
                      for l in range(cfg.n_layers - 1)]
-        out_mask = locked_mask((batch, cfg.layer_hidden(cfg.n_layers - 1)),
-                               train_cfg.dropout_output if train_cfg else 0.0)
+        out_mask = locked_mask(rng, train_cfg, "dropout_output",
+                               (batch, cfg.layer_hidden(cfg.n_layers - 1)))
 
         fused = []
         for layer in range(cfg.n_layers):

@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .config import ModelConfig, TrainConfig
-from .onlstm import ForwardOut
+from .onlstm import ForwardOut, locked_mask
 
 
 def relatedness_alpha(d_t, d_j, tau: float):
@@ -84,20 +84,25 @@ def prpn_distances(embeddings, pad_emb, w_c, b_c, w_d, b_d, lookback: int) -> Te
     return ad.reshape(d, (t_len, batch))
 
 
+def lstm_cell(x, h, c, weight, bias, hidden: int):
+    """One plain LSTM step; weight is the fused (in+hidden, 4*hidden) gate
+    matrix in the order forget, input, output, candidate.  Returns (h, c)."""
+    xh = ad.concat([x, h], axis=1)
+    pre = ad.matmul(xh, weight) + bias
+    f = ad.sigmoid(pre[:, 0:hidden])
+    i = ad.sigmoid(pre[:, hidden : 2 * hidden])
+    o = ad.sigmoid(pre[:, 2 * hidden : 3 * hidden])
+    g = ad.tanh(pre[:, 3 * hidden : 4 * hidden])
+    c = f * c + i * g
+    return o * ad.tanh(c), c
+
+
 def lstm_sequence(x_all, state, weight, bias, hidden: int):
     """Plain LSTM over (T, B, E); returns per-step hidden list and state."""
-    t_len = x_all.shape[0]
     h, c = state
     hs = []
-    for t in range(t_len):
-        xh = ad.concat([x_all[t], h], axis=1)
-        pre = ad.matmul(xh, weight) + bias
-        f = ad.sigmoid(pre[:, 0:hidden])
-        i = ad.sigmoid(pre[:, hidden : 2 * hidden])
-        o = ad.sigmoid(pre[:, 2 * hidden : 3 * hidden])
-        g = ad.tanh(pre[:, 3 * hidden : 4 * hidden])
-        c = f * c + i * g
-        h = o * ad.tanh(c)
+    for t in range(x_all.shape[0]):
+        h, c = lstm_cell(x_all[t], h, c, weight, bias, hidden)
         hs.append(h)
     return hs, (h, c)
 
@@ -238,15 +243,13 @@ class PrpnLM:
         rh = self.read_hidden
 
         emb_matrix = self.embedding
-        if rng is not None and train_cfg is not None and train_cfg.dropout_embedding > 0:
-            mask = Tensor((rng.random((cfg.vocab_size, 1)) >= train_cfg.dropout_embedding)
-                          / (1.0 - train_cfg.dropout_embedding))
-            emb_matrix = emb_matrix * mask
+        rows = locked_mask(rng, train_cfg, "dropout_embedding", (cfg.vocab_size, 1))
+        if rows is not None:
+            emb_matrix = emb_matrix * rows
         x_all = ad.embedding(emb_matrix, inputs)
-        if rng is not None and train_cfg is not None and train_cfg.dropout_words > 0:
-            mask = Tensor((rng.random((1, batch, cfg.embedding_size)) >= train_cfg.dropout_words)
-                          / (1.0 - train_cfg.dropout_words))
-            x_all = x_all * mask
+        word_mask = locked_mask(rng, train_cfg, "dropout_words", (1, batch, cfg.embedding_size))
+        if word_mask is not None:
+            x_all = x_all * word_mask
 
         if cfg.model == "prpn":
             d_all = self.conv_distances(x_all)
@@ -260,10 +263,7 @@ class PrpnLM:
         mem_h: list[Tensor] = []
         mem_c: list[Tensor] = []
         top_states = []
-        out_mask = None
-        if rng is not None and train_cfg is not None and train_cfg.dropout_output > 0:
-            out_mask = Tensor((rng.random((batch, rh)) >= train_cfg.dropout_output)
-                              / (1.0 - train_cfg.dropout_output))
+        out_mask = locked_mask(rng, train_cfg, "dropout_output", (batch, rh))
 
         for t in range(t_len):
             x_t = x_all[t]
@@ -286,14 +286,7 @@ class PrpnLM:
                 s3 = ad.reshape(s, (batch, t, 1))
                 h_tilde = ad.tsum(h_past * s3, axis=1)
                 c_tilde = ad.tsum(c_past * s3, axis=1)
-            xh = ad.concat([x_t, h_tilde], axis=1)
-            pre = ad.matmul(xh, self.w_r) + self.b_r
-            f = ad.sigmoid(pre[:, 0:rh])
-            i = ad.sigmoid(pre[:, rh : 2 * rh])
-            o = ad.sigmoid(pre[:, 2 * rh : 3 * rh])
-            g = ad.tanh(pre[:, 3 * rh : 4 * rh])
-            c = f * c_tilde + i * g
-            h = o * ad.tanh(c)
+            h, c = lstm_cell(x_t, h_tilde, c_tilde, self.w_r, self.b_r, rh)
             if not np.isfinite(h.data).all():
                 raise ad.NumericError("non-finite hidden state at step %d" % t)
             mem_h.append(ad.reshape(h, (batch, 1, rh)))

@@ -72,7 +72,6 @@ def ranking_loss(
     mask: np.ndarray,
     pair_mode: str = "symmetric",
     groups: Optional[np.ndarray] = None,
-    reduction: str = "mean",
 ) -> Tensor:
     """Pairwise hinge on predicted distances vs the gold ranking:
     sum over pairs of max(0, (1 - sign(g_i - g_j)) (w_i - w_j)); the
@@ -90,11 +89,20 @@ def ranking_loss(
     loss = ad.tsum(Tensor(1.0 - sign) * ad.relu(w_i - w_j))
     if pair_mode == "symmetric":
         loss = loss + ad.tsum(Tensor(1.0 + sign) * ad.relu(w_j - w_i))
-    if reduction == "mean":
-        loss = loss * (1.0 / ii.size)
-    elif reduction != "sum":
-        raise ValueError("reduction must be mean or sum")
-    return loss
+    return loss * (1.0 / ii.size)
+
+
+def _pair_agreement(d_w, d_g, mask, groups: Optional[np.ndarray] = None) -> tuple[int, int]:
+    """(agree, strict): of the strict pairs, those whose gold distances
+    differ, how many the predicted distances order the same way
+    (strictly), and how many strict pairs there are."""
+    d_w = np.asarray(d_w, dtype=np.float64)
+    d_g = np.asarray(d_g)
+    ii, jj = pair_indices(d_g, mask, groups)
+    sign_g = np.sign(d_g[ii] - d_g[jj])
+    strict = sign_g != 0
+    agree = np.sign(d_w[ii] - d_w[jj])[strict] == sign_g[strict]
+    return int(agree.sum()), int(strict.sum())
 
 
 def ranking_accuracy(
@@ -105,16 +113,8 @@ def ranking_accuracy(
 ) -> Optional[float]:
     """Percent of strictly gold-ordered pairs whose predicted order agrees
     (strictly); None when there are no strict pairs."""
-    d_w = np.asarray(d_w, dtype=np.float64)
-    ii, jj = pair_indices(d_g, mask, groups)
-    if ii.size == 0:
-        return None
-    sign_g = np.sign(np.asarray(d_g)[ii] - np.asarray(d_g)[jj])
-    strict = sign_g != 0
-    if not strict.any():
-        return None
-    agree = np.sign(d_w[ii] - d_w[jj])[strict] == sign_g[strict]
-    return 100.0 * float(agree.mean())
+    agree, strict = _pair_agreement(d_w, d_g, mask, groups)
+    return 100.0 * agree / strict if strict else None
 
 
 def joint_loss(l_lm: Tensor, l_syd: Optional[Tensor], alpha: float) -> Tensor:
@@ -129,26 +129,35 @@ def supervised_pair_accuracy(model, corpus, batch_size: int, bptt_length: int) -
     """Gold-pair ranking accuracy (percent) of the supervised distance stream
     over exactly the pair set the ranking loss trains: within-sentence,
     within-window slots, dropout off."""
-    correct = 0
-    total = 0
+    return validation_pass(model, corpus, batch_size, bptt_length, "gold")[1]
+
+
+def validation_pass(model, corpus: Corpus, batch_size: int, bptt_length: int,
+                    tree_source: str) -> tuple[float, Optional[float]]:
+    """(perplexity, gold-pair ranking accuracy in percent) from one forward
+    per batch of bptt_batches, dropout off.  Inputs, targets and weights do
+    not depend on tree_source; the accuracy is None unless tree_source is
+    "gold" and the model's supervised stream meets a strict gold pair."""
+    nll, weight = 0.0, 0.0
+    agree, strict = 0, 0
     state = None
-    for batch in bptt_batches(corpus, batch_size, bptt_length, tree_source="gold"):
+    for batch in bptt_batches(corpus, batch_size, bptt_length, tree_source=tree_source):
         if not batch.carry_state:
             state = None
         out = model.forward(batch.inputs, state)
         state = out.state
-        if out.d_syd is None:
-            return None
-        d_w = out.d_syd.data
-        d_g = batch.gold_d.reshape(-1)
-        ii, jj = pair_indices(d_g, batch.gold_mask.reshape(-1), batch.sent_id.reshape(-1))
-        if ii.size == 0:
-            continue
-        sign_g = np.sign(d_g[ii] - d_g[jj])
-        strict = sign_g != 0
-        correct += int((np.sign(d_w[ii] - d_w[jj])[strict] == sign_g[strict]).sum())
-        total += int(strict.sum())
-    return 100.0 * correct / total if total else None
+        ce = ad.cross_entropy_logits(out.logits, batch.targets.reshape(-1)).data
+        w = batch.target_weight.reshape(-1)
+        nll += float(ce @ w)
+        weight += float(w.sum())
+        if out.d_syd is not None and batch.gold_mask.any():
+            a, s = _pair_agreement(out.d_syd.data, batch.gold_d.reshape(-1),
+                                   batch.gold_mask.reshape(-1), batch.sent_id.reshape(-1))
+            agree += a
+            strict += s
+    if weight == 0:
+        raise ValueError("perplexity: corpus has no targets")
+    return float(np.exp(nll / weight)), (100.0 * agree / strict if strict else None)
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +311,6 @@ def train(model, corpus: Corpus, config: TrainConfig, valid_corpus: Optional[Cor
     Fully deterministic for a fixed config: one RNG owned by the trainer
     drives every dropout mask, and the data order is fixed.
     """
-    from .evaluation import perplexity
-
     config.validate()
     if valid_corpus is None:
         valid_corpus = corpus
@@ -370,12 +377,9 @@ def train(model, corpus: Corpus, config: TrainConfig, valid_corpus: Optional[Cor
                 for name, p in model.params.items():
                     avg_store[name] += (p.data - avg_store[name]) / avg_count
 
-        val_ppl = perplexity(model, valid_corpus, batch_size=config.batch_size,
-                             bptt_length=config.bptt_length)
-        rank_acc = None
-        if model.config.supervision_mode != "none":
-            rank_acc = supervised_pair_accuracy(model, valid_corpus,
-                                                config.batch_size, config.bptt_length)
+        val_ppl, rank_acc = validation_pass(
+            model, valid_corpus, config.batch_size, config.bptt_length,
+            "none" if model.config.supervision_mode == "none" else "gold")
         val_loss = float(np.log(val_ppl))
         if val_loss < best_val - 1e-5:
             best_val = val_loss

@@ -65,15 +65,6 @@ class Tree:
             return 0
         return tuple(ch.shape() for ch in self.children)
 
-    def validate(self) -> None:
-        for node in self.iter_nodes():
-            has_children = bool(node.children)
-            has_token = node.token is not None
-            if has_children == has_token:
-                raise ValueError(
-                    "node %r must have either children or a token" % node.label
-                )
-
     def __repr__(self) -> str:
         return "Tree(%s)" % render_bracketed(self)
 
@@ -178,10 +169,6 @@ def render_bracketed(tree: Tree) -> str:
     return "(%s %s)" % (tree.label, " ".join(render_bracketed(c) for c in tree.children))
 
 
-def read_treebank(text: str) -> list[Tree]:
-    return parse_bracketed(text, clean=True)
-
-
 # ---------------------------------------------------------------------------
 # Cleaning and binarization
 # ---------------------------------------------------------------------------
@@ -241,12 +228,6 @@ def _binarize(node: Tree) -> Tree:
         children = children[:-2] + [rest]
     # nest rightward: (c1, (c2, (c3, ...)))
     return Tree(label=node.label, children=children)
-
-
-def validate_binary(tree: Tree) -> None:
-    for node in tree.iter_nodes():
-        if not node.is_leaf and len(node.children) != 2:
-            raise ValueError("node %r has %d children" % (node.label, len(node.children)))
 
 
 def random_binary_tree(n_leaves: int, rng_seed: int, tokens: Optional[list[str]] = None) -> Tree:

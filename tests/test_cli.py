@@ -236,3 +236,156 @@ class TestExitCodes:
         assert main(["eval", "--checkpoint", str(run / "checkpoint.bin"),
                      "--corpus", str(other)]) == 2
         capsys.readouterr()
+
+
+def _zero_checkpoint(tmp_path, corpus_path, **model_kw):
+    """Checkpoint of an all-zero ON-LSTM sized to the corpus vocabulary."""
+    corpus = Corpus.load(str(corpus_path))
+    fields = dict(vocab_size=len(corpus.vocab), model="onlstm-syd", n_layers=1,
+                  embedding_size=4, hidden_size=4, supervision_layer=1)
+    fields.update(model_kw)
+    cfg = TrainConfig(model=ModelConfig(**fields))
+    model = OnLstmLM(cfg.model, seed=0)
+    for p in model.params.values():
+        p.data[:] = 0.0
+    ckpt = tmp_path / "zero.bin"
+    ad.save_checkpoint(str(ckpt), model.params, header={"config": cfg.to_dict()})
+    return ckpt
+
+
+@pytest.fixture
+def trained(tmp_path, treebank_file):
+    corpus = tmp_path / "corpus.json"
+    assert main(["preprocess", str(treebank_file), "--out", str(corpus)]) == 0
+    run = tmp_path / "run"
+    assert main(["train", "--corpus", str(corpus), "--out", str(run)] + TRAIN_OVERRIDES) == 0
+    return corpus, run / "checkpoint.bin"
+
+
+class TestEvalSinglePass:
+    def test_one_forward_per_perplexity_batch_and_sentence_group(self, tmp_path, trained,
+                                                                 monkeypatch, capsys):
+        from sydlm.training import bptt_batches
+
+        corpus_path, ckpt = trained
+        corpus = Corpus.load(str(corpus_path))
+        assert corpus.n_sentences <= 64  # one sentence group at the default batch size
+        calls = []
+        forward = OnLstmLM.forward
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return forward(self, *args, **kwargs)
+
+        monkeypatch.setattr(OnLstmLM, "forward", counted)
+        assert main(["eval", "--checkpoint", str(ckpt), "--corpus", str(corpus_path),
+                     "--out", str(tmp_path / "m.json"), "--wsj10-maxlen", "6",
+                     "--render", "0,1"]) == 0
+        n_ppl = len(list(bptt_batches(corpus, 1, 70, tree_source="none")))
+        assert len(calls) == n_ppl + 1
+        capsys.readouterr()
+
+    def test_short_report_is_the_short_subset_of_the_full_prediction(self, tmp_path, trained):
+        from sydlm.cli import _load_model
+        from sydlm.evaluation import induce_trees, report_to_json, structure_report
+
+        corpus_path, ckpt = trained
+        metrics = tmp_path / "m.json"
+        assert main(["eval", "--checkpoint", str(ckpt), "--corpus", str(corpus_path),
+                     "--out", str(metrics), "--wsj10-maxlen", "6"]) == 0
+        corpus = Corpus.load(str(corpus_path))
+        model, _, _ = _load_model(str(ckpt))
+        pred = induce_trees(model, corpus, stream="syd", algo="unbiased")
+        short = [i for i, (s, e) in enumerate(corpus.sentence_spans) if e - s <= 6]
+        assert 0 < len(short) < corpus.n_sentences
+        want = structure_report([pred[i] for i in short],
+                                [corpus.gold_trees_nary[i] for i in short]).to_json_dict()
+        got = json.loads(metrics.read_text())["structure_short"]
+        assert got == dict(json.loads(report_to_json(want)), max_len=6)
+
+
+class TestEvalOptions:
+    @pytest.mark.parametrize("option", ["--layer", "--wsj10-maxlen", "--bptt", "--batch-size"])
+    def test_integer_option_below_one_is_usage_error(self, tmp_path, option, capsys):
+        src = tmp_path / "tiny.mrg"
+        src.write_text("(S (NN aa) (NN bb) (NN aa))")
+        corpus_path = tmp_path / "c.json"
+        main(["preprocess", str(src), "--out", str(corpus_path)])
+        ckpt = _zero_checkpoint(tmp_path, corpus_path)
+        metrics = tmp_path / "m.json"
+        assert main(["eval", "--checkpoint", str(ckpt), "--corpus", str(corpus_path),
+                     "--out", str(metrics), option, "0"]) == 1
+        assert not metrics.exists()
+        assert "must be >= 1" in capsys.readouterr().err
+
+    def test_layer_beyond_distance_layers_is_data_error(self, tmp_path, capsys):
+        src = tmp_path / "tiny.mrg"
+        src.write_text("(S (NN aa) (NN bb) (NN aa))")
+        corpus_path = tmp_path / "c.json"
+        main(["preprocess", str(src), "--out", str(corpus_path)])
+        ckpt = _zero_checkpoint(tmp_path, corpus_path, n_layers=3, supervision_layer=3)
+        capsys.readouterr()
+        metrics = tmp_path / "m.json"
+        args = ["eval", "--checkpoint", str(ckpt), "--corpus", str(corpus_path),
+                "--out", str(metrics), "--trees", "lm"]
+        assert main(args + ["--layer", "4"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
+        assert not metrics.exists()
+        assert main(args + ["--layer", "3"]) == 0
+
+
+class TestMalformedInputs:
+    @pytest.fixture
+    def zero_eval(self, tmp_path):
+        src = tmp_path / "tiny.mrg"
+        src.write_text("(S (NN aa) (NN bb) (NN aa))")
+        corpus_path = tmp_path / "c.json"
+        main(["preprocess", str(src), "--out", str(corpus_path)])
+        return corpus_path, _zero_checkpoint(tmp_path, corpus_path)
+
+    def _data_error(self, argv, capsys, needle):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
+        assert needle in err
+
+    def test_truncated_checkpoint(self, tmp_path, zero_eval, capsys):
+        corpus_path, ckpt = zero_eval
+        cut = tmp_path / "cut.bin"
+        cut.write_bytes(ckpt.read_bytes()[:-12])
+        self._data_error(["eval", "--checkpoint", str(cut), "--corpus", str(corpus_path)],
+                         capsys, "truncated")
+
+    def test_directory_as_checkpoint(self, tmp_path, zero_eval, capsys):
+        corpus_path, _ = zero_eval
+        self._data_error(["eval", "--checkpoint", str(tmp_path), "--corpus", str(corpus_path)],
+                         capsys, str(tmp_path))
+
+    def test_corpus_dump_without_tokens(self, tmp_path, zero_eval, capsys):
+        corpus_path, ckpt = zero_eval
+        payload = json.loads(corpus_path.read_text())
+        del payload["tokens"]
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(payload))
+        self._data_error(["eval", "--checkpoint", str(ckpt), "--corpus", str(broken)],
+                         capsys, "'tokens'")
+
+
+class TestStrictJson:
+    def test_one_word_sentences_write_null_ratio(self, tmp_path, capsys):
+        src = tmp_path / "words.mrg"
+        src.write_text("(S (NN aa))\n(S (NN bb))\n(S (NN aa))\n")
+        corpus_path = tmp_path / "c.json"
+        main(["preprocess", str(src), "--out", str(corpus_path)])
+        ckpt = _zero_checkpoint(tmp_path, corpus_path)
+        metrics = tmp_path / "m.json"
+        assert main(["eval", "--checkpoint", str(ckpt), "--corpus", str(corpus_path),
+                     "--out", str(metrics)]) == 0
+
+        def reject(name):
+            raise ValueError("non-standard JSON constant %s" % name)
+
+        payload = json.loads(metrics.read_text(), parse_constant=reject)
+        assert payload["structure"]["left_right_ratio"] is None
+        capsys.readouterr()

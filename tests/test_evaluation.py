@@ -8,9 +8,9 @@ from sydlm.evaluation import (
     depth_and_ratio,
     induce_trees,
     labeled_spans,
-    length_filter,
     per_tag_accuracy,
     perplexity,
+    resolve_layer,
     sentence_distances,
     spans_of,
     structure_report,
@@ -296,26 +296,6 @@ class TestAccuracyByHeight:
         assert total == expected
 
 
-class TestLengthFilter:
-    def test_keeps_short_sentences(self, tiny_corpus):
-        short = length_filter(tiny_corpus, 5)
-        assert short.n_sentences >= 1
-        assert all(e - s <= 5 for s, e in short.sentence_spans)
-        assert short.mode == tiny_corpus.mode
-
-    def test_maxlen_covers_everything(self, tiny_corpus):
-        same = length_filter(tiny_corpus, 10_000)
-        assert same.n_sentences == tiny_corpus.n_sentences
-        assert np.array_equal(same.tokens, tiny_corpus.tokens)
-
-    def test_single_token_only(self):
-        text = "(S (NN a)) (S (NN b) (NN c))"
-        corpus = preprocess_corpus(parse_bracketed(text), PreprocessRules(vocab_max_size=5))
-        assert length_filter(corpus, 1).n_sentences == 1
-        with pytest.raises(ValueError):
-            length_filter(corpus, 0)
-
-
 class TestPerplexity:
     def test_uniform_model_gives_vocab_size(self, tiny_corpus):
         cfg = ModelConfig(vocab_size=len(tiny_corpus.vocab), model="onlstm-syd", n_layers=1,
@@ -384,14 +364,24 @@ class TestStructureReportAndStreams:
                           embedding_size=6, hidden_size=6, supervision_layer=1,
                           supervision_mode="none")
         model = OnLstmLM(cfg, seed=2)
+        assert set(sentence_distances(model, tiny_corpus)) == {"lm"}
         with pytest.raises(ValueError, match="no supervised distance stream"):
-            sentence_distances(model, tiny_corpus, stream="syd")
+            induce_trees(model, tiny_corpus, stream="syd")
+
+    def test_layer_defaults_and_bounds(self):
+        onlstm = ModelConfig(vocab_size=10, n_layers=3, supervision_layer=2)
+        prpn = ModelConfig(vocab_size=10, model="prpn-syd", n_layers=3, supervision_layer=3)
+        assert resolve_layer(onlstm) == 1 and resolve_layer(onlstm, 3) == 2
+        assert resolve_layer(prpn) == 0  # PRPN emits a single distance layer
+        for config, layer in ((onlstm, 0), (onlstm, 4), (prpn, 2)):
+            with pytest.raises(ValueError, match="distance layers"):
+                resolve_layer(config, layer)
 
     def test_sentence_distances_match_single_forward(self, tiny_corpus):
         cfg = ModelConfig(vocab_size=len(tiny_corpus.vocab), model="onlstm-syd", n_layers=1,
                           embedding_size=8, hidden_size=8, supervision_layer=1)
         model = OnLstmLM(cfg, seed=3)
-        dists = sentence_distances(model, tiny_corpus, stream="syd", batch_size=1)
+        dists = sentence_distances(model, tiny_corpus, batch_size=1)["syd"]
         i = max(range(tiny_corpus.n_sentences),
                 key=lambda k: tiny_corpus.sentence_spans[k][1] - tiny_corpus.sentence_spans[k][0])
         n = tiny_corpus.sentence_spans[i][1] - tiny_corpus.sentence_spans[i][0]

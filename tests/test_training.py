@@ -5,6 +5,7 @@ from sydlm.autodiff import Tape, Tensor, backward
 from sydlm.config import ConfigError, ModelConfig, TrainConfig
 from sydlm.corpus import PreprocessRules, Vocab, preprocess_corpus
 from sydlm.distance import distances_to_tree_unbiased
+from sydlm.evaluation import perplexity
 from sydlm.onlstm import OnLstmLM
 from sydlm.training import (
     Batch,
@@ -15,7 +16,9 @@ from sydlm.training import (
     pair_indices,
     ranking_accuracy,
     ranking_loss,
+    supervised_pair_accuracy,
     train,
+    validation_pass,
 )
 from sydlm.trees import parse_bracketed
 
@@ -314,6 +317,31 @@ class TestTrain:
         _, best = train(model, tiny_corpus, cfg)
         for name, param in model.params.items():
             assert np.array_equal(best[name], param.data)
+
+    def test_one_forward_per_train_and_validation_batch(self, tiny_corpus, monkeypatch):
+        valid = pcfg_corpus(8, seed=12)
+        cfg = train_config(tiny_corpus, epochs=1)
+        model = OnLstmLM(cfg.model, seed=cfg.seed)
+        calls = []
+        forward = OnLstmLM.forward
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return forward(self, *args, **kwargs)
+
+        monkeypatch.setattr(OnLstmLM, "forward", counted)
+        train(model, tiny_corpus, cfg, valid)
+        n_train = len(list(bptt_batches(tiny_corpus, cfg.batch_size, cfg.bptt_length)))
+        n_valid = len(list(bptt_batches(valid, cfg.batch_size, cfg.bptt_length)))
+        assert len(calls) == n_train + n_valid
+
+    def test_validation_pass_gives_both_views(self, tiny_corpus):
+        cfg = train_config(tiny_corpus)
+        model = OnLstmLM(cfg.model, seed=4)
+        ppl, acc = validation_pass(model, tiny_corpus, 4, 10, "gold")
+        assert ppl == perplexity(model, tiny_corpus, 4, 10)
+        assert acc is not None and acc == supervised_pair_accuracy(model, tiny_corpus, 4, 10)
+        assert validation_pass(model, tiny_corpus, 4, 10, "none") == (ppl, None)
 
     def test_config_invariant_enforced(self, tiny_corpus):
         cfg = train_config(tiny_corpus, tree_source="none")  # mode stays split-head
