@@ -136,12 +136,11 @@ def _apply(out_data: np.ndarray, parents: tuple, bwd: Callable) -> Tensor:
     return out
 
 
-def backward(loss: Tensor) -> dict:
+def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(param) for every requires_grad leaf reached.
 
-    Adjoints of a tensor used several times sum.  Also deposits the result
-    on each leaf's ``.grad`` (adding to any existing value) and returns a
-    {tensor: gradient} dict.
+    Adjoints of a tensor used several times sum.  The result is added to
+    each leaf's ``.grad``.
     """
     tape = _tape()
     if tape is None:
@@ -164,7 +163,6 @@ def backward(loss: Tensor) -> dict:
             grads[pid] = dp if acc is None else acc + dp
             if parent.requires_grad and parent.node is None:
                 leaves[pid] = parent
-    out: dict[Tensor, np.ndarray] = {}
     for pid, tensor in leaves.items():
         g = grads.get(pid)
         if g is None:
@@ -173,8 +171,6 @@ def backward(loss: Tensor) -> dict:
         if g.shape != tensor.data.shape:
             raise ShapeError("gradient shape %s != tensor shape %s" % (g.shape, tensor.data.shape))
         tensor.grad = g if tensor.grad is None else tensor.grad + g
-        out[tensor] = g
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -18,7 +19,7 @@ from pathlib import Path
 
 from . import __version__
 from . import autodiff as ad
-from .config import ConfigError, TrainConfig, apply_setting, parse_config_text
+from .config import ConfigError, TrainConfig, _coerce, apply_setting, parse_config_text, read_settings
 from .corpus import Corpus, PreprocessRules, preprocess_corpus
 from .evaluation import (
     perplexity,
@@ -74,33 +75,17 @@ def _env_seed(default: int) -> int:
 # ---------------------------------------------------------------------------
 
 def _load_rules(path: str | None, mode: str) -> PreprocessRules:
-    rules = PreprocessRules(mode=mode)
-    if path is None:
-        return rules
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError("%s:%d: expected key = value" % (path, lineno))
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key == "lowercase":
-            rules.lowercase = value.lower() in ("true", "1", "yes", "on")
-        elif key == "drop_tags":
-            rules.drop_tags = frozenset(value.split())
-        elif key == "number_pattern":
-            rules.number_pattern = value
-        elif key == "number_symbol":
-            rules.number_symbol = value
-        elif key == "vocab_max_size":
-            rules.vocab_max_size = int(value)
-        elif key == "mode":
-            rules.mode = value
-        else:
-            raise ConfigError("%s:%d: unknown rule %r" % (path, lineno, key))
-    if rules.mode not in ("concat", "sepsent"):
-        raise ConfigError("mode must be concat or sepsent")
-    return rules
+    settings = {"mode": mode}
+    if path is not None:
+        types = {f.name: f.type for f in dataclasses.fields(PreprocessRules)}
+        try:
+            for lineno, key, value in read_settings(Path(path).read_text()):
+                if key not in types:
+                    raise ConfigError("line %d: unknown rule %r" % (lineno, key))
+                settings[key] = value.split() if key == "drop_tags" else _coerce(key, value, types[key])
+        except ValueError as exc:
+            raise ConfigError("%s: %s" % (path, exc)) from None
+    return PreprocessRules(**settings)
 
 
 def cmd_preprocess(args, argv) -> int:
@@ -117,14 +102,8 @@ def cmd_preprocess(args, argv) -> int:
             raise TreebankError("%s: %s" % (path, exc))
     vocab = Corpus.load(args.vocab_from).vocab if args.vocab_from else None
     corpus = preprocess_corpus(trees, rules, vocab)
-    corpus.manifest = _manifest(argv, 0, list(args.inputs), {"rules": {
-        "lowercase": rules.lowercase,
-        "drop_tags": sorted(rules.drop_tags),
-        "number_pattern": rules.number_pattern,
-        "number_symbol": rules.number_symbol,
-        "vocab_max_size": rules.vocab_max_size,
-        "mode": rules.mode,
-    }})
+    corpus.manifest = _manifest(argv, 0, list(args.inputs), {
+        "rules": dict(dataclasses.asdict(rules), drop_tags=sorted(rules.drop_tags))})
     corpus.save(args.out)
     dist_path = args.out + ".dist"
     with open(dist_path, "w") as fh:
@@ -180,8 +159,9 @@ def cmd_train(args, argv) -> int:
 
 def _load_model(checkpoint: str):
     header, arrays = ad.load_checkpoint(checkpoint)
+    if not isinstance(header, dict) or not isinstance(header.get("config"), dict):
+        raise ConfigError("%s: checkpoint header has no config object" % checkpoint)
     cfg = TrainConfig.from_dict(header["config"])
-    cfg.model.validate()
     model = build_model(cfg.model, cfg.seed)
     for name, tensor in model.params.items():
         if name not in arrays:

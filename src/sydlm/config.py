@@ -75,6 +75,8 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
+        if not isinstance(data, dict):
+            raise ConfigError("model config must be an object, got %s" % type(data).__name__)
         known = {f.name for f in dataclasses.fields(cls)}
         return cls(**{k: v for k, v in data.items() if k in known})
 
@@ -158,9 +160,9 @@ def _coerce(name: str, text: str, typ) -> object:
     return text
 
 
-def parse_config_text(text: str, base: Optional[TrainConfig] = None) -> TrainConfig:
-    """Parse `key = value` lines (# comments) into a TrainConfig."""
-    cfg = base if base is not None else TrainConfig(model=ModelConfig())
+def read_settings(text: str):
+    """(line number, key, value) of each `key = value` line; # starts a
+    comment and blank lines are skipped."""
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -168,6 +170,13 @@ def parse_config_text(text: str, base: Optional[TrainConfig] = None) -> TrainCon
         if "=" not in line:
             raise ConfigError("line %d: expected key = value, got %r" % (lineno, raw))
         key, value = (part.strip() for part in line.split("=", 1))
+        yield lineno, key, value
+
+
+def parse_config_text(text: str, base: Optional[TrainConfig] = None) -> TrainConfig:
+    """Parse `key = value` lines (# comments) into a TrainConfig."""
+    cfg = base if base is not None else TrainConfig(model=ModelConfig())
+    for _lineno, key, value in read_settings(text):
         apply_setting(cfg, key, value)
     return cfg
 

@@ -166,7 +166,7 @@ class Corpus:
     def load(cls, path: str) -> "Corpus":
         with open(path) as fh:
             payload = json.load(fh)
-        if payload.get("magic") != CORPUS_MAGIC:
+        if not isinstance(payload, dict) or payload.get("magic") != CORPUS_MAGIC:
             raise ConfigError("%s is not a corpus dump (bad magic)" % path)
         if payload.get("version") != CORPUS_VERSION:
             raise ConfigError("unsupported corpus version %r" % payload.get("version"))

@@ -17,8 +17,6 @@ import numpy as np
 
 from .trees import Tree, fill_heights, leaf
 
-PROVENANCES = ("gold", "model-lm", "model-syd")
-
 
 @dataclass
 class DistanceSeq:
@@ -27,7 +25,6 @@ class DistanceSeq:
     values: np.ndarray
     mask: np.ndarray
     n_tokens: int
-    provenance: str = "gold"
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -37,8 +34,6 @@ class DistanceSeq:
                 "distance sequence for %d tokens needs %d values/mask bits, got %d/%d"
                 % (self.n_tokens, self.n_tokens - 1, self.values.size, self.mask.size)
             )
-        if self.provenance not in PROVENANCES:
-            raise ValueError("unknown provenance %r" % self.provenance)
 
     def to_line(self) -> str:
         parts = [str(self.n_tokens)]
@@ -47,12 +42,12 @@ class DistanceSeq:
         return " ".join(parts)
 
     @classmethod
-    def from_line(cls, line: str, provenance: str = "gold") -> "DistanceSeq":
+    def from_line(cls, line: str) -> "DistanceSeq":
         fields = line.split()
         n = int(fields[0])
         vals = [float(x) for x in fields[1:n]]
         bits = [x == "1" for x in fields[n : 2 * n - 1]]
-        return cls(np.array(vals), np.array(bits, dtype=bool), n, provenance)
+        return cls(np.array(vals), np.array(bits, dtype=bool), n)
 
 
 def tree_to_distances(tree: Tree) -> DistanceSeq:
@@ -75,7 +70,7 @@ def tree_to_distances(tree: Tree) -> DistanceSeq:
         return left + right
 
     walk(tree, 0)
-    return DistanceSeq(values, np.ones(n - 1, dtype=bool), n, provenance="gold")
+    return DistanceSeq(values, np.ones(n - 1, dtype=bool), n)
 
 
 def distances_to_tree_unbiased(d, leaves: list[str], label: str = "X") -> Tree:
@@ -100,24 +95,18 @@ def distances_to_tree_unbiased(d, leaves: list[str], label: str = "X") -> Tree:
     return tree
 
 
-def distances_to_tree_biased(d, leaves: list[str], per_word: bool = False, label: str = "X") -> Tree:
+def distances_to_tree_biased(d, leaves: list[str], label: str = "X") -> Tree:
     """Greedy build with a right-branching bias: the maximal-distance word
     becomes the left sibling of the recursively built right span, so flat or
     tied regions collapse into right-branching chains.
 
-    Slot-convention input (the default) is shifted to the per-word convention
-    by giving the first word of the span -inf, i.e. word i carries the
-    distance of the slot before it.
+    Word i carries the distance of the slot before it; the first word gets
+    -inf.
     """
     values = d.values if isinstance(d, DistanceSeq) else np.asarray(d, dtype=np.float64)
-    if per_word:
-        if len(values) != len(leaves):
-            raise ValueError("per-word input needs one distance per word")
-        word_d = np.asarray(values, dtype=np.float64)
-    else:
-        if len(values) != len(leaves) - 1:
-            raise ValueError("need %d distances for %d leaves, got %d" % (len(leaves) - 1, len(leaves), len(values)))
-        word_d = np.concatenate([[-math.inf], values])
+    if len(values) != len(leaves) - 1:
+        raise ValueError("need %d distances for %d leaves, got %d" % (len(leaves) - 1, len(leaves), len(values)))
+    word_d = np.concatenate([[-math.inf], values])
 
     def build(lo: int, hi: int) -> Tree:
         if hi - lo == 1:

@@ -16,10 +16,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Vocab
+from .corpus import Corpus
 from .distance import distances_to_tree_biased, distances_to_tree_unbiased
-from .training import validation_pass
-from .trees import Tree, fill_heights
+from .training import sentence_batches, validation_pass
+from .trees import Tree, constituents, fill_heights
 
 DEFAULT_TAGS = ("ADJP", "NP", "VP", "PP")
 
@@ -67,22 +67,13 @@ def sentence_distances(
     """
     idx = resolve_layer(model.config, layer)
     out: dict = {}
-    order = sorted(range(corpus.n_sentences),
-                   key=lambda i: (corpus.sentence_spans[i][1] - corpus.sentence_spans[i][0], i))
-    for lo in range(0, len(order), batch_size):
-        group = order[lo : lo + batch_size]
-        lens = [corpus.sentence_spans[i][1] - corpus.sentence_spans[i][0] for i in group]
-        t_len = max(lens) + 1
-        inputs = np.full((t_len, len(group)), Vocab.eos_id, dtype=np.int64)
-        for j, (i, n) in enumerate(zip(group, lens)):
-            s, e = corpus.sentence_spans[i]
-            inputs[1 : n + 1, j] = corpus.tokens[s:e]
+    for group, lens, inputs in sentence_batches(corpus, batch_size):
         fwd = model.forward(inputs, None)
         streams = {"lm": fwd.d_lm[idx]}
         if fwd.d_syd is not None:
             streams["syd"] = fwd.d_syd
         for name, dist in streams.items():
-            vals = dist.data.reshape(t_len, len(group))
+            vals = dist.data.reshape(inputs.shape)
             per_sentence = out.setdefault(name, [None] * corpus.n_sentences)
             for j, (i, n) in enumerate(zip(group, lens)):
                 per_sentence[i] = vals[2 : n + 1, j].copy() if n >= 2 else np.zeros(0)
@@ -125,39 +116,14 @@ def induce_trees(
 def spans_of(tree: Tree, include_root: bool = False) -> set:
     """(start, end) half-open spans of internal nodes, single-word spans
     dropped; the whole-sentence span only with include_root."""
-    spans = set()
-    n_total = tree.n_leaves()
-
-    def walk(node: Tree, offset: int) -> int:
-        if node.is_leaf:
-            return 1
-        width = 0
-        for ch in node.children:
-            width += walk(ch, offset + width)
-        if width >= 2 and (include_root or not (offset == 0 and width == n_total)):
-            spans.add((offset, offset + width))
-        return width
-
-    walk(tree, 0)
-    return spans
+    nodes = constituents(tree)
+    whole = nodes[-1][1:]
+    return {(s, e) for _node, s, e in nodes if e - s >= 2 and (include_root or (s, e) != whole)}
 
 
 def labeled_spans(tree: Tree) -> list:
     """(label, start, end) for internal nodes of width >= 2, root included."""
-    out = []
-
-    def walk(node: Tree, offset: int) -> int:
-        if node.is_leaf:
-            return 1
-        width = 0
-        for ch in node.children:
-            width += walk(ch, offset + width)
-        if width >= 2:
-            out.append((node.label, offset, offset + width))
-        return width
-
-    walk(tree, 0)
-    return out
+    return [(node.label, s, e) for node, s, e in constituents(tree) if e - s >= 2]
 
 
 def unlabeled_f1(pred_trees: Sequence[Tree], gold_trees: Sequence[Tree]):
@@ -245,19 +211,10 @@ def accuracy_by_height(pred_trees, gold_trees) -> dict:
         if pred.height is None:
             fill_heights(pred)
         gspans = spans_of(gold, include_root=True)
-
-        def walk(node: Tree, offset: int, is_root: bool) -> int:
-            if node.is_leaf:
-                return 1
-            width = 0
-            for ch in node.children:
-                width += walk(ch, offset + width, False)
-            if not is_root:
+        for node, s, e in constituents(pred):
+            if node is not pred and not node.is_leaf:
                 correct, total = buckets.get(node.height, (0, 0))
-                buckets[node.height] = (correct + ((offset, offset + width) in gspans), total + 1)
-            return width
-
-        walk(pred, 0, True)
+                buckets[node.height] = (correct + ((s, e) in gspans), total + 1)
     return {h: tuple(v) for h, v in sorted(buckets.items())}
 
 

@@ -19,6 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .config import ModelConfig, TrainConfig
+from .models import ForwardOut, LanguageModel, locked_mask
 
 GATE_NAMES = ("W_f", "W_i", "W_o", "W_c", "W_mf", "W_mi")
 BIAS_NAMES = ("b_f", "b_i", "b_o", "b_c", "b_mf", "b_mi")
@@ -32,25 +33,6 @@ class StepOutput:
     master_input: Tensor
     d_lm: Tensor
     d_syd: Optional[Tensor]
-
-
-@dataclass
-class ForwardOut:
-    logits: Tensor                 # (T*B, V), time-major rows
-    d_lm: list                     # per layer, each (T*B,)
-    d_syd: Optional[Tensor]        # (T*B,) or None
-    state: list                    # detached (h, c) numpy pairs per layer
-
-
-def locked_mask(rng: Optional[np.random.Generator], train_cfg: Optional[TrainConfig],
-                rate: str, shape: tuple) -> Optional[Tensor]:
-    """Inverted-dropout mask at the train_cfg rate named `rate`, drawn once
-    and reused at every step of a window; None when not training or the
-    rate is 0."""
-    p = getattr(train_cfg, rate, 0.0)
-    if rng is None or p == 0.0:
-        return None
-    return Tensor((rng.random(shape) >= p) / (1.0 - p))
 
 
 def extract_distance(master_forget: Tensor) -> Tensor:
@@ -118,28 +100,14 @@ def onlstm_step(
     return StepOutput(h=h, c=c, master_forget=f_m, master_input=i_m, d_lm=d_lm, d_syd=d_syd)
 
 
-class OnLstmLM:
+class OnLstmLM(LanguageModel):
     """Stacked ON-LSTM language model (optionally with the split head)."""
 
+    kinds = ("onlstm-syd",)
+
     def __init__(self, config: ModelConfig, seed: int):
-        config.validate()
-        if config.model != "onlstm-syd":
-            raise ValueError("OnLstmLM requires model 'onlstm-syd', got %r" % config.model)
-        self.config = config
-        self.params: dict[str, Tensor] = {}
-        rng = np.random.default_rng(seed)
-
-        def param(name, shape, scale=None, zero=False):
-            if zero:
-                data = np.zeros(shape)
-            else:
-                data = rng.uniform(-scale, scale, size=shape)
-            t = Tensor(data, requires_grad=True, name=name)
-            self.params[name] = t
-            return t
-
+        super().__init__(config, seed)
         cfg = config
-        self.embedding = param("embedding", (cfg.vocab_size, cfg.embedding_size), scale=0.1)
         self.layers = []
         for layer in range(cfg.n_layers):
             i_dim, hidden = cfg.layer_input(layer), cfg.layer_hidden(layer)
@@ -148,29 +116,27 @@ class OnLstmLM:
             widths = (hidden, hidden, hidden, hidden, d_m, d_m)
             gates = {}
             for gname, bname, width in zip(GATE_NAMES, BIAS_NAMES, widths):
-                gates[gname] = param("layer%d.%s" % (layer, gname), (i_dim + hidden, width), scale)
-                gates[bname] = param("layer%d.%s" % (layer, bname), (width,), zero=True)
+                gates[gname] = self.param("layer%d.%s" % (layer, gname), (i_dim + hidden, width), scale)
+                gates[bname] = self.param("layer%d.%s" % (layer, bname), (width,), None)
             self.layers.append(gates)
-        last_hidden = cfg.layer_hidden(cfg.n_layers - 1)
-        if cfg.tie_embeddings:
-            self.w_out = None
-        else:
-            self.w_out = param("W_out", (last_hidden, cfg.vocab_size), scale=1.0 / np.sqrt(last_hidden))
-        self.b_out = param("b_out", (cfg.vocab_size,), zero=True)
+        self.init_decoder(cfg.layer_hidden(cfg.n_layers - 1))
 
         # supervision head parameters come last so the language-model
         # parameter draws are identical across supervision modes
         sup_hidden = cfg.layer_hidden(cfg.supervision_layer - 1)
         sup_dm = sup_hidden // cfg.chunk_factor
         if cfg.supervision_mode == "split-head":
-            self.w_s = param("W_s", (sup_dm, sup_dm), scale=1.0 / np.sqrt(sup_dm))
-            self.b_s = param("b_s", (sup_dm,), zero=True)
+            self.w_s = self.param("W_s", (sup_dm, sup_dm), 1.0 / np.sqrt(sup_dm))
+            self.b_s = self.param("b_s", (sup_dm,), None)
         elif cfg.supervision_mode == "vanilla-multitask":
             scale = 1.0 / np.sqrt(sup_hidden)
-            self.w_v1 = param("W_v1", (sup_hidden, sup_hidden), scale)
-            self.b_v1 = param("b_v1", (sup_hidden,), zero=True)
-            self.w_v2 = param("W_v2", (sup_hidden, 1), scale)
-            self.b_v2 = param("b_v2", (1,), zero=True)
+            self.w_v1 = self.param("W_v1", (sup_hidden, sup_hidden), scale)
+            self.b_v1 = self.param("b_v1", (sup_hidden,), None)
+            self.w_v2 = self.param("W_v2", (sup_hidden, 1), scale)
+            self.b_v2 = self.param("b_v2", (1,), None)
+
+    # perfbench/tracer.py patches zero_grad and forward per class
+    zero_grad = LanguageModel.zero_grad
 
     # -- state --------------------------------------------------------------
 
@@ -180,10 +146,6 @@ class OnLstmLM:
              np.zeros((batch_size, self.config.layer_hidden(l))))
             for l in range(self.config.n_layers)
         ]
-
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.grad = None
 
     def set_identity_split_head(self) -> None:
         """W_s = I, b_s = 0: the supervised distances equal the LM ones."""
@@ -206,22 +168,12 @@ class OnLstmLM:
         t_len, batch = inputs.shape
         if state is None:
             state = self.init_state(batch)
-
-        emb_matrix = self.embedding
-        rows = locked_mask(rng, train_cfg, "dropout_embedding", (cfg.vocab_size, 1))
-        if rows is not None:
-            emb_matrix = emb_matrix * rows
-        x_all = ad.embedding(emb_matrix, inputs)  # (T, B, E)
-        word_mask = locked_mask(rng, train_cfg, "dropout_words", (1, batch, cfg.embedding_size))
-        if word_mask is not None:
-            x_all = x_all * word_mask
+        x_all = self.embed(inputs, rng, train_cfg)  # (T, B, E)
 
         rec_masks = [locked_mask(rng, train_cfg, "dropout_recurrent", (batch, cfg.layer_hidden(l)))
                      for l in range(cfg.n_layers)]
         mid_masks = [locked_mask(rng, train_cfg, "dropout_layers", (batch, cfg.layer_hidden(l)))
                      for l in range(cfg.n_layers - 1)]
-        out_mask = locked_mask(rng, train_cfg, "dropout_output",
-                               (batch, cfg.layer_hidden(cfg.n_layers - 1)))
 
         fused = []
         for layer in range(cfg.n_layers):
@@ -265,17 +217,9 @@ class OnLstmLM:
                 x = out.h
                 if layer < cfg.n_layers - 1 and mid_masks[layer] is not None:
                     x = x * mid_masks[layer]
-            top = x
-            if out_mask is not None:
-                top = top * out_mask
-            top_states.append(top)
+            top_states.append(x)
 
-        flat = ad.concat(top_states, axis=0)  # (T*B, H_last)
-        if self.w_out is None:
-            logits = ad.matmul(flat, self.embedding, transpose_b=True) + self.b_out
-        else:
-            logits = ad.matmul(flat, self.w_out) + self.b_out
-
+        logits = self.decode(top_states, rng, train_cfg)
         d_lm = [ad.concat(steps, axis=0) for steps in d_lm_steps]
         d_syd = ad.concat(d_syd_steps, axis=0) if d_syd_steps else None
         new_state = [(h.data.copy(), c.data.copy()) for h, c in zip(hs, cs)]

@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .config import ModelConfig, TrainConfig
-from .onlstm import ForwardOut, locked_mask
+from .models import ForwardOut, LanguageModel
 
 
 def relatedness_alpha(d_t, d_j, tau: float):
@@ -111,74 +111,59 @@ def _feed_forward(x, w1, b1, w2, b2) -> Tensor:
     return ad.matmul(ad.relu(ad.matmul(x, w1) + b1), w2) + b2
 
 
-class PrpnLM:
+class PrpnLM(LanguageModel):
     """PRPN language model; parsing source per config.model."""
 
+    kinds = ("prpn", "prpn-syd")
+
     def __init__(self, config: ModelConfig, seed: int):
-        config.validate()
-        if config.model not in ("prpn", "prpn-syd"):
-            raise ValueError("PrpnLM requires model prpn or prpn-syd, got %r" % config.model)
-        self.config = config
-        self.params: dict[str, Tensor] = {}
-        rng = np.random.default_rng(seed)
-
-        def param(name, shape, scale=None, zero=False):
-            data = np.zeros(shape) if zero else rng.uniform(-scale, scale, size=shape)
-            t = Tensor(data, requires_grad=True, name=name)
-            self.params[name] = t
-            return t
-
+        super().__init__(config, seed)
         cfg = config
+        param = self.param
         e_dim = cfg.embedding_size
         h = cfg.hidden_size
         self.read_hidden = e_dim if cfg.tie_embeddings else h
         rh = self.read_hidden
-        self.embedding = param("embedding", (cfg.vocab_size, e_dim), scale=0.1)
 
         if cfg.model == "prpn":
             look = cfg.prpn_lookback
-            self.pad_emb = param("pad_emb", (look, e_dim), scale=0.1)
-            self.w_c = param("W_c", ((look + 1) * e_dim, h), scale=1.0 / math.sqrt(h))
-            self.b_c = param("b_c", (h,), zero=True)
-            self.w_d = param("W_d", (h, 1), scale=1.0 / math.sqrt(h))
-            self.b_d = param("b_d", (1,), zero=True)
+            self.pad_emb = param("pad_emb", (look, e_dim), 0.1)
+            self.w_c = param("W_c", ((look + 1) * e_dim, h), 1.0 / math.sqrt(h))
+            self.b_c = param("b_c", (h,), None)
+            self.w_d = param("W_d", (h, 1), 1.0 / math.sqrt(h))
+            self.b_d = param("b_d", (1,), None)
         else:
             scale = 1.0 / math.sqrt(h)
             self.w_lstm_w = param("enc.W_word", (e_dim + h, 4 * h), scale)
-            self.b_lstm_w = param("enc.b_word", (4 * h,), zero=True)
+            self.b_lstm_w = param("enc.b_word", (4 * h,), None)
             self.w_conv = param("enc.W_conv", (cfg.prpn_conv_window * h, h), scale)
-            self.b_conv = param("enc.b_conv", (h,), zero=True)
+            self.b_conv = param("enc.b_conv", (h,), None)
             self.w_lstm_d = param("enc.W_dist", (h + h, 4 * h), scale)
-            self.b_lstm_d = param("enc.b_dist", (4 * h,), zero=True)
+            self.b_lstm_d = param("enc.b_dist", (4 * h,), None)
             fh = cfg.prpn_ff_hidden
             self.w_lm1 = param("enc.W_lm1", (h, fh), scale)
-            self.b_lm1 = param("enc.b_lm1", (fh,), zero=True)
-            self.w_lm2 = param("enc.W_lm2", (fh, 1), scale=1.0 / math.sqrt(fh))
-            self.b_lm2 = param("enc.b_lm2", (1,), zero=True)
+            self.b_lm1 = param("enc.b_lm1", (fh,), None)
+            self.w_lm2 = param("enc.W_lm2", (fh, 1), 1.0 / math.sqrt(fh))
+            self.b_lm2 = param("enc.b_lm2", (1,), None)
 
         scale = 1.0 / math.sqrt(rh)
         self.w_q = param("read.W_q", (e_dim, rh), scale)
-        self.b_q = param("read.b_q", (rh,), zero=True)
+        self.b_q = param("read.b_q", (rh,), None)
         self.w_r = param("read.W_r", (e_dim + rh, 4 * rh), scale)
-        self.b_r = param("read.b_r", (4 * rh,), zero=True)
-        if cfg.tie_embeddings:
-            self.w_out = None
-        else:
-            self.w_out = param("W_out", (rh, cfg.vocab_size), scale)
-        self.b_out = param("b_out", (cfg.vocab_size,), zero=True)
+        self.b_r = param("read.b_r", (4 * rh,), None)
+        self.init_decoder(rh)
 
         # the supervised head comes last so the LM parameter draws are
         # identical with and without it
         if cfg.model == "prpn-syd" and cfg.supervision_mode == "split-head":
             fh = cfg.prpn_ff_hidden
-            self.w_syd1 = param("enc.W_syd1", (h, fh), scale=1.0 / math.sqrt(h))
-            self.b_syd1 = param("enc.b_syd1", (fh,), zero=True)
-            self.w_syd2 = param("enc.W_syd2", (fh, 1), scale=1.0 / math.sqrt(fh))
-            self.b_syd2 = param("enc.b_syd2", (1,), zero=True)
+            self.w_syd1 = param("enc.W_syd1", (h, fh), 1.0 / math.sqrt(h))
+            self.b_syd1 = param("enc.b_syd1", (fh,), None)
+            self.w_syd2 = param("enc.W_syd2", (fh, 1), 1.0 / math.sqrt(fh))
+            self.b_syd2 = param("enc.b_syd2", (1,), None)
 
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.grad = None
+    # perfbench/tracer.py patches zero_grad and forward per class
+    zero_grad = LanguageModel.zero_grad
 
     def init_state(self, batch_size: int):
         if self.config.model == "prpn":
@@ -242,14 +227,7 @@ class PrpnLM:
         t_len, batch = inputs.shape
         rh = self.read_hidden
 
-        emb_matrix = self.embedding
-        rows = locked_mask(rng, train_cfg, "dropout_embedding", (cfg.vocab_size, 1))
-        if rows is not None:
-            emb_matrix = emb_matrix * rows
-        x_all = ad.embedding(emb_matrix, inputs)
-        word_mask = locked_mask(rng, train_cfg, "dropout_words", (1, batch, cfg.embedding_size))
-        if word_mask is not None:
-            x_all = x_all * word_mask
+        x_all = self.embed(inputs, rng, train_cfg)
 
         if cfg.model == "prpn":
             d_all = self.conv_distances(x_all)
@@ -263,7 +241,6 @@ class PrpnLM:
         mem_h: list[Tensor] = []
         mem_c: list[Tensor] = []
         top_states = []
-        out_mask = locked_mask(rng, train_cfg, "dropout_output", (batch, rh))
 
         for t in range(t_len):
             x_t = x_all[t]
@@ -291,14 +268,9 @@ class PrpnLM:
                 raise ad.NumericError("non-finite hidden state at step %d" % t)
             mem_h.append(ad.reshape(h, (batch, 1, rh)))
             mem_c.append(ad.reshape(c, (batch, 1, rh)))
-            top_states.append(h * out_mask if out_mask is not None else h)
+            top_states.append(h)
 
-        flat = ad.concat(top_states, axis=0)
-        if self.w_out is None:
-            logits = ad.matmul(flat, self.embedding, transpose_b=True) + self.b_out
-        else:
-            logits = ad.matmul(flat, self.w_out) + self.b_out
-
+        logits = self.decode(top_states, rng, train_cfg)
         d_lm_flat = ad.reshape(d_all, (t_len * batch,))
         d_syd_flat = ad.reshape(d_syd_all, (t_len * batch,)) if d_syd_all is not None else None
         return ForwardOut(logits=logits, d_lm=[d_lm_flat], d_syd=d_syd_flat, state=new_state)

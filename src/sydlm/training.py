@@ -258,28 +258,32 @@ def _concat_batches(corpus, batch_size, bptt_length, tree_source, seed):
         first = False
 
 
-def _sepsent_batches(corpus, batch_size, tree_source, seed):
-    order = sorted(range(corpus.n_sentences),
-                   key=lambda i: (corpus.sentence_spans[i][1] - corpus.sentence_spans[i][0], i))
-    d_stream, mask_stream, sent_stream = _gold_slot_streams(corpus, tree_source, seed)
-    eos = Vocab.eos_id
+def sentence_batches(corpus: Corpus, batch_size: int):
+    """Whole sentences in length order (ties by index), batch_size at a
+    time, each framed as input [eos] + words and padded with eos below:
+    yields (sentence indices, lengths, (longest + 1, B) inputs)."""
+    spans = corpus.sentence_spans
+    order = sorted(range(corpus.n_sentences), key=lambda i: (spans[i][1] - spans[i][0], i))
     for lo in range(0, len(order), batch_size):
         group = order[lo : lo + batch_size]
-        lens = [corpus.sentence_spans[i][1] - corpus.sentence_spans[i][0] for i in group]
-        t_len = max(lens) + 1
-        b = len(group)
-        inputs = np.full((t_len, b), eos, dtype=np.int64)
-        targets = np.full((t_len, b), eos, dtype=np.int64)
-        weight = np.zeros((t_len, b))
-        gold_d = np.zeros((t_len, b))
-        gold_mask = np.zeros((t_len, b), dtype=bool)
-        sent_id = np.full((t_len, b), -1, dtype=np.int64)
+        lens = [spans[i][1] - spans[i][0] for i in group]
+        inputs = np.full((max(lens) + 1, len(group)), Vocab.eos_id, dtype=np.int64)
+        for j, (i, n) in enumerate(zip(group, lens)):
+            inputs[1 : n + 1, j] = corpus.sentence_ids(i)
+        yield group, lens, inputs
+
+
+def _sepsent_batches(corpus, batch_size, tree_source, seed):
+    d_stream, mask_stream, sent_stream = _gold_slot_streams(corpus, tree_source, seed)
+    for group, lens, inputs in sentence_batches(corpus, batch_size):
+        targets = np.full(inputs.shape, Vocab.eos_id, dtype=np.int64)
+        weight = np.zeros(inputs.shape)
+        gold_d = np.zeros(inputs.shape)
+        gold_mask = np.zeros(inputs.shape, dtype=bool)
+        sent_id = np.full(inputs.shape, -1, dtype=np.int64)
         for j, (i, n) in enumerate(zip(group, lens)):
             s, e = corpus.sentence_spans[i]
-            ids = corpus.tokens[s:e]
-            inputs[1 : n + 1, j] = ids
-            targets[0:n, j] = ids
-            targets[n, j] = eos
+            targets[0:n, j] = inputs[1 : n + 1, j]
             weight[: n + 1, j] = 1.0
             if n >= 2:
                 # slot k of the sentence sits before input row k+2

@@ -73,6 +73,23 @@ def leaf(label: str, token: str) -> Tree:
     return Tree(label=label, token=token, height=1)
 
 
+def constituents(tree: Tree) -> list[tuple[Tree, int, int]]:
+    """(node, start, end) for every node, leaves included, where [start, end)
+    are the leaf positions the node covers; children come before their
+    parent, so the root is last."""
+    out = []
+
+    def walk(node: Tree, start: int) -> int:
+        end = start + 1 if node.is_leaf else start
+        for ch in node.children:
+            end = walk(ch, end)
+        out.append((node, start, end))
+        return end
+
+    walk(tree, 0)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Bracketed notation
 # ---------------------------------------------------------------------------

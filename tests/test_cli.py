@@ -66,6 +66,23 @@ class TestPreprocessCommand:
         assert corpus.vocab.words == ["<unk>", "<eos>", "cat", "the"]
         assert corpus.tokens[5] == 0  # 'sat' ranked below max_size
 
+    def test_rules_file_is_read_with_config_coercion(self, tmp_path, capsys):
+        src = tmp_path / "case.mrg"
+        src.write_text("(S (DT The) (NN Cat) (, ,))")
+        rules = tmp_path / "rules.txt"
+        out = tmp_path / "c.json"
+        argv = ["preprocess", str(src), "--out", str(out), "--rules", str(rules)]
+        rules.write_text("lowercase = off  # keep case\ndrop_tags = ,  NN\n")
+        assert main(argv) == 0
+        assert Corpus.load(str(out)).vocab.words == ["<unk>", "<eos>", "The"]
+        out.unlink()
+        rules.write_text("lowercase = flase\n")
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
+        assert str(rules) in err and "flase" in err
+        assert not out.exists()
+
     def test_vocab_reuse_across_splits(self, tmp_path, treebank_file):
         train_c = tmp_path / "train.json"
         other_c = tmp_path / "other.json"
@@ -361,6 +378,25 @@ class TestMalformedInputs:
         corpus_path, _ = zero_eval
         self._data_error(["eval", "--checkpoint", str(tmp_path), "--corpus", str(corpus_path)],
                          capsys, str(tmp_path))
+
+    @pytest.mark.parametrize("header", [{}, {"config": 3}, {"config": {"model": [1]}}, [1, 2]],
+                             ids=["no-config", "config-not-object", "model-not-object",
+                                  "header-not-object"])
+    def test_checkpoint_header_without_config_object(self, tmp_path, zero_eval, capsys, header):
+        corpus_path, _ = zero_eval
+        ckpt = tmp_path / "bare.bin"
+        ad.save_checkpoint(str(ckpt), {}, header=header)
+        self._data_error(["eval", "--checkpoint", str(ckpt), "--corpus", str(corpus_path)],
+                         capsys, "object")
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_corpus_dump_that_is_not_an_object(self, tmp_path, zero_eval, capsys, command):
+        _, ckpt = zero_eval
+        listed = tmp_path / "list.json"
+        listed.write_text("[1, 2]")
+        argv = {"train": ["train", "--corpus", str(listed), "--out", str(tmp_path / "run")],
+                "eval": ["eval", "--checkpoint", str(ckpt), "--corpus", str(listed)]}[command]
+        self._data_error(argv, capsys, "not a corpus dump")
 
     def test_corpus_dump_without_tokens(self, tmp_path, zero_eval, capsys):
         corpus_path, ckpt = zero_eval

@@ -105,11 +105,6 @@ class TestBiasedRecovery:
         tree = distances_to_tree_biased(np.array([5.0]), ["a", "b"])
         assert render_bracketed(tree) == "(X (X a) (X b))"
 
-    def test_per_word_convention(self):
-        tree = distances_to_tree_biased(np.array([0.0, 3.0, 1.0, 2.0]), list("abcd"), per_word=True)
-        # pivot word b: [a, [b, build(c d)]]
-        assert render_bracketed(tree) == "(X (X a) (X (X b) (X (X c) (X d))))"
-
     def test_agrees_with_unbiased_on_distinct_right_branching(self):
         vals = np.array([9.0, 7.0, 4.0, 2.0])
         words = list("abcde")
@@ -152,13 +147,9 @@ class TestDistanceSeq:
         with pytest.raises(ValueError):
             DistanceSeq(np.array([1.0]), np.array([True, False]), 3)
 
-    def test_provenance(self):
-        with pytest.raises(ValueError):
-            DistanceSeq(np.array([1.0]), np.array([True]), 2, provenance="guess")
-
     def test_line_round_trip(self):
-        seq = DistanceSeq(np.array([2.0, 3.5]), np.array([True, False]), 3, "model-syd")
-        again = DistanceSeq.from_line(seq.to_line(), provenance="model-syd")
+        seq = DistanceSeq(np.array([2.0, 3.5]), np.array([True, False]), 3)
+        again = DistanceSeq.from_line(seq.to_line())
         assert np.array_equal(again.values, seq.values)
         assert np.array_equal(again.mask, seq.mask)
         assert again.n_tokens == 3

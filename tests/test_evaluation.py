@@ -17,6 +17,7 @@ from sydlm.evaluation import (
     unlabeled_f1,
 )
 from sydlm.onlstm import OnLstmLM
+from sydlm.training import bptt_batches
 from sydlm.trees import (
     Tree,
     binarize_right,
@@ -390,3 +391,27 @@ class TestStructureReportAndStreams:
         out = model.forward(inputs)
         manual = out.d_syd.data.reshape(-1)[2 : n + 1]
         assert np.allclose(dists[i], manual)
+
+    def test_sentence_distances_frame_like_separate_sentence_batches(
+            self, tiny_corpus, tiny_corpus_sepsent):
+        cfg = ModelConfig(vocab_size=len(tiny_corpus.vocab), model="onlstm-syd", n_layers=1,
+                          embedding_size=6, hidden_size=6, supervision_layer=1)
+        model = OnLstmLM(cfg, seed=4)
+        seen = []
+        forward = model.forward
+
+        def spy(inputs, state=None):
+            seen.append(inputs.copy())
+            return forward(inputs, state)
+
+        model.forward = spy
+        sentence_distances(model, tiny_corpus, batch_size=5)
+        batches = list(bptt_batches(tiny_corpus_sepsent, 5, 70))
+        assert len(seen) == len(batches) > 1
+        for framed, batch in zip(seen, batches):
+            assert framed.dtype == batch.inputs.dtype and np.array_equal(framed, batch.inputs)
+        # [eos] + words, eos-padded, shortest sentences first
+        first = np.concatenate([[1], tiny_corpus.sentence_ids(int(np.argmin(
+            [e - s for s, e in tiny_corpus.sentence_spans])))])
+        assert np.array_equal(seen[0][: first.size, 0], first)
+        assert (seen[0][first.size :, 0] == 1).all()

@@ -1,0 +1,46 @@
+"""The shared model shell: parameter names and their creation order are the
+checkpoint layout, so they are frozen here for every model kind,
+supervision mode and decoder tying."""
+
+import pytest
+
+from sydlm import build_model
+from sydlm.config import ModelConfig
+
+ONLSTM_LAYERS = ["layer%d.%s" % (layer, name) for layer in (0, 1)
+                 for name in ("W_f", "b_f", "W_i", "b_i", "W_o", "b_o",
+                              "W_c", "b_c", "W_mf", "b_mf", "W_mi", "b_mi")]
+ONLSTM_HEADS = {
+    "split-head": ["W_s", "b_s"],
+    "one-set-of-trees": [],
+    "vanilla-multitask": ["W_v1", "b_v1", "W_v2", "b_v2"],
+    "none": [],
+}
+PRPN_CONV = ["pad_emb", "W_c", "b_c", "W_d", "b_d"]
+PRPN_ENCODER = ["enc.W_word", "enc.b_word", "enc.W_conv", "enc.b_conv", "enc.W_dist",
+                "enc.b_dist", "enc.W_lm1", "enc.b_lm1", "enc.W_lm2", "enc.b_lm2"]
+PRPN_READ = ["read.W_q", "read.b_q", "read.W_r", "read.b_r"]
+PRPN_SYD_HEAD = ["enc.W_syd1", "enc.b_syd1", "enc.W_syd2", "enc.b_syd2"]
+
+CASES = (
+    [("onlstm-syd", mode, ONLSTM_LAYERS, ONLSTM_HEADS[mode]) for mode in ONLSTM_HEADS]
+    + [("prpn", "none", PRPN_CONV + PRPN_READ, []),
+       ("prpn-syd", "none", PRPN_ENCODER + PRPN_READ, []),
+       ("prpn-syd", "split-head", PRPN_ENCODER + PRPN_READ, PRPN_SYD_HEAD)]
+)
+
+
+@pytest.mark.parametrize("tied", [True, False], ids=["tied", "untied"])
+@pytest.mark.parametrize("kind, mode, body, head", CASES,
+                         ids=["%s-%s" % (kind, mode) for kind, mode, _, _ in CASES])
+def test_parameter_names_in_creation_order(kind, mode, body, head, tied):
+    cfg = ModelConfig(vocab_size=9, model=kind, n_layers=2, embedding_size=4, hidden_size=6,
+                      supervision_layer=2, supervision_mode=mode, tie_embeddings=tied,
+                      prpn_ff_hidden=3)
+    model = build_model(cfg, seed=0)
+    decoder = ["b_out"] if tied else ["W_out", "b_out"]
+    assert list(model.params) == ["embedding"] + body + decoder + head
+    for name, p in model.params.items():
+        is_bias = name.split(".")[-1].startswith("b_")
+        assert (not p.data.any()) == is_bias, name  # biases start at zero, weights do not
+        assert p.requires_grad and p.name == name
