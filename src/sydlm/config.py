@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -75,10 +76,7 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
-        if not isinstance(data, dict):
-            raise ConfigError("model config must be an object, got %s" % type(data).__name__)
-        known = {f.name for f in dataclasses.fields(cls)}
-        return cls(**{k: v for k, v in data.items() if k in known})
+        return cls(**_json_fields(cls, data, "model config"))
 
 
 @dataclass
@@ -127,16 +125,32 @@ class TrainConfig:
                 raise ConfigError("%s must be in [0, 1)" % name)
 
     def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["model"] = self.model.to_dict()
-        return out
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        kwargs = {k: v for k, v in data.items() if k in known and k != "model"}
-        model = ModelConfig.from_dict(data.get("model", {}))
-        return cls(model=model, **kwargs)
+        kwargs = _json_fields(cls, data, "config")
+        return cls(model=ModelConfig.from_dict(data.get("model", {})), **kwargs)
+
+
+# the JSON value types each annotated field type accepts; exact, so a bool is no int
+_JSON_TYPES = {"int": {int}, "float": {int, float}, "bool": {bool}, "str": {str},
+               "Optional[int]": {int, type(None)}}
+
+
+def _json_fields(cls, data: dict, what: str) -> dict:
+    """The fields of dataclass `cls` present in the JSON object `data`, each
+    checked against its annotated type; a nested ModelConfig is left out."""
+    if not isinstance(data, dict):
+        raise ConfigError("%s must be an object, got %s" % (what, type(data).__name__))
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        if f.name in data and f.type != "ModelConfig":
+            value = data[f.name]
+            if type(value) not in _JSON_TYPES[f.type]:
+                raise ConfigError("%s: %s must be %s, got %s" % (what, f.name, f.type, json.dumps(value)))
+            kwargs[f.name] = value
+    return kwargs
 
 
 _MODEL_FIELDS = {f.name: f for f in dataclasses.fields(ModelConfig)}

@@ -90,6 +90,22 @@ class PreprocessRules:
         return token
 
 
+def _list_of(ok):
+    return lambda v: type(v) is list and all(ok(x) for x in v)
+
+
+_IDS = _list_of(lambda x: type(x) is int)
+_TREES = ("a list of bracketed trees or nulls", _list_of(lambda t: t is None or type(t) is str))
+_DUMP_FIELDS = {
+    "tokens": ("a list of token ids", _IDS),
+    "sentence_spans": ("a list of [start, end] pairs", _list_of(lambda se: _IDS(se) and len(se) == 2)),
+    "gold_trees": _TREES,
+    "gold_trees_nary": _TREES,
+    "vocab": ("a list of words", _list_of(lambda w: type(w) is str)),
+    "mode": ("one of %s" % (MODES,), lambda v: v in MODES),
+}
+
+
 @dataclass
 class Corpus:
     """Token-id stream with sentence spans and per-sentence gold trees.
@@ -130,6 +146,8 @@ class Corpus:
         return tree_to_distances(tree)
 
     def validate(self) -> None:
+        if not len(self.gold_trees) == len(self.gold_trees_nary) == len(self.sentence_spans):
+            raise ValueError("the gold tree lists do not match the %d sentence spans" % len(self.sentence_spans))
         sep = 1 if self.mode == "concat" else 0
         pos = 0
         for i, (s, e) in enumerate(self.sentence_spans):
@@ -170,9 +188,11 @@ class Corpus:
             raise ConfigError("%s is not a corpus dump (bad magic)" % path)
         if payload.get("version") != CORPUS_VERSION:
             raise ConfigError("unsupported corpus version %r" % payload.get("version"))
-        for key in ("tokens", "sentence_spans", "gold_trees", "gold_trees_nary", "vocab", "mode"):
+        for key, (kind, valid) in _DUMP_FIELDS.items():
             if key not in payload:
                 raise ConfigError("%s: corpus dump has no %r" % (path, key))
+            if not valid(payload[key]):
+                raise ConfigError("%s: corpus dump field %r is not %s" % (path, key, kind))
 
         def load_tree(text: Optional[str], binary: bool) -> Optional[Tree]:
             if text is None:

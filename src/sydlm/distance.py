@@ -111,8 +111,6 @@ def distances_to_tree_biased(d, leaves: list[str], label: str = "X") -> Tree:
     def build(lo: int, hi: int) -> Tree:
         if hi - lo == 1:
             return leaf(label, leaves[lo])
-        if hi - lo == 2:
-            return Tree(label=label, children=[leaf(label, leaves[lo]), leaf(label, leaves[lo + 1])])
         pivot = lo + int(np.argmax(word_d[lo:hi]))
         right = Tree(label=label, children=[leaf(label, leaves[pivot]), build(pivot + 1, hi)]) \
             if pivot + 1 < hi else leaf(label, leaves[pivot])

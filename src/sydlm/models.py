@@ -100,6 +100,24 @@ class LanguageModel:
         return ad.matmul(flat, self.w_out) + self.b_out
 
 
+def lstm_gates(x: Tensor, h: Tensor, weight: Tensor, bias: Tensor, hidden: int):
+    """The gate block of an LSTM step: [x, h] times the fused gate matrix
+    plus bias, then the forget, input and output gates and the candidate
+    from its first 4*hidden columns.  Returns (f, i, o, candidate, pre);
+    any columns of the preactivation `pre` past 4*hidden are the caller's."""
+    pre = ad.matmul(ad.concat([x, h], axis=1), weight) + bias
+    return (ad.sigmoid(pre[:, 0:hidden]),
+            ad.sigmoid(pre[:, hidden : 2 * hidden]),
+            ad.sigmoid(pre[:, 2 * hidden : 3 * hidden]),
+            ad.tanh(pre[:, 3 * hidden : 4 * hidden]),
+            pre)
+
+
+def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """Two-layer head: ReLU hidden layer, then a linear output."""
+    return ad.matmul(ad.relu(ad.matmul(x, w1) + b1), w2) + b2
+
+
 def build_model(config: ModelConfig, seed: int) -> LanguageModel:
     if config.model == "onlstm-syd":
         return OnLstmLM(config, seed)

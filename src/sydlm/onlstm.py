@@ -1,12 +1,13 @@
 """Ordered-neurons LSTM language model with an optional supervised
-distance head.
+distance read-out.
 
 Master gates are cumax-constrained, so forget units switch on monotonically
 and input units switch off monotonically along the vector; the distance a
 step emits is the master dimension minus the master forget gate's mass.
-The split head derives a second master forget gate from the same
-preactivation and its distances are the ones trained against gold trees,
-leaving the language-model gates untouched.
+The cell step holds only the recurrence.  Distances are read out of the
+recorded gates once per window: the split head derives a second master
+forget gate from the same preactivation, and its distances are the ones
+trained against gold trees, leaving the language-model gates untouched.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .config import ModelConfig, TrainConfig
-from .models import ForwardOut, LanguageModel, locked_mask
+from .models import ForwardOut, LanguageModel, feed_forward, locked_mask, lstm_gates
 
 GATE_NAMES = ("W_f", "W_i", "W_o", "W_c", "W_mf", "W_mi")
 BIAS_NAMES = ("b_f", "b_i", "b_o", "b_c", "b_mf", "b_mi")
@@ -31,8 +32,7 @@ class StepOutput:
     c: Tensor
     master_forget: Tensor
     master_input: Tensor
-    d_lm: Tensor
-    d_syd: Optional[Tensor]
+    hf_pre: Tensor                 # master-forget preactivation, the split head's input
 
 
 def extract_distance(master_forget: Tensor) -> Tensor:
@@ -41,15 +41,10 @@ def extract_distance(master_forget: Tensor) -> Tensor:
     return float(d_m) - ad.tsum(master_forget, axis=-1)
 
 
-def syd_head(hf_pre: Tensor, w_s: Tensor, b_s: Tensor):
-    """Split head: both master forget gates from one preactivation.
-
-    Returns (lm master forget gate, supervised master forget gate, and the
-    supervised distance).
-    """
-    f_lm = ad.cumax(hf_pre)
-    f_w = ad.cumax(ad.matmul(hf_pre, w_s) + b_s)
-    return f_lm, f_w, extract_distance(f_w)
+def syd_head(hf_pre: Tensor, w_s: Tensor, b_s: Tensor) -> Tensor:
+    """Split head: the supervised distance from a second master forget gate
+    over the language model's master-forget preactivation."""
+    return extract_distance(ad.cumax(ad.matmul(hf_pre, w_s) + b_s))
 
 
 def onlstm_step(
@@ -60,31 +55,17 @@ def onlstm_step(
     bias: Tensor,
     hidden: int,
     chunk: int,
-    syd: Optional[tuple] = None,
 ) -> StepOutput:
     """One ON-LSTM cell step.
 
     weight is the fused (in+hidden, 4*hidden + 2*Dm) gate matrix in the order
-    forget, input, output, candidate, master-forget, master-input; syd is an
-    optional (W_s, b_s) pair activating the split head.
+    forget, input, output, candidate, master-forget, master-input.
     """
     d_m = hidden // chunk
-    xh = ad.concat([x, h_prev], axis=1)
-    pre = ad.matmul(xh, weight) + bias
-    f = ad.sigmoid(pre[:, 0:hidden])
-    i = ad.sigmoid(pre[:, hidden : 2 * hidden])
-    o = ad.sigmoid(pre[:, 2 * hidden : 3 * hidden])
-    c_hat = ad.tanh(pre[:, 3 * hidden : 4 * hidden])
+    f, i, o, c_hat, pre = lstm_gates(x, h_prev, weight, bias, hidden)
     hf_pre = pre[:, 4 * hidden : 4 * hidden + d_m]
-    hi_pre = pre[:, 4 * hidden + d_m : 4 * hidden + 2 * d_m]
-
-    d_syd = None
-    if syd is not None:
-        f_m, _f_w, d_syd = syd_head(hf_pre, syd[0], syd[1])
-    else:
-        f_m = ad.cumax(hf_pre)
-    i_m = 1.0 - ad.cumax(hi_pre)
-    d_lm = extract_distance(f_m)
+    f_m = ad.cumax(hf_pre)
+    i_m = 1.0 - ad.cumax(pre[:, 4 * hidden + d_m :])
 
     if chunk > 1:
         f_mx = ad.repeat_last(f_m, chunk)
@@ -97,7 +78,7 @@ def onlstm_step(
     i_hat = i * omega + (i_mx - omega)
     c = f_hat * c_prev + i_hat * c_hat
     h = o * ad.tanh(c)
-    return StepOutput(h=h, c=c, master_forget=f_m, master_input=i_m, d_lm=d_lm, d_syd=d_syd)
+    return StepOutput(h=h, c=c, master_forget=f_m, master_input=i_m, hf_pre=hf_pre)
 
 
 class OnLstmLM(LanguageModel):
@@ -108,17 +89,17 @@ class OnLstmLM(LanguageModel):
     def __init__(self, config: ModelConfig, seed: int):
         super().__init__(config, seed)
         cfg = config
-        self.layers = []
+        self.layers = []  # per layer: (gate matrices, biases), both in GATE_NAMES order
         for layer in range(cfg.n_layers):
             i_dim, hidden = cfg.layer_input(layer), cfg.layer_hidden(layer)
             d_m = hidden // cfg.chunk_factor
             scale = 1.0 / np.sqrt(hidden)
             widths = (hidden, hidden, hidden, hidden, d_m, d_m)
-            gates = {}
+            weights, biases = [], []
             for gname, bname, width in zip(GATE_NAMES, BIAS_NAMES, widths):
-                gates[gname] = self.param("layer%d.%s" % (layer, gname), (i_dim + hidden, width), scale)
-                gates[bname] = self.param("layer%d.%s" % (layer, bname), (width,), None)
-            self.layers.append(gates)
+                weights.append(self.param("layer%d.%s" % (layer, gname), (i_dim + hidden, width), scale))
+                biases.append(self.param("layer%d.%s" % (layer, bname), (width,), None))
+            self.layers.append((weights, biases))
         self.init_decoder(cfg.layer_hidden(cfg.n_layers - 1))
 
         # supervision head parameters come last so the language-model
@@ -175,52 +156,44 @@ class OnLstmLM(LanguageModel):
         mid_masks = [locked_mask(rng, train_cfg, "dropout_layers", (batch, cfg.layer_hidden(l)))
                      for l in range(cfg.n_layers - 1)]
 
-        fused = []
-        for layer in range(cfg.n_layers):
-            gates = self.layers[layer]
-            fused.append((
-                ad.concat([gates[g] for g in GATE_NAMES], axis=1),
-                ad.concat([gates[b] for b in BIAS_NAMES], axis=0),
-            ))
+        fused = [(ad.concat(weights, axis=1), ad.concat(biases, axis=0)) for weights, biases in self.layers]
 
         hs = [Tensor(h) for h, _ in state]
         cs = [Tensor(c) for _, c in state]
         top_states = []
-        d_lm_steps: list[list[Tensor]] = [[] for _ in range(cfg.n_layers)]
-        d_syd_steps: list[Tensor] = []
-        sup_idx = cfg.supervision_layer - 1
+        forget_steps: list[list[Tensor]] = [[] for _ in range(cfg.n_layers)]
+        sup = cfg.supervision_layer - 1
+        sup_pre: list[Tensor] = []
+        sup_h: list[Tensor] = []
 
         for t in range(t_len):
             x = x_all[t]
             for layer in range(cfg.n_layers):
-                hidden = cfg.layer_hidden(layer)
                 h_in = hs[layer]
                 if rec_masks[layer] is not None:
                     h_in = h_in * rec_masks[layer]
-                syd = None
-                if cfg.supervision_mode == "split-head" and layer == sup_idx:
-                    syd = (self.w_s, self.b_s)
-                out = onlstm_step(x, h_in, cs[layer], fused[layer][0], fused[layer][1],
-                                  hidden, cfg.chunk_factor, syd=syd)
+                out = onlstm_step(x, h_in, cs[layer], *fused[layer], cfg.layer_hidden(layer), cfg.chunk_factor)
                 if not np.isfinite(out.h.data).all() or not np.isfinite(out.c.data).all():
                     raise ad.NumericError("non-finite hidden state at step %d, layer %d" % (t, layer + 1))
                 hs[layer], cs[layer] = out.h, out.c
-                d_lm_steps[layer].append(out.d_lm)
-                if layer == sup_idx:
-                    if cfg.supervision_mode == "split-head":
-                        d_syd_steps.append(out.d_syd)
-                    elif cfg.supervision_mode == "one-set-of-trees":
-                        d_syd_steps.append(out.d_lm)
-                    elif cfg.supervision_mode == "vanilla-multitask":
-                        hid = ad.relu(ad.matmul(out.h, self.w_v1) + self.b_v1)
-                        d_syd_steps.append(ad.reshape(ad.matmul(hid, self.w_v2) + self.b_v2, (batch,)))
+                forget_steps[layer].append(out.master_forget)
+                if layer == sup:
+                    sup_pre.append(out.hf_pre)
+                    sup_h.append(out.h)
                 x = out.h
                 if layer < cfg.n_layers - 1 and mid_masks[layer] is not None:
                     x = x * mid_masks[layer]
             top_states.append(x)
 
         logits = self.decode(top_states, rng, train_cfg)
-        d_lm = [ad.concat(steps, axis=0) for steps in d_lm_steps]
-        d_syd = ad.concat(d_syd_steps, axis=0) if d_syd_steps else None
+        d_lm = [extract_distance(ad.concat(steps, axis=0)) for steps in forget_steps]
+        d_syd = None
+        if cfg.supervision_mode == "split-head":
+            d_syd = syd_head(ad.concat(sup_pre, axis=0), self.w_s, self.b_s)
+        elif cfg.supervision_mode == "one-set-of-trees":
+            d_syd = d_lm[sup]
+        elif cfg.supervision_mode == "vanilla-multitask":
+            d_syd = ad.reshape(feed_forward(ad.concat(sup_h, axis=0), self.w_v1, self.b_v1,
+                                            self.w_v2, self.b_v2), (t_len * batch,))
         new_state = [(h.data.copy(), c.data.copy()) for h, c in zip(hs, cs)]
         return ForwardOut(logits=logits, d_lm=d_lm, d_syd=d_syd, state=new_state)

@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .config import ModelConfig, TrainConfig
-from .models import ForwardOut, LanguageModel
+from .models import ForwardOut, LanguageModel, feed_forward, lstm_gates
 
 
 def relatedness_alpha(d_t, d_j, tau: float):
@@ -87,28 +87,20 @@ def prpn_distances(embeddings, pad_emb, w_c, b_c, w_d, b_d, lookback: int) -> Te
 def lstm_cell(x, h, c, weight, bias, hidden: int):
     """One plain LSTM step; weight is the fused (in+hidden, 4*hidden) gate
     matrix in the order forget, input, output, candidate.  Returns (h, c)."""
-    xh = ad.concat([x, h], axis=1)
-    pre = ad.matmul(xh, weight) + bias
-    f = ad.sigmoid(pre[:, 0:hidden])
-    i = ad.sigmoid(pre[:, hidden : 2 * hidden])
-    o = ad.sigmoid(pre[:, 2 * hidden : 3 * hidden])
-    g = ad.tanh(pre[:, 3 * hidden : 4 * hidden])
+    f, i, o, g, _ = lstm_gates(x, h, weight, bias, hidden)
     c = f * c + i * g
     return o * ad.tanh(c), c
 
 
 def lstm_sequence(x_all, state, weight, bias, hidden: int):
-    """Plain LSTM over (T, B, E); returns per-step hidden list and state."""
-    h, c = state
+    """Plain LSTM over (T, B, E) from the numpy state (h, c); returns the
+    (T, B, hidden) outputs and the final numpy state."""
+    h, c = Tensor(state[0]), Tensor(state[1])
     hs = []
     for t in range(x_all.shape[0]):
         h, c = lstm_cell(x_all[t], h, c, weight, bias, hidden)
-        hs.append(h)
-    return hs, (h, c)
-
-
-def _feed_forward(x, w1, b1, w2, b2) -> Tensor:
-    return ad.matmul(ad.relu(ad.matmul(x, w1) + b1), w2) + b2
+        hs.append(ad.reshape(h, (1,) + h.shape))
+    return ad.concat(hs, axis=0), (h.data.copy(), c.data.copy())
 
 
 class PrpnLM(LanguageModel):
@@ -176,10 +168,6 @@ class PrpnLM(LanguageModel):
 
     # -- parsing sources ------------------------------------------------------
 
-    def conv_distances(self, x_all) -> Tensor:
-        return prpn_distances(x_all, self.pad_emb, self.w_c, self.b_c,
-                              self.w_d, self.b_d, self.config.prpn_lookback)
-
     def encoder_distances(self, x_all, state=None):
         """Recurrent encoder: word LSTM, causal convolution, distance LSTM,
         then one feed-forward head per distance set (the supervised head only
@@ -190,28 +178,20 @@ class PrpnLM(LanguageModel):
         h = cfg.hidden_size
         if state is None:
             state = self.init_state(batch)
-        (word_state, dist_state) = state
-        hs, word_state = lstm_sequence(x_all, (Tensor(word_state[0]), Tensor(word_state[1])),
-                                       self.w_lstm_w, self.b_lstm_w, h)
-        h_seq = ad.concat([ad.reshape(x, (1, batch, h)) for x in hs], axis=0)
+        word_state, dist_state = state
+        h_seq, word_state = lstm_sequence(x_all, word_state, self.w_lstm_w, self.b_lstm_w, h)
         window = cfg.prpn_conv_window
         pad = Tensor(np.zeros((window - 1, batch, h)))
         g_seq = ad.relu(ad.causal_conv1d(ad.concat([pad, h_seq], axis=0),
                                          self.w_conv, self.b_conv, window))
-        gs, dist_state = lstm_sequence(g_seq, (Tensor(dist_state[0]), Tensor(dist_state[1])),
-                                       self.w_lstm_d, self.b_lstm_d, h)
-        hhat = ad.concat([ad.reshape(x, (1, batch, h)) for x in gs], axis=0)
-        d_lm = ad.reshape(_feed_forward(hhat, self.w_lm1, self.b_lm1, self.w_lm2, self.b_lm2),
+        hhat, dist_state = lstm_sequence(g_seq, dist_state, self.w_lstm_d, self.b_lstm_d, h)
+        d_lm = ad.reshape(feed_forward(hhat, self.w_lm1, self.b_lm1, self.w_lm2, self.b_lm2),
                           (t_len, batch))
         d_syd = None
         if cfg.model == "prpn-syd" and cfg.supervision_mode == "split-head":
-            d_syd = ad.reshape(_feed_forward(hhat, self.w_syd1, self.b_syd1, self.w_syd2, self.b_syd2),
+            d_syd = ad.reshape(feed_forward(hhat, self.w_syd1, self.b_syd1, self.w_syd2, self.b_syd2),
                                (t_len, batch))
-        new_state = (
-            (word_state[0].data.copy(), word_state[1].data.copy()),
-            (dist_state[0].data.copy(), dist_state[1].data.copy()),
-        )
-        return d_lm, d_syd, new_state
+        return d_lm, d_syd, (word_state, dist_state)
 
     # -- forward ----------------------------------------------------------------
 
@@ -230,40 +210,34 @@ class PrpnLM(LanguageModel):
         x_all = self.embed(inputs, rng, train_cfg)
 
         if cfg.model == "prpn":
-            d_all = self.conv_distances(x_all)
+            d_all = prpn_distances(x_all, self.pad_emb, self.w_c, self.b_c,
+                                   self.w_d, self.b_d, cfg.prpn_lookback)
             d_syd_all = None
             new_state = None
         else:
             d_all, d_syd_all, new_state = self.encoder_distances(x_all, state)
 
+        # read-outs of the whole window, sliced at each step
         tau = cfg.prpn_temperature
-        d_cols = [ad.reshape(d_all[t], (batch, 1)) for t in range(t_len)]
+        d_row = ad.concat([ad.reshape(d_all[t], (batch, 1)) for t in range(t_len)], axis=1)  # (B, T)
+        queries = ad.reshape(ad.matmul(x_all, self.w_q) + self.b_q, (t_len, batch, 1, rh))
         mem_h: list[Tensor] = []
         mem_c: list[Tensor] = []
         top_states = []
+        h_tilde = Tensor(np.zeros((batch, rh)))
+        c_tilde = Tensor(np.zeros((batch, rh)))
 
         for t in range(t_len):
-            x_t = x_all[t]
-            if t == 0:
-                h_tilde = Tensor(np.zeros((batch, rh)))
-                c_tilde = Tensor(np.zeros((batch, rh)))
-            else:
-                if t == 1:
-                    gates = Tensor(np.ones((batch, 1)))
-                else:
-                    d_past = ad.concat(d_cols[1:t], axis=1)  # positions 1..t-1
-                    alphas = relatedness_alpha(d_cols[t], d_past, tau)
-                    gates = parsing_gates(alphas)
+            if t > 0:
+                # gates over memory positions 0..t-1 from the distances at 1..t
+                gates = parsing_gates(relatedness_alpha(d_row[:, t : t + 1], d_row[:, 1:t], tau))
                 h_past = ad.concat(mem_h, axis=1)  # (B, t, rh)
                 c_past = ad.concat(mem_c, axis=1)
-                q = ad.matmul(x_t, self.w_q) + self.b_q
-                scores = ad.tsum(h_past * ad.reshape(q, (batch, 1, rh)), axis=-1) / math.sqrt(rh)
-                z = ad.softmax(scores)
-                s = gated_attention(gates, z)
-                s3 = ad.reshape(s, (batch, t, 1))
+                scores = ad.tsum(h_past * queries[t], axis=-1) / math.sqrt(rh)
+                s3 = ad.reshape(gated_attention(gates, ad.softmax(scores)), (batch, t, 1))
                 h_tilde = ad.tsum(h_past * s3, axis=1)
                 c_tilde = ad.tsum(c_past * s3, axis=1)
-            h, c = lstm_cell(x_t, h_tilde, c_tilde, self.w_r, self.b_r, rh)
+            h, c = lstm_cell(x_all[t], h_tilde, c_tilde, self.w_r, self.b_r, rh)
             if not np.isfinite(h.data).all():
                 raise ad.NumericError("non-finite hidden state at step %d" % t)
             mem_h.append(ad.reshape(h, (batch, 1, rh)))

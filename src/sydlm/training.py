@@ -359,18 +359,20 @@ def train(model, corpus: Corpus, config: TrainConfig, valid_corpus: Optional[Cor
                 if not np.isfinite(loss.data):
                     raise TrainingDiverged("non-finite loss at epoch %d step %d" % (epoch, step))
                 ad.backward(loss)
-            coef = _global_clip(params, config.clip_norm)
-            scale = lr * coef
-            for p in params:
-                if p.grad is not None:
-                    p.data -= scale * p.grad
-            model.zero_grad()
             state = out.state
             lm_sum += float(l_lm.data)
             lm_n += 1
             if l_syd is not None:
                 syd_sum += float(l_syd.data)
                 syd_n += 1
+            # the step's graph must not stay reachable during the next forward
+            del out, l_lm, l_syd, loss
+            coef = _global_clip(params, config.clip_norm)
+            scale = lr * coef
+            for p in params:
+                if p.grad is not None:
+                    p.data -= scale * p.grad
+            model.zero_grad()
 
         if config.averaging and epoch >= avg_from:
             if avg_store is None:

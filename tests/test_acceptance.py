@@ -16,7 +16,7 @@ from sydlm.autodiff import Tape, Tensor, backward, grad_check
 from sydlm.config import ModelConfig, TrainConfig
 from sydlm.distance import distances_to_tree_unbiased, tree_to_distances
 from sydlm.evaluation import induce_trees, per_tag_accuracy, unlabeled_f1
-from sydlm.onlstm import OnLstmLM, onlstm_step, syd_head
+from sydlm.onlstm import OnLstmLM, extract_distance, onlstm_step, syd_head
 from sydlm.prpn import PrpnLM
 from sydlm.training import ranking_loss, train
 from sydlm.trees import enumerate_binary_shapes, left_chain, random_binary_tree, render_bracketed, right_chain
@@ -80,10 +80,11 @@ def test_02_gradient_suite():
                     args = dict(tensors)
                     args[_name] = t
                     out = onlstm_step(args["x"], args["h"], args["c"], args["weight"],
-                                      args["bias"], hidden, _chunk,
-                                      syd=(args["w_s"], args["b_s"]))
+                                      args["bias"], hidden, _chunk)
+                    d_lm = extract_distance(out.master_forget)
+                    d_syd = syd_head(out.hf_pre, args["w_s"], args["b_s"])
                     return (ad.tsum(out.h * mix_h) + ad.tsum(out.c * mix_h)
-                            + ad.tsum(out.d_lm * mix_d) + ad.tsum(out.d_syd * mix_d))
+                            + ad.tsum(d_lm * mix_d) + ad.tsum(d_syd * mix_d))
 
                 for name, tensor in tensors.items():
                     err = grad_check(lambda t, _n=name: step_loss(t, _n), tensor, eps=1e-5)
@@ -100,7 +101,7 @@ def test_02_gradient_suite():
                 def head_loss(t, _n=name):
                     args = {"pre": pre, "w_s": w_s, "b_s": b_s}
                     args[_n] = t
-                    return ad.tsum(syd_head(args["pre"], args["w_s"], args["b_s"])[2] * mix)
+                    return ad.tsum(syd_head(args["pre"], args["w_s"], args["b_s"]) * mix)
                 err = grad_check(head_loss, tensor, eps=1e-5)
                 assert err < 1e-4, ("syd_head", name, seed, err)
 

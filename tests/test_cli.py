@@ -408,6 +408,31 @@ class TestMalformedInputs:
                          capsys, "'tokens'")
 
 
+    @pytest.mark.parametrize("config,needle", [
+        ({"model": {"n_layers": "3", "vocab_size": 4}}, "n_layers"),
+        ({"seed": "x", "model": {"vocab_size": 4}}, "seed"),
+    ], ids=["model-field", "train-field"])
+    def test_checkpoint_config_with_wrong_json_type(self, tmp_path, zero_eval, capsys,
+                                                    config, needle):
+        corpus_path, _ = zero_eval
+        ckpt = tmp_path / "typed.bin"
+        ad.save_checkpoint(str(ckpt), {}, header={"config": config})
+        self._data_error(["eval", "--checkpoint", str(ckpt), "--corpus", str(corpus_path)],
+                         capsys, needle)
+
+    @pytest.mark.parametrize("key,value,needle", [
+        ("sentence_spans", [1], "typed.json"), ("vocab", 5, "typed.json"),
+        ("gold_trees", [7, 7, 7], "typed.json"), ("gold_trees", [None, None], "gold tree lists"),
+    ], ids=["spans", "vocab", "trees", "tree-count"])
+    def test_corpus_dump_with_wrong_value(self, tmp_path, zero_eval, capsys, key, value, needle):
+        corpus_path, _ = zero_eval
+        payload = dict(json.loads(corpus_path.read_text()), **{key: value})
+        broken = tmp_path / "typed.json"
+        broken.write_text(json.dumps(payload))
+        self._data_error(["train", "--corpus", str(broken), "--out", str(tmp_path / "run")],
+                         capsys, needle)
+
+
 class TestStrictJson:
     def test_one_word_sentences_write_null_ratio(self, tmp_path, capsys):
         src = tmp_path / "words.mrg"

@@ -72,9 +72,11 @@ class TestStepLimits:
             args = {"x": x, "h": h, "c": c, "weight": weight, "bias": bias}
             args.update(kw)
             out = onlstm_step(args["x"], args["h"], args["c"], args["weight"], args["bias"],
-                              hidden, chunk, syd=(args.get("w_s", w_s), args.get("b_s", b_s)))
+                              hidden, chunk)
+            d_lm = extract_distance(out.master_forget)
+            d_syd = syd_head(out.hf_pre, args.get("w_s", w_s), args.get("b_s", b_s))
             return (ad.tsum(out.h * mix_h) + ad.tsum(out.c * mix_c)
-                    + ad.tsum(out.d_lm * mix_d) + ad.tsum(out.d_syd * mix_d))
+                    + ad.tsum(d_lm * mix_d) + ad.tsum(d_syd * mix_d))
 
         for name in ("x", "h", "c", "weight", "bias", "w_s", "b_s"):
             tensor = {"x": x, "h": h, "c": c, "weight": weight, "bias": bias,
@@ -100,7 +102,10 @@ class TestSydHead:
     def test_identity_head_matches_lm_gate_bitwise(self):
         rng = np.random.default_rng(0)
         pre = Tensor(rng.normal(size=(3, 5)))
-        f_lm, f_w, d_w = syd_head(pre, Tensor(np.eye(5)), Tensor(np.zeros(5)))
+        w_s, b_s = Tensor(np.eye(5)), Tensor(np.zeros(5))
+        d_w = syd_head(pre, w_s, b_s)
+        f_lm = ad.cumax(pre)
+        f_w = ad.cumax(ad.matmul(pre, w_s) + b_s)  # the head's gate, as syd_head forms it
         assert np.array_equal(f_lm.data, f_w.data)
         assert np.array_equal(d_w.data, extract_distance(f_lm).data)
 
@@ -110,7 +115,7 @@ class TestSydHead:
         d_vals = []
         for _ in range(5):
             pre = Tensor(rng.normal(size=(1, 4)))
-            _, _, d_w = syd_head(pre, Tensor(np.zeros((4, 4))), b_s)
+            d_w = syd_head(pre, Tensor(np.zeros((4, 4))), b_s)
             d_vals.append(float(d_w.data[0]))
         assert np.allclose(d_vals, d_vals[0])
 
@@ -119,7 +124,7 @@ class TestSydHead:
         pre = Tensor(rng.normal(size=(2, 4)))
         mix = Tensor(rng.normal(size=2))
         err = grad_check(
-            lambda t: ad.tsum(syd_head(pre, t, Tensor(np.zeros(4)))[2] * mix),
+            lambda t: ad.tsum(syd_head(pre, t, Tensor(np.zeros(4))) * mix),
             Tensor(rng.uniform(-0.5, 0.5, size=(4, 4))))
         assert err < 1e-4
 
@@ -169,7 +174,8 @@ class TestForwardLm:
         assert (np.diff(out.master_forget.data, axis=-1) >= -1e-12).all()
         assert (np.diff(out.master_input.data, axis=-1) <= 1e-12).all()
         assert ((out.master_forget.data > 0) & (out.master_forget.data <= 1 + 1e-12)).all()
-        assert out.d_lm.data.min() > 0 and out.d_lm.data.max() < hidden
+        d_lm = extract_distance(out.master_forget)
+        assert d_lm.data.min() > 0 and d_lm.data.max() < hidden
 
     def test_supervision_layer_selects_stream(self):
         model = OnLstmLM(small_config(supervision_layer=1), seed=3)
@@ -199,6 +205,17 @@ class TestDegeneracies:
         model = OnLstmLM(small_config(supervision_mode="one-set-of-trees"), seed=4)
         out = model.forward(np.array([[1], [2]]))
         assert np.array_equal(out.d_syd.data, out.d_lm[1].data)
+
+    def test_supervised_read_out_runs_once_per_window(self):
+        # the split head adds the same tape nodes at any window length
+        def nodes(mode, t_len):
+            model = OnLstmLM(small_config(supervision_mode=mode), seed=9)
+            with Tape() as tape:
+                model.forward(np.ones((t_len, 2), dtype=np.int64))
+            return len(tape)
+
+        assert (nodes("split-head", 4) - nodes("none", 4)
+                == nodes("split-head", 8) - nodes("none", 8))
 
     def test_vanilla_multitask_has_own_stream(self):
         model = OnLstmLM(small_config(supervision_mode="vanilla-multitask"), seed=4)

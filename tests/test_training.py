@@ -1,6 +1,9 @@
+import gc
+
 import numpy as np
 import pytest
 
+from sydlm import autodiff as ad
 from sydlm.autodiff import Tape, Tensor, backward
 from sydlm.config import ConfigError, ModelConfig, TrainConfig
 from sydlm.corpus import PreprocessRules, Vocab, preprocess_corpus
@@ -334,6 +337,23 @@ class TestTrain:
         n_train = len(list(bptt_batches(tiny_corpus, cfg.batch_size, cfg.bptt_length)))
         n_valid = len(list(bptt_batches(valid, cfg.batch_size, cfg.bptt_length)))
         assert len(calls) == n_train + n_valid
+
+    def test_step_graph_unreachable_at_next_forward(self, tiny_corpus, monkeypatch):
+        # each forward after the first starts with no earlier step's tape alive
+        cfg = train_config(tiny_corpus, epochs=2)
+        model = OnLstmLM(cfg.model, seed=cfg.seed)
+        live = []
+        forward = OnLstmLM.forward
+
+        def counted(self, *args, **kwargs):
+            gc.collect()
+            live.append(sum(isinstance(o, ad._Node) for o in gc.get_objects()))
+            return forward(self, *args, **kwargs)
+
+        monkeypatch.setattr(OnLstmLM, "forward", counted)
+        train(model, tiny_corpus, cfg)
+        assert len(live) > 2
+        assert live[1:] == [live[0]] * (len(live) - 1)
 
     def test_validation_pass_gives_both_views(self, tiny_corpus):
         cfg = train_config(tiny_corpus)
