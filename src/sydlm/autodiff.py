@@ -42,7 +42,8 @@ class _Node:
 
 class Tape:
     """Ordered record of primitive applications; parents always precede
-    their consumers, so one reverse sweep visits every node exactly once."""
+    their consumers, so one reverse sweep visits every node exactly once.
+    Only the tape refers to its nodes, so dropping it frees the graph."""
 
     __slots__ = ("nodes",)
 
@@ -66,7 +67,7 @@ def _tape() -> Optional[Tape]:
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "tracked", "grad", "name", "node")
+    __slots__ = ("data", "requires_grad", "tracked", "grad", "name")
 
     def __init__(self, data, requires_grad: bool = False, name: Optional[str] = None):
         arr = np.asarray(data, dtype=np.float64)
@@ -75,7 +76,6 @@ class Tensor:
         self.tracked = requires_grad
         self.grad: Optional[np.ndarray] = None
         self.name = name
-        self.node: Optional[_Node] = None
 
     @property
     def shape(self) -> tuple:
@@ -130,42 +130,34 @@ def _apply(out_data: np.ndarray, parents: tuple, bwd: Callable) -> Tensor:
     tape = _tape()
     if tape is not None and any(p.tracked for p in parents):
         out.tracked = True
-        node = _Node(out, parents, bwd)
-        out.node = node
-        tape.nodes.append(node)
+        tape.nodes.append(_Node(out, parents, bwd))
     return out
 
 
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(param) for every requires_grad leaf reached.
 
-    Adjoints of a tensor used several times sum.  The result is added to
-    each leaf's ``.grad``.
+    Adjoints of a tensor used several times sum.  Sweeping a node takes its
+    output's adjoint out of the map, so the requires_grad tensors left in it
+    are the leaves; each adjoint is added to its leaf's ``.grad``.
     """
     tape = _tape()
     if tape is None:
         raise RuntimeError("backward called with no active tape")
     if loss.data.size != 1:
         raise ShapeError("backward: loss must be scalar, got shape %s" % (loss.shape,))
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    leaves: dict[int, Tensor] = {}
-    if loss.requires_grad:
-        leaves[id(loss)] = loss
+    grads: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
     for node in reversed(tape.nodes):
-        dy = grads.pop(id(node.out), None)
+        dy = grads.pop(node.out, None)
         if dy is None:
             continue
         for parent, dp in zip(node.parents, node.bwd(dy)):
             if dp is None or not parent.tracked:
                 continue
-            pid = id(parent)
-            acc = grads.get(pid)
-            grads[pid] = dp if acc is None else acc + dp
-            if parent.requires_grad and parent.node is None:
-                leaves[pid] = parent
-    for pid, tensor in leaves.items():
-        g = grads.get(pid)
-        if g is None:
+            acc = grads.get(parent)
+            grads[parent] = dp if acc is None else acc + dp
+    for tensor, g in grads.items():
+        if not tensor.requires_grad:
             continue
         g = np.asarray(g, dtype=np.float64)
         if g.shape != tensor.data.shape:
@@ -189,26 +181,24 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _check_broadcast(name: str, a: Tensor, b: Tensor) -> None:
+def _broadcasting(name: str, op, a: Tensor, b: Tensor) -> np.ndarray:
     try:
-        np.broadcast_shapes(a.data.shape, b.data.shape)
+        return op(a.data, b.data)
     except ValueError:
         raise ShapeError("%s: shapes %s and %s do not broadcast" % (name, a.shape, b.shape))
 
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _check_broadcast("add", a, b)
     sa, sb = a.data.shape, b.data.shape
-    return _apply(a.data + b.data, (a, b),
+    return _apply(_broadcasting("add", np.add, a, b), (a, b),
                   lambda dy: (_unbroadcast(dy, sa), _unbroadcast(dy, sb)))
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _check_broadcast("sub", a, b)
     sa, sb = a.data.shape, b.data.shape
-    return _apply(a.data - b.data, (a, b),
+    return _apply(_broadcasting("sub", np.subtract, a, b), (a, b),
                   lambda dy: (_unbroadcast(dy, sa), _unbroadcast(-dy, sb)))
 
 
@@ -219,17 +209,15 @@ def neg(a) -> Tensor:
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _check_broadcast("mul", a, b)
     ad, bd = a.data, b.data
-    return _apply(ad * bd, (a, b),
+    return _apply(_broadcasting("mul", np.multiply, a, b), (a, b),
                   lambda dy: (_unbroadcast(dy * bd, ad.shape), _unbroadcast(dy * ad, bd.shape)))
 
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _check_broadcast("div", a, b)
     ad, bd = a.data, b.data
-    out = ad / bd
+    out = _broadcasting("div", np.divide, a, b)
     return _apply(out, (a, b),
                   lambda dy: (_unbroadcast(dy / bd, ad.shape),
                               _unbroadcast(-dy * out / bd, bd.shape)))

@@ -148,8 +148,15 @@ def cmd_train(args, argv) -> int:
     ad.save_checkpoint(str(outdir / "checkpoint.bin"), best,
                        header={"manifest": manifest, "config": cfg.to_dict()})
     last = log[-1]
-    print("trained %d epochs: lm %.4f, valid ppl %.3f -> %s"
-          % (last["epoch"], last["lm_loss"], last["valid_ppl"], outdir / "checkpoint.bin"))
+    best = last["best_epoch"]
+    if last["averaged"]:
+        saved = "the averaged iterate of the last %d epochs" % last["averaged"]
+    elif best:
+        saved = "epoch %d, valid ppl %.3f" % (best, log[best - 1]["valid_ppl"])
+    else:
+        saved = "the initial parameters"
+    print("trained %d epochs: lm %.4f; %s holds %s"
+          % (last["epoch"], last["lm_loss"], outdir / "checkpoint.bin", saved))
     return EXIT_OK
 
 
@@ -180,6 +187,13 @@ def cmd_eval(args, argv) -> int:
     if cfg.model.vocab_size != len(corpus.vocab):
         raise ConfigError("vocab mismatch: model %d vs corpus %d"
                           % (cfg.model.vocab_size, len(corpus.vocab)))
+    try:
+        render = [int(tok) for tok in (args.render or "").split(",") if tok.strip()]
+    except ValueError:
+        raise ConfigError("--render expects comma-separated integers, got %r" % args.render) from None
+    for i in render:
+        if not 0 <= i < corpus.n_sentences:
+            raise ConfigError("--render index %d out of range" % i)
 
     metrics = {
         "manifest": _manifest(argv, cfg.seed, [args.corpus, args.checkpoint], cfg.to_dict()),
@@ -192,7 +206,7 @@ def cmd_eval(args, argv) -> int:
     # one forward pass per sentence batch gives every stream's trees
     have_gold = any(t is not None for t in corpus.gold_trees_nary)
     streams = {}
-    if have_gold or args.render:
+    if have_gold or render:
         dists = sentence_distances(model, corpus, layer=args.layer)
         streams = {name: trees_from_distances(corpus, d, args.algo) for name, d in dists.items()}
     report = None
@@ -222,13 +236,10 @@ def cmd_eval(args, argv) -> int:
             csv.writer(fh).writerows(report.height_csv_rows())
         print("wrote %s" % args.plot_csv)
 
-    if args.render:
-        indices = [int(tok) for tok in args.render.split(",") if tok.strip() != ""]
+    if render:
         rendered = [(name, streams[name]) for name in ("syd", "lm") if name in streams]
         rendered.append(("gold", corpus.gold_trees_nary))
-        for i in indices:
-            if not 0 <= i < corpus.n_sentences:
-                raise ConfigError("--render index %d out of range" % i)
+        for i in render:
             rows = [(name, trees[i]) for name, trees in rendered if trees[i] is not None]
             print(render_parallel(corpus.sentence_words(i), rows))
             print()

@@ -157,19 +157,20 @@ _MODEL_FIELDS = {f.name: f for f in dataclasses.fields(ModelConfig)}
 _TRAIN_FIELDS = {f.name: f for f in dataclasses.fields(TrainConfig) if f.name != "model"}
 
 
-def _coerce(name: str, text: str, typ) -> object:
+def _coerce(name: str, text: str, typ: str) -> object:
+    """Parse `text` for a field whose annotation is the string `typ`."""
     text = text.strip()
-    if typ is bool or typ == "bool":
+    if typ == "bool":
         if text.lower() in ("true", "1", "yes", "on"):
             return True
         if text.lower() in ("false", "0", "no", "off"):
             return False
         raise ConfigError("%s expects a boolean, got %r" % (name, text))
-    if typ is int or typ == "int":
+    if typ == "int":
         return int(text)
-    if typ is float or typ == "float":
+    if typ == "float":
         return float(text)
-    if typ in (Optional[int], "Optional[int]", "int | None"):
+    if typ == "Optional[int]":
         return None if text.lower() in ("none", "") else int(text)
     return text
 

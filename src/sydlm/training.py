@@ -31,11 +31,9 @@ class TrainingDiverged(RuntimeError):
 # Losses
 # ---------------------------------------------------------------------------
 
-def lm_loss(logits: Tensor, targets: np.ndarray, weights: Optional[np.ndarray] = None) -> Tensor:
-    """Mean cross entropy per predicted token, in nats."""
+def lm_loss(logits: Tensor, targets: np.ndarray, weights: np.ndarray) -> Tensor:
+    """Weighted mean cross entropy per predicted token, in nats."""
     ce = ad.cross_entropy_logits(logits, targets)
-    if weights is None:
-        return ad.tmean(ce)
     w = np.asarray(weights, dtype=np.float64)
     total = w.sum()
     if total <= 0:
@@ -103,18 +101,6 @@ def _pair_agreement(d_w, d_g, mask, groups: Optional[np.ndarray] = None) -> tupl
     strict = sign_g != 0
     agree = np.sign(d_w[ii] - d_w[jj])[strict] == sign_g[strict]
     return int(agree.sum()), int(strict.sum())
-
-
-def ranking_accuracy(
-    d_w: np.ndarray,
-    d_g: np.ndarray,
-    mask: np.ndarray,
-    groups: Optional[np.ndarray] = None,
-) -> Optional[float]:
-    """Percent of strictly gold-ordered pairs whose predicted order agrees
-    (strictly); None when there are no strict pairs."""
-    agree, strict = _pair_agreement(d_w, d_g, mask, groups)
-    return 100.0 * agree / strict if strict else None
 
 
 def joint_loss(l_lm: Tensor, l_syd: Optional[Tensor], alpha: float) -> Tensor:
@@ -311,6 +297,9 @@ def _global_clip(params, clip_norm: float) -> float:
 def train(model, corpus: Corpus, config: TrainConfig, valid_corpus: Optional[Corpus] = None):
     """SGD with gradient clipping, LR decay on validation plateau, and
     optional tail iterate averaging.  Returns (per-epoch log, best params).
+    The params are the average of the iterates of the last log entry's
+    ``averaged`` epochs when that count is nonzero, else those of its
+    ``best_epoch`` (0: the initial params).
 
     Fully deterministic for a fixed config: one RNG owned by the trainer
     drives every dropout mask, and the data order is fixed.
@@ -323,6 +312,7 @@ def train(model, corpus: Corpus, config: TrainConfig, valid_corpus: Optional[Cor
     lr = config.lr
     best_val = float("inf")
     best_params = {name: p.data.copy() for name, p in model.params.items()}
+    best_epoch = 0
     patience_left = config.lr_patience
     avg_from = config.average_from_epoch
     if config.averaging and avg_from is None:
@@ -390,6 +380,7 @@ def train(model, corpus: Corpus, config: TrainConfig, valid_corpus: Optional[Cor
         if val_loss < best_val - 1e-5:
             best_val = val_loss
             best_params = {name: p.data.copy() for name, p in model.params.items()}
+            best_epoch = epoch
             patience_left = config.lr_patience
         else:
             patience_left -= 1
@@ -403,10 +394,12 @@ def train(model, corpus: Corpus, config: TrainConfig, valid_corpus: Optional[Cor
             "valid_ppl": val_ppl,
             "ranking_accuracy": rank_acc,
             "lr": lr,
+            "best_epoch": best_epoch,
+            "averaged": avg_count,
             "seconds": time.time() - t0,
         })
 
-    if config.averaging and avg_store is not None:
+    if avg_store is not None:
         for name, p in model.params.items():
             p.data = avg_store[name]
         best_params = {name: data.copy() for name, data in avg_store.items()}

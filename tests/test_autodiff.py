@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -80,7 +82,37 @@ class TestBackward:
     def test_no_tape_means_no_recording(self):
         x = Tensor(np.ones(2), requires_grad=True)
         y = x * 2.0
-        assert y.node is None and y.tracked is False
+        assert y.tracked is False
+
+    def test_dropped_graph_is_freed_without_the_cycle_collector(self):
+        from sydlm.config import ModelConfig
+        from sydlm.onlstm import OnLstmLM
+        from sydlm.training import lm_loss, ranking_loss
+
+        def live_nodes():
+            return sum(isinstance(o, ad._Node) for o in gc.get_objects())
+
+        model = OnLstmLM(ModelConfig(vocab_size=50, n_layers=3, embedding_size=16,
+                                     hidden_size=24, supervision_layer=3), seed=0)
+        ids = np.random.default_rng(0).integers(0, 50, size=(36, 20))
+        gold = np.random.default_rng(1).normal(size=35 * 20)
+        gc.collect()
+        gc.disable()
+        try:
+            before = live_nodes()
+            with Tape() as tape:
+                out = model.forward(ids[:-1])
+                loss = (lm_loss(out.logits, ids[1:].reshape(-1), np.ones(35 * 20))
+                        + ranking_loss(out.d_syd, gold, np.ones(35 * 20, dtype=bool),
+                                       groups=np.arange(35 * 20) % 20))
+                backward(loss)
+            recorded = len(tape)
+            del tape, out, loss
+            after = live_nodes()
+        finally:
+            gc.enable()
+        assert recorded > 3000
+        assert after == before
 
 
 class TestShapeErrors:

@@ -163,6 +163,25 @@ dropout_embedding = 0
         assert header["config"]["seed"] == 777
         assert header["manifest"]["seed"] == 777
 
+    @pytest.mark.parametrize("extra,saved", [
+        ([], "holds epoch 2, valid ppl 4.000"),
+        (["--set", "averaging=true", "--set", "average_from_epoch=2"],
+         "holds the averaged iterate of the last 2 epochs"),
+    ], ids=["best-epoch", "averaged"])
+    def test_summary_describes_the_saved_parameters(self, tmp_path, treebank_file, monkeypatch,
+                                                     capsys, extra, saved):
+        import sydlm.training as training
+
+        corpus = tmp_path / "corpus.json"
+        main(["preprocess", str(treebank_file), "--out", str(corpus)])
+        ppls = iter([9.0, 4.0, 6.0])  # the last epoch is not the best
+        monkeypatch.setattr(training, "validation_pass", lambda *args: (next(ppls), None))
+        capsys.readouterr()
+        assert main(["train", "--corpus", str(corpus), "--out", str(tmp_path / "run")]
+                    + TRAIN_OVERRIDES + ["--set", "epochs=3"] + extra) == 0
+        out = capsys.readouterr().out
+        assert saved in out and "6.000" not in out
+
 
 class TestUniformModelEval:
     def test_zeroed_checkpoint_gives_uniform_ppl(self, tmp_path):
@@ -350,6 +369,22 @@ class TestEvalOptions:
         assert err.startswith("data error:") and err.count("\n") == 1
         assert not metrics.exists()
         assert main(args + ["--layer", "3"]) == 0
+
+    @pytest.mark.parametrize("render", ["0,9999", "a"], ids=["index-out-of-range", "not-an-integer"])
+    def test_bad_render_fails_before_any_output(self, tmp_path, capsys, render):
+        src = tmp_path / "tiny.mrg"
+        src.write_text("(S (NN aa) (NN bb) (NN aa))")
+        corpus_path = tmp_path / "c.json"
+        main(["preprocess", str(src), "--out", str(corpus_path)])
+        ckpt = _zero_checkpoint(tmp_path, corpus_path)
+        capsys.readouterr()
+        metrics, csv_path = tmp_path / "m.json", tmp_path / "heights.csv"
+        assert main(["eval", "--checkpoint", str(ckpt), "--corpus", str(corpus_path),
+                     "--out", str(metrics), "--plot-csv", str(csv_path), "--render", render]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("data error:") and err.count("\n") == 1 and "--render" in err
+        assert out == ""
+        assert not metrics.exists() and not csv_path.exists()
 
 
 class TestMalformedInputs:

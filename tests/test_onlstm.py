@@ -268,7 +268,8 @@ class TestToyOverfit:
                     state = None
                 with Tape():
                     out = model.forward(batch.inputs, state)
-                    loss = lm_loss(out.logits, batch.targets.reshape(-1))
+                    loss = lm_loss(out.logits, batch.targets.reshape(-1),
+                                   batch.target_weight.reshape(-1))
                     backward(loss)
                 norm = np.sqrt(sum(float((p.grad ** 2).sum()) for p in params if p.grad is not None))
                 coef = min(1.0, clip / norm) if norm > clip else 1.0

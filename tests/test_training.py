@@ -16,8 +16,8 @@ from sydlm.training import (
     bptt_batches,
     joint_loss,
     lm_loss,
+    _pair_agreement,
     pair_indices,
-    ranking_accuracy,
     ranking_loss,
     supervised_pair_accuracy,
     train,
@@ -31,13 +31,13 @@ from conftest import pcfg_corpus
 class TestLmLoss:
     def test_uniform_logits(self):
         logits = Tensor(np.zeros((5, 3)))
-        loss = lm_loss(logits, np.array([0, 1, 2, 0, 1]))
+        loss = lm_loss(logits, np.array([0, 1, 2, 0, 1]), np.ones(5))
         assert np.isclose(float(loss.data), np.log(3.0))
 
     def test_saturated_correct(self):
         logits = np.full((4, 3), -50.0)
         logits[np.arange(4), [2, 1, 0, 2]] = 50.0
-        loss = lm_loss(Tensor(logits), np.array([2, 1, 0, 2]))
+        loss = lm_loss(Tensor(logits), np.array([2, 1, 0, 2]), np.ones(4))
         assert float(loss.data) < 1e-8
 
     def test_hand_two_token_case(self):
@@ -47,7 +47,7 @@ class TestLmLoss:
             -np.log(np.exp(1.0) / (np.exp(1.0) + np.exp(0.0))),
             -np.log(np.exp(2.0) / (np.exp(0.5) + np.exp(2.0))),
         ])
-        assert np.isclose(float(lm_loss(Tensor(logits), targets).data), expect)
+        assert np.isclose(float(lm_loss(Tensor(logits), targets, np.ones(2)).data), expect)
 
     def test_weighted_mask(self):
         logits = Tensor(np.zeros((4, 2)))
@@ -131,13 +131,13 @@ class TestRankingLoss:
             assert float(loss.data) < 1e-6
 
     def test_accuracy_metric(self):
-        acc = ranking_accuracy(np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0, 3.0]),
-                               np.ones(3, dtype=bool))
-        assert acc == 100.0
-        flipped = ranking_accuracy(np.array([3.0, 2.0, 1.0]), np.array([1.0, 2.0, 3.0]),
-                                   np.ones(3, dtype=bool))
-        assert flipped == 0.0
-        assert ranking_accuracy(np.ones(3), np.ones(3), np.ones(3, dtype=bool)) is None
+        agree = _pair_agreement(np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0, 3.0]),
+                                np.ones(3, dtype=bool))
+        assert agree == (3, 3)
+        flipped = _pair_agreement(np.array([3.0, 2.0, 1.0]), np.array([1.0, 2.0, 3.0]),
+                                  np.ones(3, dtype=bool))
+        assert flipped == (0, 3)
+        assert _pair_agreement(np.ones(3), np.ones(3), np.ones(3, dtype=bool)) == (0, 0)
 
 
 class TestJointLoss:
