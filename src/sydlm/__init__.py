@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .config import ModelConfig, TrainConfig
 from .corpus import Corpus, PreprocessRules, Vocab, preprocess_corpus
 from .distance import (
-    DistanceSeq,
     distances_to_tree_biased,
     distances_to_tree_unbiased,
     tree_to_distances,
@@ -21,7 +20,6 @@ __all__ = [
     "PreprocessRules",
     "Vocab",
     "preprocess_corpus",
-    "DistanceSeq",
     "tree_to_distances",
     "distances_to_tree_unbiased",
     "distances_to_tree_biased",

@@ -13,7 +13,6 @@ import csv
 import dataclasses
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -65,11 +64,6 @@ def _manifest(argv: list, seed: int, input_paths: list, config: dict) -> dict:
     }
 
 
-def _env_seed(default: int) -> int:
-    raw = os.environ.get("SYDLM_SEED")
-    return int(raw) if raw else default
-
-
 # ---------------------------------------------------------------------------
 # preprocess
 # ---------------------------------------------------------------------------
@@ -108,8 +102,9 @@ def cmd_preprocess(args, argv) -> int:
     dist_path = args.out + ".dist"
     with open(dist_path, "w") as fh:
         for i in range(corpus.n_sentences):
-            seq = corpus.gold_distances(i)
-            fh.write((seq.to_line() if seq is not None else "0") + "\n")
+            d = corpus.gold_distances(i)
+            fields = ["0"] if d is None else [str(d.size + 1)] + [repr(float(v)) for v in d]
+            fh.write(" ".join(fields) + "\n")
     print("wrote %s (+ %s): %d tokens, %d sentences, vocab %d (%s mode)"
           % (args.out, dist_path, len(corpus.tokens), corpus.n_sentences,
              len(corpus.vocab), corpus.mode))
@@ -124,7 +119,6 @@ def cmd_train(args, argv) -> int:
     corpus = Corpus.load(args.corpus)
     valid = Corpus.load(args.valid) if args.valid else None
     cfg = TrainConfig()
-    cfg.seed = _env_seed(cfg.seed)
     if args.config:
         cfg = parse_config_text(Path(args.config).read_text(), base=cfg)
     for kv in args.set or []:

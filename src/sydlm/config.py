@@ -43,6 +43,10 @@ class ModelConfig:
             raise ConfigError("supervision_mode must be one of %s" % (SUPERVISION_MODES,))
         if self.vocab_size < 2:
             raise ConfigError("vocab_size must cover the special ids")
+        for name in ("n_layers", "embedding_size", "hidden_size", "chunk_factor",
+                     "prpn_lookback", "prpn_conv_window", "prpn_ff_hidden"):
+            if getattr(self, name) < 1:
+                raise ConfigError("%s must be >= 1, got %d" % (name, getattr(self, name)))
         if self.model == "onlstm-syd":
             if not 1 <= self.supervision_layer <= self.n_layers:
                 raise ConfigError("supervision_layer %d outside 1..%d"
@@ -53,8 +57,6 @@ class ModelConfig:
                     raise ConfigError("hidden size %d of layer %d not divisible by chunk_factor %d"
                                       % (hidden, layer + 1, self.chunk_factor))
         if self.model in ("prpn", "prpn-syd"):
-            if self.prpn_lookback < 1:
-                raise ConfigError("prpn_lookback must be >= 1")
             if self.prpn_temperature <= 0:
                 raise ConfigError("prpn_temperature must be positive")
             if self.model == "prpn" and self.supervision_mode not in ("none",):
@@ -107,8 +109,8 @@ class TrainConfig:
 
     def validate(self) -> None:
         self.model.validate()
-        if self.alpha < 0:
-            raise ConfigError("alpha must be >= 0")
+        if not self.alpha >= 0:  # NaN too
+            raise ConfigError("alpha must be >= 0, got %r" % self.alpha)
         if self.tree_source not in TREE_SOURCES:
             raise ConfigError("tree_source must be one of %s" % (TREE_SOURCES,))
         if self.pair_mode not in PAIR_MODES:
@@ -119,6 +121,18 @@ class TrainConfig:
             raise ConfigError("bptt_length must be >= 2")
         if self.batch_size < 1 or self.epochs < 1:
             raise ConfigError("batch_size and epochs must be positive")
+        if not self.lr > 0:
+            raise ConfigError("lr must be positive, got %r" % self.lr)
+        if not 0 < self.lr_decay <= 1:
+            raise ConfigError("lr_decay must be in (0, 1], got %r" % self.lr_decay)
+        if self.lr_patience < 0:
+            raise ConfigError("lr_patience must be >= 0, got %d" % self.lr_patience)
+        if self.average_from_epoch is not None:
+            if not self.averaging:
+                raise ConfigError("average_from_epoch is set but averaging is off")
+            if not 1 <= self.average_from_epoch <= self.epochs:
+                raise ConfigError("average_from_epoch %d outside 1..epochs (%d)"
+                                  % (self.average_from_epoch, self.epochs))
         for name in ("dropout_words", "dropout_recurrent", "dropout_layers",
                      "dropout_output", "dropout_embedding"):
             if not 0.0 <= getattr(self, name) < 1.0:

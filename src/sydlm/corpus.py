@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .config import ConfigError
-from .distance import DistanceSeq, tree_to_distances
+from .distance import tree_to_distances
 from .trees import Tree, binarize_right, map_leaf_tokens, parse_bracketed, prune_leaves, render_bracketed
 
 UNK = "<unk>"
@@ -139,7 +139,7 @@ class Corpus:
     def sentence_words(self, i: int) -> list[str]:
         return [self.vocab.word(t) for t in self.sentence_ids(i)]
 
-    def gold_distances(self, i: int) -> Optional[DistanceSeq]:
+    def gold_distances(self, i: int) -> Optional[np.ndarray]:
         tree = self.gold_trees[i]
         if tree is None:
             return None

@@ -11,48 +11,16 @@ flat regions into right-branching chains).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .trees import Tree, fill_heights, leaf
 
 
-@dataclass
-class DistanceSeq:
-    """N-1 slot distances for an N-token sentence plus a supervision mask."""
-
-    values: np.ndarray
-    mask: np.ndarray
-    n_tokens: int
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        self.mask = np.asarray(self.mask, dtype=bool)
-        if self.values.shape != (self.n_tokens - 1,) or self.mask.shape != self.values.shape:
-            raise ValueError(
-                "distance sequence for %d tokens needs %d values/mask bits, got %d/%d"
-                % (self.n_tokens, self.n_tokens - 1, self.values.size, self.mask.size)
-            )
-
-    def to_line(self) -> str:
-        parts = [str(self.n_tokens)]
-        parts += [repr(float(v)) for v in self.values]
-        parts += ["1" if m else "0" for m in self.mask]
-        return " ".join(parts)
-
-    @classmethod
-    def from_line(cls, line: str) -> "DistanceSeq":
-        fields = line.split()
-        n = int(fields[0])
-        vals = [float(x) for x in fields[1:n]]
-        bits = [x == "1" for x in fields[n : 2 * n - 1]]
-        return cls(np.array(vals), np.array(bits, dtype=bool), n)
-
-
-def tree_to_distances(tree: Tree) -> DistanceSeq:
-    """Distances from a binarized tree with heights: slot t gets the height
-    of the internal node whose subtrees meet between leaves t and t+1."""
+def tree_to_distances(tree: Tree) -> np.ndarray:
+    """The N-1 slot distances (float64) of a binarized N-leaf tree with
+    heights: slot t gets the height of the internal node whose subtrees
+    meet between leaves t and t+1."""
     n = tree.n_leaves()
     values = np.zeros(n - 1, dtype=np.float64)
 
@@ -70,7 +38,7 @@ def tree_to_distances(tree: Tree) -> DistanceSeq:
         return left + right
 
     walk(tree, 0)
-    return DistanceSeq(values, np.ones(n - 1, dtype=bool), n)
+    return values
 
 
 def distances_to_tree_unbiased(d, leaves: list[str], label: str = "X") -> Tree:
@@ -78,7 +46,7 @@ def distances_to_tree_unbiased(d, leaves: list[str], label: str = "X") -> Tree:
     recurse on both sides.  Ties take the rightmost maximal slot, so flat
     distances lean left rather than silently right-branching; heights are
     recomputed."""
-    values = d.values if isinstance(d, DistanceSeq) else np.asarray(d, dtype=np.float64)
+    values = np.asarray(d, dtype=np.float64)
     if len(values) != len(leaves) - 1:
         raise ValueError("need %d distances for %d leaves, got %d" % (len(leaves) - 1, len(leaves), len(values)))
 
@@ -103,7 +71,7 @@ def distances_to_tree_biased(d, leaves: list[str], label: str = "X") -> Tree:
     Word i carries the distance of the slot before it; the first word gets
     -inf.
     """
-    values = d.values if isinstance(d, DistanceSeq) else np.asarray(d, dtype=np.float64)
+    values = np.asarray(d, dtype=np.float64)
     if len(values) != len(leaves) - 1:
         raise ValueError("need %d distances for %d leaves, got %d" % (len(leaves) - 1, len(leaves), len(values)))
     word_d = np.concatenate([[-math.inf], values])

@@ -2,9 +2,10 @@
 SGD training loop with its ablation switches.
 
 Supervision slots: the distance a model emits at step t describes the
-boundary between inputs t-1 and t, so window row 0 and any slot not covered
-by a single sentence's tree are masked out.  Ranking pairs are drawn only
-within one sentence.
+boundary between inputs t-1 and t.  Each slot carries the id of the
+sentence whose tree covers it, or -1 for window row 0 and any slot no
+single sentence's tree covers; -1 means unsupervised.  Ranking pairs are
+drawn only within one sentence.
 """
 
 from __future__ import annotations
@@ -41,18 +42,15 @@ def lm_loss(logits: Tensor, targets: np.ndarray, weights: np.ndarray) -> Tensor:
     return ad.tsum(ce * Tensor(w)) * (1.0 / total)
 
 
-def pair_indices(d_g: np.ndarray, mask: np.ndarray, groups: Optional[np.ndarray] = None):
-    """Index pairs (i, j), i < j, with both slots masked-in and in the same
-    group (sentence)."""
-    d_g = np.asarray(d_g)
-    mask = np.asarray(mask, dtype=bool)
-    if groups is None:
-        groups = np.zeros(d_g.shape, dtype=np.int64)
+def pair_indices(groups: np.ndarray):
+    """Index pairs (i, j), i < j, of slots in the same group (sentence id);
+    a slot of group -1 is in no pair."""
     groups = np.asarray(groups)
-    valid = mask & (groups >= 0)
+    if groups.dtype.kind not in "iu":
+        raise TypeError("pair groups must be integer sentence ids, got dtype %s" % groups.dtype)
     ii_parts, jj_parts = [], []
-    for g in np.unique(groups[valid]):
-        idx = np.flatnonzero(valid & (groups == g))
+    for g in np.unique(groups[groups >= 0]):
+        idx = np.flatnonzero(groups == g)
         if idx.size < 2:
             continue
         iu, ju = np.triu_indices(idx.size, k=1)
@@ -64,21 +62,16 @@ def pair_indices(d_g: np.ndarray, mask: np.ndarray, groups: Optional[np.ndarray]
     return np.concatenate(ii_parts), np.concatenate(jj_parts)
 
 
-def ranking_loss(
-    d_w,
-    d_g: np.ndarray,
-    mask: np.ndarray,
-    pair_mode: str = "symmetric",
-    groups: Optional[np.ndarray] = None,
-) -> Tensor:
-    """Pairwise hinge on predicted distances vs the gold ranking:
-    sum over pairs of max(0, (1 - sign(g_i - g_j)) (w_i - w_j)); the
-    symmetric mode adds the mirrored pairs.  Mean is over unordered pairs."""
+def ranking_loss(d_w, d_g: np.ndarray, groups: np.ndarray, pair_mode: str = "symmetric") -> Tensor:
+    """Pairwise hinge on predicted distances vs the gold ranking over the
+    pairs of pair_indices(groups): sum over pairs of
+    max(0, (1 - sign(g_i - g_j)) (w_i - w_j)); the symmetric mode adds the
+    mirrored pairs.  Mean is over unordered pairs."""
     if pair_mode not in ("as-written", "symmetric"):
         raise ValueError("pair_mode must be as-written or symmetric")
     d_w = ad.as_tensor(d_w)
     d_g = np.asarray(d_g, dtype=np.float64)
-    ii, jj = pair_indices(d_g, mask, groups)
+    ii, jj = pair_indices(groups)
     if ii.size == 0:
         return Tensor(0.0)
     sign = np.sign(d_g[ii] - d_g[jj])
@@ -90,13 +83,13 @@ def ranking_loss(
     return loss * (1.0 / ii.size)
 
 
-def _pair_agreement(d_w, d_g, mask, groups: Optional[np.ndarray] = None) -> tuple[int, int]:
+def _pair_agreement(d_w, d_g, groups) -> tuple[int, int]:
     """(agree, strict): of the strict pairs, those whose gold distances
     differ, how many the predicted distances order the same way
     (strictly), and how many strict pairs there are."""
     d_w = np.asarray(d_w, dtype=np.float64)
     d_g = np.asarray(d_g)
-    ii, jj = pair_indices(d_g, mask, groups)
+    ii, jj = pair_indices(groups)
     sign_g = np.sign(d_g[ii] - d_g[jj])
     strict = sign_g != 0
     agree = np.sign(d_w[ii] - d_w[jj])[strict] == sign_g[strict]
@@ -136,9 +129,9 @@ def validation_pass(model, corpus: Corpus, batch_size: int, bptt_length: int,
         w = batch.target_weight.reshape(-1)
         nll += float(ce @ w)
         weight += float(w.sum())
-        if out.d_syd is not None and batch.gold_mask.any():
+        if out.d_syd is not None and (batch.sent_id >= 0).any():
             a, s = _pair_agreement(out.d_syd.data, batch.gold_d.reshape(-1),
-                                   batch.gold_mask.reshape(-1), batch.sent_id.reshape(-1))
+                                   batch.sent_id.reshape(-1))
             agree += a
             strict += s
     if weight == 0:
@@ -156,8 +149,7 @@ class Batch:
     targets: np.ndarray       # (T, B) next-token ids
     target_weight: np.ndarray  # (T, B) 1.0 where the target is scored
     gold_d: np.ndarray        # (T, B) gold distance of the slot before input t
-    gold_mask: np.ndarray     # (T, B) True on supervisable slots
-    sent_id: np.ndarray       # (T, B) sentence index, -1 off-sentence
+    sent_id: np.ndarray       # (T, B) sentence index, -1 on unsupervised slots
     carry_state: bool         # False when hidden state must reset first
 
 
@@ -166,13 +158,14 @@ def _mixed_seed(seed: int, index: int) -> int:
 
 
 def _gold_slot_streams(corpus: Corpus, tree_source: str, seed: int):
-    """Per-slot gold distance/mask/sentence-id arrays over the token stream."""
-    m = len(corpus.tokens)
-    d = np.zeros(max(m - 1, 0))
-    mask = np.zeros(max(m - 1, 0), dtype=bool)
-    sent = np.full(max(m - 1, 0), -1, dtype=np.int64)
+    """(d, sent): the gold distance and sentence id of each slot of the
+    token stream, sentence -1 where no tree covers it, then one pad entry
+    (distance 0, sentence -1) that slot -1 reads in _gold_at."""
+    n_slots = max(len(corpus.tokens) - 1, 0)
+    d = np.zeros(n_slots + 1)
+    sent = np.full(n_slots + 1, -1, dtype=np.int64)
     if tree_source == "none":
-        return d, mask, sent
+        return d, sent
     for i, (s, e) in enumerate(corpus.sentence_spans):
         n = e - s
         if n < 2:
@@ -181,15 +174,19 @@ def _gold_slot_streams(corpus: Corpus, tree_source: str, seed: int):
             tree = corpus.gold_trees[i]
             if tree is None:
                 continue
-            seq = tree_to_distances(tree)
         elif tree_source == "random":
-            seq = tree_to_distances(random_binary_tree(n, _mixed_seed(seed, i)))
+            tree = random_binary_tree(n, _mixed_seed(seed, i))
         else:
             raise ValueError("unknown tree_source %r" % tree_source)
-        d[s : e - 1] = seq.values
-        mask[s : e - 1] = seq.mask
+        d[s : e - 1] = tree_to_distances(tree)
         sent[s : e - 1] = i
-    return d, mask, sent
+    return d, sent
+
+
+def _gold_at(slot: np.ndarray, d: np.ndarray, sent: np.ndarray):
+    """(gold_d, sent_id) at a (T, B) array of stream slots; slot -1, none,
+    reads the streams' pad entry (distance 0, sentence -1)."""
+    return d[slot], sent[slot]
 
 
 def bptt_batches(
@@ -218,26 +215,21 @@ def _concat_batches(corpus, batch_size, bptt_length, tree_source, seed):
     if seg < 2:
         raise ValueError("stream too short for batch_size %d" % batch_size)
     cols = stream[: seg * batch_size].reshape(batch_size, seg).T  # (seg, B)
-    d_stream, mask_stream, sent_stream = _gold_slot_streams(corpus, tree_source, seed)
+    d_stream, sent_stream = _gold_slot_streams(corpus, tree_source, seed)
     col_base = np.arange(batch_size) * seg
     first = True
     for start in range(0, seg - 1, bptt_length):
         t_len = min(bptt_length, seg - 1 - start)
         inputs = cols[start : start + t_len]
         targets = cols[start + 1 : start + 1 + t_len]
-        rows = np.arange(t_len)[:, None]
-        slot = col_base[None, :] + start + rows - 1      # slot before input row
-        valid = rows >= 1
-        slot_safe = np.where(valid, slot, 0)
-        gold_d = np.where(valid, d_stream[slot_safe], 0.0)
-        gold_mask = valid & mask_stream[slot_safe]
-        sent_id = np.where(gold_mask, sent_stream[slot_safe], -1)
+        slot = col_base[None, :] + start + np.arange(t_len)[:, None] - 1  # slot before input row
+        slot[0] = -1                                     # row 0's slot lies before the window
+        gold_d, sent_id = _gold_at(slot, d_stream, sent_stream)
         yield Batch(
             inputs=inputs.copy(),
             targets=targets.copy(),
             target_weight=np.ones_like(inputs, dtype=np.float64),
             gold_d=gold_d,
-            gold_mask=gold_mask,
             sent_id=sent_id,
             carry_state=not first,
         )
@@ -260,23 +252,17 @@ def sentence_batches(corpus: Corpus, batch_size: int):
 
 
 def _sepsent_batches(corpus, batch_size, tree_source, seed):
-    d_stream, mask_stream, sent_stream = _gold_slot_streams(corpus, tree_source, seed)
+    d_stream, sent_stream = _gold_slot_streams(corpus, tree_source, seed)
     for group, lens, inputs in sentence_batches(corpus, batch_size):
         targets = np.full(inputs.shape, Vocab.eos_id, dtype=np.int64)
         weight = np.zeros(inputs.shape)
-        gold_d = np.zeros(inputs.shape)
-        gold_mask = np.zeros(inputs.shape, dtype=bool)
-        sent_id = np.full(inputs.shape, -1, dtype=np.int64)
+        slot = np.full(inputs.shape, -1, dtype=np.int64)
         for j, (i, n) in enumerate(zip(group, lens)):
             s, e = corpus.sentence_spans[i]
             targets[0:n, j] = inputs[1 : n + 1, j]
             weight[: n + 1, j] = 1.0
-            if n >= 2:
-                # slot k of the sentence sits before input row k+2
-                gold_d[2 : n + 1, j] = d_stream[s : e - 1]
-                gold_mask[2 : n + 1, j] = mask_stream[s : e - 1]
-                sent_id[2 : n + 1, j] = sent_stream[s : e - 1]
-        yield Batch(inputs, targets, weight, gold_d, gold_mask, sent_id, carry_state=False)
+            slot[2 : n + 1, j] = np.arange(s, e - 1)  # slot k of the sentence sits before input row k+2
+        yield Batch(inputs, targets, weight, *_gold_at(slot, d_stream, sent_stream), carry_state=False)
 
 
 # ---------------------------------------------------------------------------
@@ -341,10 +327,9 @@ def train(model, corpus: Corpus, config: TrainConfig, valid_corpus: Optional[Cor
                 l_lm = lm_loss(out.logits, batch.targets.reshape(-1),
                                batch.target_weight.reshape(-1))
                 l_syd = None
-                if supervised and batch.gold_mask.any():
+                if supervised and (batch.sent_id >= 0).any():
                     l_syd = ranking_loss(out.d_syd, batch.gold_d.reshape(-1),
-                                         batch.gold_mask.reshape(-1), config.pair_mode,
-                                         groups=batch.sent_id.reshape(-1))
+                                         batch.sent_id.reshape(-1), config.pair_mode)
                 loss = joint_loss(l_lm, l_syd, config.alpha)
                 if not np.isfinite(loss.data):
                     raise TrainingDiverged("non-finite loss at epoch %d step %d" % (epoch, step))

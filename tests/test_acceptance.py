@@ -134,12 +134,12 @@ def test_03_ranking_loss_zero_set():
             n = n_tokens - 1
             gold = rng.permutation(np.arange(1.0, n + 1))
             d_w = Tensor(rng.uniform(0.0, 1.0, size=n), requires_grad=True)
-            mask = np.ones(n, dtype=bool)
+            groups = np.zeros(n, dtype=np.int64)
             final = None
             for step in range(500):
                 d_w.grad = None
                 with Tape():
-                    loss = ranking_loss(d_w, gold, mask, "symmetric")
+                    loss = ranking_loss(d_w, gold, groups, "symmetric")
                     final = float(loss.data)
                     if final < 1e-6:
                         break

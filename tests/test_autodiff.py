@@ -103,8 +103,7 @@ class TestBackward:
             with Tape() as tape:
                 out = model.forward(ids[:-1])
                 loss = (lm_loss(out.logits, ids[1:].reshape(-1), np.ones(35 * 20))
-                        + ranking_loss(out.d_syd, gold, np.ones(35 * 20, dtype=bool),
-                                       groups=np.arange(35 * 20) % 20))
+                        + ranking_loss(out.d_syd, gold, np.arange(35 * 20) % 20))
                 backward(loss)
             recorded = len(tape)
             del tape, out, loss

@@ -38,12 +38,11 @@ class TestPreprocessCommand:
         corpus = Corpus.load(str(out))
         assert corpus.n_sentences == 12
         assert corpus.manifest["toolkit_version"]
-        from sydlm.distance import DistanceSeq
-
         lines = (tmp_path / "corpus.json.dist").read_text().splitlines()
         assert len(lines) == 12
-        seq = DistanceSeq.from_line(lines[0])
-        assert np.array_equal(seq.values, corpus.gold_distances(0).values)
+        n, *values = lines[0].split()
+        assert len(values) == int(n) - 1
+        assert np.array_equal(np.array(values, dtype=float), corpus.gold_distances(0))
 
     def test_rerun_byte_identical(self, tmp_path, treebank_file):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -153,12 +152,12 @@ dropout_embedding = 0
         lines = (run / "log.jsonl").read_text().splitlines()
         assert len(lines) == 1  # --set wins over the file
 
-    def test_env_seed_is_default(self, tmp_path, treebank_file, monkeypatch):
+    def test_set_seed_is_recorded(self, tmp_path, treebank_file):
         corpus = tmp_path / "corpus.json"
         main(["preprocess", str(treebank_file), "--out", str(corpus)])
-        monkeypatch.setenv("SYDLM_SEED", "777")
         run = tmp_path / "run"
-        assert main(["train", "--corpus", str(corpus), "--out", str(run)] + TRAIN_OVERRIDES) == 0
+        assert main(["train", "--corpus", str(corpus), "--out", str(run)]
+                    + TRAIN_OVERRIDES + ["--set", "seed=777"]) == 0
         header, _ = ad.load_checkpoint(str(run / "checkpoint.bin"))
         assert header["config"]["seed"] == 777
         assert header["manifest"]["seed"] == 777
@@ -259,6 +258,22 @@ class TestExitCodes:
                     + TRAIN_OVERRIDES + ["--set", "lr=1e200", "--set", "clip_norm=0"])
         assert code == 3
         assert "numeric failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sets", [
+        ["chunk_factor=0"], ["hidden_size=0"], ["embedding_size=0"], ["n_layers=0"],
+        ["model=prpn-syd", "prpn_ff_hidden=0"], ["model=prpn-syd", "prpn_conv_window=0"],
+    ], ids=lambda sets: sets[-1])
+    def test_size_below_one_is_data_error(self, tmp_path, treebank_file, capsys, sets):
+        corpus = tmp_path / "corpus.json"
+        main(["preprocess", str(treebank_file), "--out", str(corpus)])
+        capsys.readouterr()
+        run = tmp_path / "run"
+        assert main(["train", "--corpus", str(corpus), "--out", str(run)] + TRAIN_OVERRIDES
+                    + [a for kv in sets for a in ("--set", kv)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: %s must be >= 1" % sets[-1].split("=")[0])
+        assert err.count("\n") == 1
+        assert not (run / "checkpoint.bin").exists()
 
     def test_vocab_mismatch_is_data_error(self, tmp_path, treebank_file, capsys):
         corpus = tmp_path / "corpus.json"

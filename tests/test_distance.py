@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from sydlm.distance import (
-    DistanceSeq,
     distances_to_tree_biased,
     distances_to_tree_unbiased,
     tree_to_distances,
@@ -25,32 +24,32 @@ def tree_of(text):
 
 class TestTreeToDistances:
     def test_right_branching_three(self):
-        seq = tree_to_distances(tree_of("(X (X a) (X (X b) (X c)))"))
-        assert list(seq.values) == [3.0, 2.0]
-        assert seq.mask.all() and seq.n_tokens == 3
+        d = tree_to_distances(tree_of("(X (X a) (X (X b) (X c)))"))
+        assert list(d) == [3.0, 2.0]
+        assert d.size + 1 == 3
 
     def test_left_branching_three(self):
-        seq = tree_to_distances(tree_of("(X (X (X a) (X b)) (X c))"))
-        assert list(seq.values) == [2.0, 3.0]
+        d = tree_to_distances(tree_of("(X (X (X a) (X b)) (X c))"))
+        assert list(d) == [2.0, 3.0]
 
     def test_assignment_order_low_to_high(self):
         # 5-leaf tree whose non-leaf nodes get distances in the order
         # d_3 -> d_2 -> d_1 -> d_4 (1-based slots), hence d_4 > d_1 > d_2 > d_3
         tree = tree_of("(X (X (X a) (X (X b) (X (X c) (X d)))) (X e))")
-        seq = tree_to_distances(tree)
-        d1, d2, d3, d4 = seq.values
+        d = tree_to_distances(tree)
+        d1, d2, d3, d4 = d
         assert d4 > d1 > d2 > d3
-        assert list(seq.values) == [4.0, 3.0, 2.0, 5.0]
+        assert list(d) == [4.0, 3.0, 2.0, 5.0]
 
     def test_single_leaf_empty_sequence(self):
-        seq = tree_to_distances(tree_of("(X a)"))
-        assert seq.n_tokens == 1 and seq.values.size == 0
+        d = tree_to_distances(tree_of("(X a)"))
+        assert d.size + 1 == 1 and d.size == 0
 
     def test_values_are_positive_integers(self):
         for i in range(20):
-            seq = tree_to_distances(random_binary_tree(2 + i % 8, i))
-            assert (seq.values > 0).all()
-            assert np.array_equal(seq.values, np.round(seq.values))
+            d = tree_to_distances(random_binary_tree(2 + i % 8, i))
+            assert (d > 0).all()
+            assert np.array_equal(d, np.round(d))
 
 
 class TestUnbiasedRecovery:
@@ -141,15 +140,3 @@ class TestValidateHeights:
         bad.height = 2
         assert not validate_heights(bad)
 
-
-class TestDistanceSeq:
-    def test_length_contract(self):
-        with pytest.raises(ValueError):
-            DistanceSeq(np.array([1.0]), np.array([True, False]), 3)
-
-    def test_line_round_trip(self):
-        seq = DistanceSeq(np.array([2.0, 3.5]), np.array([True, False]), 3)
-        again = DistanceSeq.from_line(seq.to_line())
-        assert np.array_equal(again.values, seq.values)
-        assert np.array_equal(again.mask, seq.mask)
-        assert again.n_tokens == 3

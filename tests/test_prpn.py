@@ -189,13 +189,13 @@ class TestSydEncoder:
         rng = np.random.default_rng(3)
         emb = Tensor(rng.normal(size=(8, 1, 6)))
         gold = rng.permutation(np.arange(1.0, 9.0))
-        mask = np.ones(8, dtype=bool)
+        groups = np.zeros(8, dtype=np.int64)
         params = list(model.params.values())
         acc = 0.0
         for step in range(1000):
             with Tape():
                 _, d_syd, _ = model.encoder_distances(emb)
-                loss = ranking_loss(ad.reshape(d_syd, (8,)), gold, mask, "symmetric")
+                loss = ranking_loss(ad.reshape(d_syd, (8,)), gold, groups, "symmetric")
                 backward(loss)
             for p in params:
                 if p.grad is not None:
@@ -203,7 +203,7 @@ class TestSydEncoder:
             model.zero_grad()
             if step % 25 == 0:
                 _, d_eval, _ = model.encoder_distances(emb)
-                agree, strict = _pair_agreement(d_eval.data.reshape(8), gold, mask)
+                agree, strict = _pair_agreement(d_eval.data.reshape(8), gold, groups)
                 acc = 100.0 * agree / strict
                 if acc > 99.0:
                     break

@@ -58,59 +58,65 @@ class TestLmLoss:
 class TestRankingLoss:
     def test_correct_order_zero(self):
         loss = ranking_loss(np.array([0.5, 0.9]), np.array([1.0, 2.0]),
-                            np.array([True, True]), "as-written")
+                            np.zeros(2, dtype=np.int64), "as-written")
         assert float(loss.data) == 0.0
 
     def test_violated_order_hinge(self):
         loss = ranking_loss(np.array([0.9, 0.5]), np.array([1.0, 2.0]),
-                            np.array([True, True]), "as-written")
+                            np.zeros(2, dtype=np.int64), "as-written")
         assert np.isclose(float(loss.data), 0.8)
         sym = ranking_loss(np.array([0.9, 0.5]), np.array([1.0, 2.0]),
-                           np.array([True, True]), "symmetric")
+                           np.zeros(2, dtype=np.int64), "symmetric")
         assert np.isclose(float(sym.data), 0.8)
 
     def test_gold_tie_equal_predictions(self):
         loss = ranking_loss(np.array([0.7, 0.7]), np.array([2.0, 2.0]),
-                            np.array([True, True]), "as-written")
+                            np.zeros(2, dtype=np.int64), "as-written")
         assert float(loss.data) == 0.0
 
     def test_gold_tie_as_written_penalizes_one_direction(self):
         # i < j with equal gold: only d_i^w > d_j^w is penalized as written
         up = ranking_loss(np.array([0.2, 0.8]), np.array([2.0, 2.0]),
-                          np.array([True, True]), "as-written")
+                          np.zeros(2, dtype=np.int64), "as-written")
         down = ranking_loss(np.array([0.8, 0.2]), np.array([2.0, 2.0]),
-                            np.array([True, True]), "as-written")
+                            np.zeros(2, dtype=np.int64), "as-written")
         assert float(up.data) == 0.0
         assert np.isclose(float(down.data), 0.6)
 
     def test_mask_and_groups_restrict_pairs(self):
         d_g = np.array([1.0, 2.0, 3.0, 4.0])
         d_w = np.array([4.0, 3.0, 2.0, 1.0])  # fully inverted
-        mask = np.array([True, True, True, True])
         groups = np.array([0, 0, 1, 1])
-        ii, jj = pair_indices(d_g, mask, groups)
+        ii, jj = pair_indices(groups)
         assert len(ii) == 2  # (0,1) and (2,3) only
-        masked = ranking_loss(d_w, d_g, np.array([True, False, True, True]), "as-written",
-                              groups=groups)
-        ii2, jj2 = pair_indices(d_g, np.array([True, False, True, True]), groups)
+        masked = ranking_loss(d_w, d_g, np.array([0, -1, 1, 1]), "as-written")
+        ii2, jj2 = pair_indices(np.array([0, -1, 1, 1]))
         assert len(ii2) == 1
         assert float(masked.data) > 0
+
+    def test_boolean_mask_is_not_read_as_groups(self):
+        # a mask would otherwise pair its True slots and, apart, its False ones
+        mask = np.array([True, False, True, True])
+        with pytest.raises(TypeError, match="integer sentence ids"):
+            pair_indices(mask)
+        with pytest.raises(TypeError, match="integer sentence ids"):
+            ranking_loss(np.zeros(4), np.arange(4.0), mask, "as-written")
 
     def test_zero_when_order_matches_with_ties_weak(self):
         # gold strict order plus a tie; predictions share the order, tied
         # slots nondecreasing left to right
         d_g = np.array([1.0, 3.0, 3.0, 5.0])
         d_w = np.array([0.1, 0.5, 0.5, 0.9])
-        loss = ranking_loss(d_w, d_g, np.ones(4, dtype=bool), "as-written")
+        loss = ranking_loss(d_w, d_g, np.zeros(4, dtype=np.int64), "as-written")
         assert float(loss.data) == 0.0
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(0)
         d_g = rng.permutation(np.arange(1.0, 7.0))
         d_w = rng.normal(size=6)
-        mask = np.ones(6, dtype=bool)
-        a = float(ranking_loss(d_w, d_g, mask, "symmetric").data)
-        b = float(ranking_loss(d_w + 13.7, d_g, mask, "symmetric").data)
+        groups = np.zeros(6, dtype=np.int64)
+        a = float(ranking_loss(d_w, d_g, groups, "symmetric").data)
+        b = float(ranking_loss(d_w + 13.7, d_g, groups, "symmetric").data)
         assert np.isclose(a, b)
 
     def test_gradient_descent_reaches_zero(self):
@@ -119,11 +125,11 @@ class TestRankingLoss:
             n = int(rng.integers(3, 11))
             gold = rng.permutation(np.arange(1.0, n + 1))
             d_w = Tensor(rng.uniform(0, 1, size=n), requires_grad=True)
-            mask = np.ones(n, dtype=bool)
+            groups = np.zeros(n, dtype=np.int64)
             for _ in range(500):
                 d_w.grad = None
                 with Tape():
-                    loss = ranking_loss(d_w, gold, mask, "symmetric")
+                    loss = ranking_loss(d_w, gold, groups, "symmetric")
                     if float(loss.data) < 1e-6:
                         break
                     backward(loss)
@@ -132,12 +138,12 @@ class TestRankingLoss:
 
     def test_accuracy_metric(self):
         agree = _pair_agreement(np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0, 3.0]),
-                                np.ones(3, dtype=bool))
+                                np.zeros(3, dtype=np.int64))
         assert agree == (3, 3)
         flipped = _pair_agreement(np.array([3.0, 2.0, 1.0]), np.array([1.0, 2.0, 3.0]),
-                                  np.ones(3, dtype=bool))
+                                  np.zeros(3, dtype=np.int64))
         assert flipped == (0, 3)
-        assert _pair_agreement(np.ones(3), np.ones(3), np.ones(3, dtype=bool)) == (0, 0)
+        assert _pair_agreement(np.ones(3), np.ones(3), np.zeros(3, dtype=np.int64)) == (0, 0)
 
 
 class TestJointLoss:
@@ -186,7 +192,7 @@ class TestBpttBatches:
         corpus = preprocess_corpus(parse_bracketed(text * 3),
                                    PreprocessRules(vocab_max_size=10, mode="concat"))
         batches = list(bptt_batches(corpus, 1, 50, tree_source="gold"))
-        mask = np.concatenate([b.gold_mask.reshape(-1) for b in batches])
+        mask = np.concatenate([(b.sent_id >= 0).reshape(-1) for b in batches])
         sent = np.concatenate([b.sent_id.reshape(-1) for b in batches])
         for i in range(3):
             count = int(((sent == i) & mask).sum())
@@ -200,13 +206,13 @@ class TestBpttBatches:
             t_len = batch.inputs.shape[0]
             for r in range(1, t_len):
                 if batch.inputs[r, 0] == Vocab.eos_id or batch.inputs[r - 1, 0] == Vocab.eos_id:
-                    assert not batch.gold_mask[r, 0]
+                    assert not (batch.sent_id[r, 0] >= 0)
         assert len(eos_positions) == 10
 
     def test_window_boundary_row_masked(self):
         corpus = pcfg_corpus(20, seed=4)
         for batch in bptt_batches(corpus, 2, 7, tree_source="gold"):
-            assert not batch.gold_mask[0].any()
+            assert not (batch.sent_id[0] >= 0).any()
 
     def test_batch_too_large(self):
         corpus = pcfg_corpus(4, seed=5)
@@ -225,7 +231,7 @@ class TestBpttBatches:
                 n = int(weights.sum()) - 1
                 assert np.array_equal(batch.inputs[1 : n + 1, j], batch.targets[0:n, j])
                 assert batch.targets[n, j] == Vocab.eos_id
-                total_slots += int(batch.gold_mask[:, j].sum())
+                total_slots += int((batch.sent_id[:, j] >= 0).sum())
         expected = sum(max(e - s - 1, 0) for s, e in corpus.sentence_spans)
         assert total_slots == expected
 
@@ -368,6 +374,23 @@ class TestTrain:
         with pytest.raises(ConfigError):
             cfg.validate()
 
+    @pytest.mark.parametrize("settings,needle", [
+        (dict(averaging=True, average_from_epoch=20), "average_from_epoch 20 outside"),
+        (dict(averaging=True, average_from_epoch=-3), "average_from_epoch -3 outside"),
+        (dict(average_from_epoch=2), "averaging is off"),
+        (dict(lr=-1.0), "lr must be positive"),
+        (dict(lr=float("nan")), "lr must be positive"),
+        (dict(alpha=float("nan")), "alpha must be >= 0"),
+        (dict(lr_decay=0.0), "lr_decay"),
+        (dict(lr_decay=1.5), "lr_decay"),
+        (dict(lr_patience=-1), "lr_patience"),
+    ], ids=["average-after-last-epoch", "average-before-first-epoch", "average-without-averaging",
+            "negative-lr", "nan-lr", "nan-alpha", "zero-lr-decay", "growing-lr-decay", "negative-patience"])
+    def test_silently_wrong_settings_rejected(self, tiny_corpus, settings, needle):
+        cfg = train_config(tiny_corpus, **settings)  # three epochs
+        with pytest.raises(ConfigError, match=needle):
+            cfg.validate()
+
 
 class TestOptimizedTreeEquality:
     def test_descent_recovers_gold_tree(self):
@@ -376,11 +399,11 @@ class TestOptimizedTreeEquality:
             n = int(rng.integers(4, 10))
             gold = rng.permutation(np.arange(1.0, n + 1))
             d_w = Tensor(rng.uniform(0, 1, size=n), requires_grad=True)
-            mask = np.ones(n, dtype=bool)
+            groups = np.zeros(n, dtype=np.int64)
             for _ in range(500):
                 d_w.grad = None
                 with Tape():
-                    loss = ranking_loss(d_w, gold, mask, "symmetric")
+                    loss = ranking_loss(d_w, gold, groups, "symmetric")
                     if float(loss.data) < 1e-9:
                         break
                     backward(loss)
