@@ -15,6 +15,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .atomic import atomic_open
+
 
 class ShapeError(ValueError):
     pass
@@ -62,7 +64,8 @@ class Tape:
         return len(self.nodes)
 
 
-def _tape() -> Optional[Tape]:
+def active_tape() -> Optional[Tape]:
+    """The tape ops are being recorded on, or None on the evaluation path."""
     return _TAPE_STACK[-1] if _TAPE_STACK else None
 
 
@@ -127,7 +130,7 @@ def as_tensor(x) -> Tensor:
 
 def _apply(out_data: np.ndarray, parents: tuple, bwd: Callable) -> Tensor:
     out = Tensor(out_data)
-    tape = _tape()
+    tape = active_tape()
     if tape is not None and any(p.tracked for p in parents):
         out.tracked = True
         tape.nodes.append(_Node(out, parents, bwd))
@@ -141,7 +144,7 @@ def backward(loss: Tensor) -> None:
     output's adjoint out of the map, so the requires_grad tensors left in it
     are the leaves; each adjoint is added to its leaf's ``.grad``.
     """
-    tape = _tape()
+    tape = active_tape()
     if tape is None:
         raise RuntimeError("backward called with no active tape")
     if loss.data.size != 1:
@@ -544,7 +547,7 @@ def save_checkpoint(path: str, params: dict, header: Optional[dict] = None) -> N
     import json
 
     blob = json.dumps(header or {}, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)

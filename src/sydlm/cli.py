@@ -18,6 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from . import autodiff as ad
+from .atomic import atomic_open
 from .config import ConfigError, TrainConfig, _coerce, apply_setting, parse_config_text, read_settings
 from .corpus import Corpus, PreprocessRules, preprocess_corpus
 from .evaluation import (
@@ -100,7 +101,7 @@ def cmd_preprocess(args, argv) -> int:
         "rules": dict(dataclasses.asdict(rules), drop_tags=sorted(rules.drop_tags))})
     corpus.save(args.out)
     dist_path = args.out + ".dist"
-    with open(dist_path, "w") as fh:
+    with atomic_open(dist_path) as fh:
         for i in range(corpus.n_sentences):
             d = corpus.gold_distances(i)
             fields = ["0"] if d is None else [str(d.size + 1)] + [repr(float(v)) for v in d]
@@ -136,7 +137,7 @@ def cmd_train(args, argv) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     manifest = _manifest(argv, cfg.seed, [args.corpus] + ([args.valid] if args.valid else []),
                          cfg.to_dict())
-    with open(outdir / "log.jsonl", "w") as fh:
+    with atomic_open(outdir / "log.jsonl") as fh:
         for entry in log:
             fh.write(json.dumps(entry, sort_keys=True) + "\n")
     ad.save_checkpoint(str(outdir / "checkpoint.bin"), best,
@@ -220,13 +221,14 @@ def cmd_eval(args, argv) -> int:
 
     text = report_to_json(metrics)
     if args.out:
-        Path(args.out).write_text(text)
+        with atomic_open(args.out) as fh:
+            fh.write(text)
         print("wrote %s" % args.out)
     else:
         sys.stdout.write(text)
 
     if args.plot_csv and report is not None:
-        with open(args.plot_csv, "w", newline="") as fh:
+        with atomic_open(args.plot_csv, "w", newline="") as fh:
             csv.writer(fh).writerows(report.height_csv_rows())
         print("wrote %s" % args.plot_csv)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -57,8 +58,8 @@ class ModelConfig:
                     raise ConfigError("hidden size %d of layer %d not divisible by chunk_factor %d"
                                       % (hidden, layer + 1, self.chunk_factor))
         if self.model in ("prpn", "prpn-syd"):
-            if self.prpn_temperature <= 0:
-                raise ConfigError("prpn_temperature must be positive")
+            if not self.prpn_temperature > 0:  # NaN too
+                raise ConfigError("prpn_temperature must be positive, got %r" % self.prpn_temperature)
             if self.model == "prpn" and self.supervision_mode not in ("none",):
                 raise ConfigError("model 'prpn' has no supervised distance stream; use prpn-syd")
             if self.model == "prpn-syd" and self.supervision_mode not in ("split-head", "none"):
@@ -127,6 +128,10 @@ class TrainConfig:
             raise ConfigError("lr_decay must be in (0, 1], got %r" % self.lr_decay)
         if self.lr_patience < 0:
             raise ConfigError("lr_patience must be >= 0, got %d" % self.lr_patience)
+        if math.isnan(self.clip_norm):  # 0 or below means no clipping
+            raise ConfigError("clip_norm must not be NaN")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0, got %d" % self.seed)
         if self.average_from_epoch is not None:
             if not self.averaging:
                 raise ConfigError("average_from_epoch is set but averaging is off")

@@ -17,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 
+from .atomic import atomic_open
 from .config import ConfigError
 from .distance import tree_to_distances
 from .trees import Tree, binarize_right, map_leaf_tokens, parse_bracketed, prune_leaves, render_bracketed
@@ -176,7 +177,7 @@ class Corpus:
             "gold_trees_nary": [None if t is None else render_bracketed(t) for t in self.gold_trees_nary],
             "manifest": self.manifest,
         }
-        with open(path, "w") as fh:
+        with atomic_open(path) as fh:
             json.dump(payload, fh, sort_keys=True)
             fh.write("\n")
 

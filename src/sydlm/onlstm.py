@@ -4,10 +4,13 @@ distance read-out.
 Master gates are cumax-constrained, so forget units switch on monotonically
 and input units switch off monotonically along the vector; the distance a
 step emits is the master dimension minus the master forget gate's mass.
-The cell step holds only the recurrence.  Distances are read out of the
-recorded gates once per window: the split head derives a second master
-forget gate from the same preactivation, and its distances are the ones
-trained against gold trees, leaving the language-model gates untouched.
+The cell step holds only the recurrence.  The forward runs layer-major:
+under a tape each layer is a loop of `onlstm_step`, and without one it is
+one `onlstm_layer` call, the same arithmetic in numpy with no tensors.
+Distances are read out of the gates once per window: the split head
+derives a second master forget gate from the same preactivation, and its
+distances are the ones trained against gold trees, leaving the
+language-model gates untouched.
 """
 
 from __future__ import annotations
@@ -79,6 +82,94 @@ def onlstm_step(
     c = f_hat * c_prev + i_hat * c_hat
     h = o * ad.tanh(c)
     return StepOutput(h=h, c=c, master_forget=f_m, master_input=i_m, hf_pre=hf_pre)
+
+
+def onlstm_layer(
+    x_seq: np.ndarray,
+    h0: np.ndarray,
+    c0: np.ndarray,
+    weight: np.ndarray,
+    bias: np.ndarray,
+    hidden: int,
+    chunk: int,
+    rec_mask: Optional[np.ndarray] = None,
+) -> tuple:
+    """One ON-LSTM layer over a whole window in numpy, recording nothing.
+
+    Each step applies the ops of `lstm_gates` and `onlstm_step` in their
+    order, so every value equals a loop of `onlstm_step` bitwise.  x_seq is
+    (T, B, in), h0 and c0 are (B, hidden), weight and bias are the fused gate
+    arrays, and rec_mask (B, hidden), if given, multiplies the state each
+    step reads.  Returns h and c (T, B, hidden), and the master forget gates
+    and their preactivation hf_pre (T, B, Dm), stacked over the steps.
+    """
+    t_len, batch = x_seq.shape[:2]
+    d_m = hidden // chunk
+    h_seq = np.empty((t_len, batch, hidden))
+    c_seq = np.empty_like(h_seq)
+    forget_seq = np.empty((t_len, batch, d_m))
+    pre_seq = np.empty_like(forget_seq)
+    h, c = h0, c0
+    for t in range(t_len):
+        h_in = h if rec_mask is None else h * rec_mask
+        pre = np.concatenate([x_seq[t], h_in], axis=1) @ weight + bias
+        gates = 1.0 / (1.0 + np.exp(-pre[:, : 3 * hidden]))
+        c_hat = np.tanh(pre[:, 3 * hidden : 4 * hidden])
+        # both master gates' cumax at once: one softmax and cumsum per row
+        masters = pre[:, 4 * hidden :].reshape(batch, 2, d_m)
+        e = np.exp(masters - masters.max(axis=-1, keepdims=True))
+        cumaxes = np.cumsum(e / e.sum(axis=-1, keepdims=True), axis=-1)
+        f_m = cumaxes[:, 0]
+        i_m = 1.0 - cumaxes[:, 1]
+        if chunk > 1:
+            f_mx = np.repeat(f_m, chunk, axis=-1)
+            i_mx = np.repeat(i_m, chunk, axis=-1)
+        else:
+            f_mx, i_mx = f_m, i_m
+        omega = f_mx * i_mx
+        f_hat = gates[:, :hidden] * omega + (f_mx - omega)
+        i_hat = gates[:, hidden : 2 * hidden] * omega + (i_mx - omega)
+        c = f_hat * c + i_hat * c_hat
+        h = gates[:, 2 * hidden :] * np.tanh(c)
+        h_seq[t], c_seq[t], forget_seq[t] = h, c, f_m
+        pre_seq[t] = pre[:, 4 * hidden : 4 * hidden + d_m]
+    return h_seq, c_seq, forget_seq, pre_seq
+
+
+def _step_loop(xs: list, h: Tensor, c: Tensor, weight: Tensor, bias: Tensor,
+               hidden: int, chunk: int, rec_mask: Optional[Tensor]) -> tuple:
+    """`onlstm_layer` on the tape: `onlstm_step` over the per-step inputs
+    xs.  Returns per-step lists of h, c, master forget gates and hf_pre."""
+    outs = []
+    for x in xs:
+        out = onlstm_step(x, h if rec_mask is None else h * rec_mask, c, weight, bias, hidden, chunk)
+        h, c = out.h, out.c
+        outs.append(out)
+    return ([o.h for o in outs], [o.c for o in outs],
+            [o.master_forget for o in outs], [o.hf_pre for o in outs])
+
+
+def _stacked(steps) -> np.ndarray:
+    """(T, B, width) values of a layer's steps: a kernel array, or a list of
+    taped (B, width) tensors."""
+    return steps if isinstance(steps, np.ndarray) else np.stack([s.data for s in steps])
+
+
+def _window(steps) -> Tensor:
+    """A layer's steps as one time-major (T*B, width) tensor; taped steps are
+    concatenated on the tape."""
+    if isinstance(steps, np.ndarray):
+        return Tensor(steps.reshape(-1, steps.shape[-1]))
+    return ad.concat(steps, axis=0)
+
+
+def _masked(steps, mask: Optional[Tensor]):
+    """A layer's steps times a locked (B, width) mask, step by step on the tape."""
+    if mask is None:
+        return steps
+    if isinstance(steps, np.ndarray):
+        return steps * mask.data
+    return [s * mask for s in steps]
 
 
 class OnLstmLM(LanguageModel):
@@ -158,42 +249,37 @@ class OnLstmLM(LanguageModel):
 
         fused = [(ad.concat(weights, axis=1), ad.concat(biases, axis=0)) for weights, biases in self.layers]
 
-        hs = [Tensor(h) for h, _ in state]
-        cs = [Tensor(c) for _, c in state]
-        top_states = []
-        forget_steps: list[list[Tensor]] = [[] for _ in range(cfg.n_layers)]
+        taped = ad.active_tape() is not None
+        x = [x_all[t] for t in range(t_len)] if taped else x_all.data
+        forget, new_state = [], []
         sup = cfg.supervision_layer - 1
-        sup_pre: list[Tensor] = []
-        sup_h: list[Tensor] = []
+        for layer, ((weight, bias), rec_mask) in enumerate(zip(fused, rec_masks)):
+            hidden, (h0, c0) = cfg.layer_hidden(layer), state[layer]
+            if taped:
+                hs, cs, fs, pres = _step_loop(x, Tensor(h0), Tensor(c0), weight, bias,
+                                              hidden, cfg.chunk_factor, rec_mask)
+            else:
+                hs, cs, fs, pres = onlstm_layer(x, h0, c0, weight.data, bias.data, hidden,
+                                                cfg.chunk_factor, None if rec_mask is None else rec_mask.data)
+            h_all, c_all = _stacked(hs), _stacked(cs)
+            finite = np.isfinite(h_all).all(axis=(1, 2)) & np.isfinite(c_all).all(axis=(1, 2))
+            if not finite.all():
+                raise ad.NumericError("non-finite hidden state at step %d, layer %d"
+                                      % (int(np.argmin(finite)), layer + 1))
+            new_state.append((h_all[-1].copy(), c_all[-1].copy()))
+            forget.append(fs)
+            if layer == sup:
+                sup_h, sup_pre = hs, pres
+            x = _masked(hs, mid_masks[layer]) if layer < cfg.n_layers - 1 else hs
 
-        for t in range(t_len):
-            x = x_all[t]
-            for layer in range(cfg.n_layers):
-                h_in = hs[layer]
-                if rec_masks[layer] is not None:
-                    h_in = h_in * rec_masks[layer]
-                out = onlstm_step(x, h_in, cs[layer], *fused[layer], cfg.layer_hidden(layer), cfg.chunk_factor)
-                if not np.isfinite(out.h.data).all() or not np.isfinite(out.c.data).all():
-                    raise ad.NumericError("non-finite hidden state at step %d, layer %d" % (t, layer + 1))
-                hs[layer], cs[layer] = out.h, out.c
-                forget_steps[layer].append(out.master_forget)
-                if layer == sup:
-                    sup_pre.append(out.hf_pre)
-                    sup_h.append(out.h)
-                x = out.h
-                if layer < cfg.n_layers - 1 and mid_masks[layer] is not None:
-                    x = x * mid_masks[layer]
-            top_states.append(x)
-
-        logits = self.decode(top_states, rng, train_cfg)
-        d_lm = [extract_distance(ad.concat(steps, axis=0)) for steps in forget_steps]
+        logits = self.decode(x if taped else [Tensor(h) for h in x], rng, train_cfg)
+        d_lm = [extract_distance(_window(fs)) for fs in forget]
         d_syd = None
         if cfg.supervision_mode == "split-head":
-            d_syd = syd_head(ad.concat(sup_pre, axis=0), self.w_s, self.b_s)
+            d_syd = syd_head(_window(sup_pre), self.w_s, self.b_s)
         elif cfg.supervision_mode == "one-set-of-trees":
             d_syd = d_lm[sup]
         elif cfg.supervision_mode == "vanilla-multitask":
-            d_syd = ad.reshape(feed_forward(ad.concat(sup_h, axis=0), self.w_v1, self.b_v1,
+            d_syd = ad.reshape(feed_forward(_window(sup_h), self.w_v1, self.b_v1,
                                             self.w_v2, self.b_v2), (t_len * batch,))
-        new_state = [(h.data.copy(), c.data.copy()) for h, c in zip(hs, cs)]
         return ForwardOut(logits=logits, d_lm=d_lm, d_syd=d_syd, state=new_state)

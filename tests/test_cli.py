@@ -275,6 +275,39 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert not (run / "checkpoint.bin").exists()
 
+    @pytest.mark.parametrize("sets", [
+        ["clip_norm=nan"], ["model=prpn-syd", "prpn_temperature=nan"], ["seed=-1"],
+    ], ids=lambda sets: sets[-1])
+    def test_bad_setting_is_data_error_naming_the_field(self, tmp_path, treebank_file, capsys, sets):
+        corpus = tmp_path / "corpus.json"
+        main(["preprocess", str(treebank_file), "--out", str(corpus)])
+        capsys.readouterr()
+        run = tmp_path / "run"
+        assert main(["train", "--corpus", str(corpus), "--out", str(run)] + TRAIN_OVERRIDES
+                    + [a for kv in sets for a in ("--set", kv)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: %s must" % sets[-1].split("=")[0])
+        assert err.count("\n") == 1
+        assert not (run / "checkpoint.bin").exists()
+
+    def test_nan_weight_eval_is_numeric_failure(self, tmp_path, treebank_file, capsys):
+        corpus = tmp_path / "corpus.json"
+        main(["preprocess", str(treebank_file), "--out", str(corpus)])
+        cfg = TrainConfig(model=ModelConfig(vocab_size=len(Corpus.load(str(corpus)).vocab),
+                                            n_layers=2, embedding_size=16, hidden_size=24,
+                                            supervision_layer=2))
+        model = OnLstmLM(cfg.model, seed=0)
+        model.params["layer1.W_f"].data[0, 0] = np.nan
+        ckpt = tmp_path / "nan.bin"
+        ad.save_checkpoint(str(ckpt), model.params, header={"config": cfg.to_dict()})
+        capsys.readouterr()
+        metrics = tmp_path / "metrics.json"
+        assert main(["eval", "--checkpoint", str(ckpt), "--corpus", str(corpus),
+                     "--out", str(metrics)]) == 3
+        assert capsys.readouterr().err == (
+            "numeric failure: non-finite hidden state at step 0, layer 2\n")
+        assert not metrics.exists()
+
     def test_vocab_mismatch_is_data_error(self, tmp_path, treebank_file, capsys):
         corpus = tmp_path / "corpus.json"
         main(["preprocess", str(treebank_file), "--out", str(corpus)])

@@ -1,12 +1,14 @@
+import contextlib
+
 import numpy as np
 import pytest
 
 from sydlm import autodiff as ad
 from sydlm.autodiff import Tape, Tensor, backward, grad_check
-from sydlm.config import ModelConfig
+from sydlm.config import ModelConfig, TrainConfig
 from sydlm.corpus import PreprocessRules, preprocess_corpus
 from sydlm.distance import distances_to_tree_unbiased
-from sydlm.onlstm import OnLstmLM, extract_distance, onlstm_step, syd_head
+from sydlm.onlstm import OnLstmLM, extract_distance, onlstm_layer, onlstm_step, syd_head
 from sydlm.training import bptt_batches, lm_loss
 from sydlm.trees import parse_bracketed
 
@@ -240,6 +242,63 @@ class TestOrderingComposition:
         assert distances_to_tree_unbiased(ranks, words).shape() == tree.shape()
         # highest distance (slot 3) is the top split
         assert tree.children[0].n_leaves() == 4
+
+
+class TestLayerKernel:
+    @pytest.mark.parametrize("chunk", [1, 2])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_equals_step_loop_bitwise(self, chunk, masked):
+        hidden, t_len, batch, in_dim = 8, 6, 3, 5
+        _, h0, c0, weight, bias = make_step_inputs(hidden, chunk, in_dim=in_dim, batch=batch, seed=3)
+        rng = np.random.default_rng(4)
+        x_seq = rng.normal(size=(t_len, batch, in_dim))
+        mask = (rng.random((batch, hidden)) >= 0.4) / 0.6 if masked else None
+        h, c = h0, c0
+        steps = []
+        for t in range(t_len):
+            h_in = h * Tensor(mask) if masked else h
+            out = onlstm_step(Tensor(x_seq[t]), h_in, c, weight, bias, hidden, chunk)
+            h, c = out.h, out.c
+            steps.append(out)
+        h_seq, c_seq, forget_seq, pre_seq = onlstm_layer(
+            x_seq, h0.data, c0.data, weight.data, bias.data, hidden, chunk, mask)
+        for got, field in ((h_seq, "h"), (c_seq, "c"), (forget_seq, "master_forget"),
+                           (pre_seq, "hf_pre")):
+            assert np.array_equal(got, np.stack([getattr(o, field).data for o in steps])), field
+
+
+class TestUntapedForward:
+    @pytest.mark.parametrize("mode", ["split-head", "none", "one-set-of-trees", "vanilla-multitask"])
+    @pytest.mark.parametrize("sup_layer", [1, 2])
+    def test_equals_taped_forward_bitwise(self, mode, sup_layer):
+        # chunk 2, and the supervision layer below the top one or at it; the
+        # dropout masks come from equally seeded generators on both sides
+        cfg = small_config(n_layers=2, hidden_size=8, chunk_factor=2, supervision_mode=mode,
+                           supervision_layer=sup_layer)
+        train_cfg = TrainConfig(model=cfg, tree_source="none" if mode == "none" else "gold")
+        model = OnLstmLM(cfg, seed=6)
+        inputs = np.random.default_rng(7).integers(0, cfg.vocab_size, size=(5, 3))
+        state = [(h + 0.1, c - 0.2) for h, c in model.init_state(3)]
+        untaped = model.forward(inputs, state, rng=np.random.default_rng(8), train_cfg=train_cfg)
+        with Tape() as tape:
+            taped = model.forward(inputs, state, rng=np.random.default_rng(8), train_cfg=train_cfg)
+        assert len(tape) > 0
+        assert np.array_equal(untaped.logits.data, taped.logits.data)
+        for a, b in zip(untaped.d_lm, taped.d_lm, strict=True):
+            assert np.array_equal(a.data, b.data)
+        assert (untaped.d_syd is None) == (taped.d_syd is None) == (mode == "none")
+        if mode != "none":
+            assert np.array_equal(untaped.d_syd.data, taped.d_syd.data)
+        for (h1, c1), (h2, c2) in zip(untaped.state, taped.state, strict=True):
+            assert np.array_equal(h1, h2) and np.array_equal(c1, c2)
+
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_non_finite_state_names_first_step_and_layer(self, taped):
+        model = OnLstmLM(small_config(n_layers=3, supervision_layer=3), seed=2)
+        model.params["layer1.W_f"].data[0, 0] = np.nan
+        with Tape() if taped else contextlib.nullcontext():
+            with pytest.raises(ad.NumericError, match="^non-finite hidden state at step 0, layer 2$"):
+                model.forward(np.array([[1, 2], [3, 4]]))
 
 
 class TestToyOverfit:
