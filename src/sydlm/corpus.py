@@ -20,7 +20,8 @@ import numpy as np
 from .atomic import atomic_open
 from .config import ConfigError
 from .distance import tree_to_distances
-from .trees import Tree, binarize_right, map_leaf_tokens, parse_bracketed, prune_leaves, render_bracketed
+from .trees import (Tree, TreebankError, binarize_right, map_leaf_tokens, parse_bracketed,
+                    prune_leaves, render_bracketed)
 
 UNK = "<unk>"
 EOS = "<eos>"
@@ -96,12 +97,10 @@ def _list_of(ok):
 
 
 _IDS = _list_of(lambda x: type(x) is int)
-_TREES = ("a list of bracketed trees or nulls", _list_of(lambda t: t is None or type(t) is str))
 _DUMP_FIELDS = {
     "tokens": ("a list of token ids", _IDS),
     "sentence_spans": ("a list of [start, end] pairs", _list_of(lambda se: _IDS(se) and len(se) == 2)),
-    "gold_trees": _TREES,
-    "gold_trees_nary": _TREES,
+    "gold_trees_nary": ("a list of bracketed trees or nulls", _list_of(lambda t: t is None or type(t) is str)),
     "vocab": ("a list of words", _list_of(lambda w: type(w) is str)),
     "mode": ("one of %s" % (MODES,), lambda v: v in MODES),
 }
@@ -113,13 +112,12 @@ class Corpus:
 
     Spans cover sentence words only; in concat mode the single <eos> after
     each sentence sits between spans and belongs to no gold tree.  The
-    binarized trees drive distance supervision; the pruned n-ary originals
-    keep their labels for structure evaluation.
+    pruned n-ary trees keep their labels for structure evaluation; their
+    right binarizations' slot heights, derived once, supervise distances.
     """
 
     tokens: np.ndarray
     sentence_spans: list[tuple[int, int]]
-    gold_trees: list[Optional[Tree]]
     gold_trees_nary: list[Optional[Tree]]
     vocab: Vocab
     mode: str
@@ -128,6 +126,8 @@ class Corpus:
     def __post_init__(self):
         self.tokens = np.asarray(self.tokens, dtype=np.int64)
         self.validate()
+        self._gold_distances = [None if t is None else tree_to_distances(binarize_right(t))
+                                for t in self.gold_trees_nary]
 
     @property
     def n_sentences(self) -> int:
@@ -141,21 +141,18 @@ class Corpus:
         return [self.vocab.word(t) for t in self.sentence_ids(i)]
 
     def gold_distances(self, i: int) -> Optional[np.ndarray]:
-        tree = self.gold_trees[i]
-        if tree is None:
-            return None
-        return tree_to_distances(tree)
+        return self._gold_distances[i]
 
     def validate(self) -> None:
-        if not len(self.gold_trees) == len(self.gold_trees_nary) == len(self.sentence_spans):
-            raise ValueError("the gold tree lists do not match the %d sentence spans" % len(self.sentence_spans))
+        if len(self.gold_trees_nary) != len(self.sentence_spans):
+            raise ValueError("the gold tree list does not match the %d sentence spans" % len(self.sentence_spans))
         sep = 1 if self.mode == "concat" else 0
         pos = 0
         for i, (s, e) in enumerate(self.sentence_spans):
             if s != pos or e <= s:
                 raise ValueError("sentence span %d (%d,%d) does not tile the stream" % (i, s, e))
             pos = e + sep
-            tree = self.gold_trees[i]
+            tree = self.gold_trees_nary[i]
             if tree is not None and tree.n_leaves() != e - s:
                 raise ValueError("gold tree %d has %d leaves for a %d-token span" % (i, tree.n_leaves(), e - s))
             if sep and e < len(self.tokens) and self.tokens[e] != Vocab.eos_id:
@@ -173,7 +170,6 @@ class Corpus:
             "vocab": self.vocab.to_jsonable(),
             "tokens": [int(t) for t in self.tokens],
             "sentence_spans": [[int(s), int(e)] for s, e in self.sentence_spans],
-            "gold_trees": [None if t is None else render_bracketed(t) for t in self.gold_trees],
             "gold_trees_nary": [None if t is None else render_bracketed(t) for t in self.gold_trees_nary],
             "manifest": self.manifest,
         }
@@ -195,19 +191,22 @@ class Corpus:
             if not valid(payload[key]):
                 raise ConfigError("%s: corpus dump field %r is not %s" % (path, key, kind))
 
-        def load_tree(text: Optional[str], binary: bool) -> Optional[Tree]:
+        def load_tree(i: int, text: Optional[str]) -> Optional[Tree]:
             if text is None:
                 return None
-            tree = parse_bracketed(text, clean=False)[0]
-            if binary:
-                return binarize_right(tree)
-            return tree
+            where = "%s: corpus dump field 'gold_trees_nary' entry %d" % (path, i)
+            try:
+                trees = parse_bracketed(text, clean=False)
+            except TreebankError as exc:
+                raise ConfigError("%s: %s" % (where, exc)) from None
+            if len(trees) != 1:
+                raise ConfigError("%s holds %d trees, not one" % (where, len(trees)))
+            return trees[0]
 
         return cls(
             tokens=np.array(payload["tokens"], dtype=np.int64),
             sentence_spans=[tuple(se) for se in payload["sentence_spans"]],
-            gold_trees=[load_tree(t, binary=True) for t in payload["gold_trees"]],
-            gold_trees_nary=[load_tree(t, binary=False) for t in payload["gold_trees_nary"]],
+            gold_trees_nary=[load_tree(i, t) for i, t in enumerate(payload["gold_trees_nary"])],
             vocab=Vocab(payload["vocab"]),
             mode=payload["mode"],
             manifest=payload.get("manifest"),
@@ -244,7 +243,6 @@ def preprocess_corpus(
 
     tokens: list[int] = []
     spans: list[tuple[int, int]] = []
-    gold_binary: list[Optional[Tree]] = []
     for tree in cleaned:
         words = tree.tokens()
         start = len(tokens)
@@ -252,12 +250,10 @@ def preprocess_corpus(
         spans.append((start, len(tokens)))
         if rules.mode == "concat":
             tokens.append(Vocab.eos_id)
-        gold_binary.append(binarize_right(tree))
 
     return Corpus(
         tokens=np.array(tokens, dtype=np.int64),
         sentence_spans=spans,
-        gold_trees=gold_binary,
         gold_trees_nary=cleaned,
         vocab=vocab,
         mode=rules.mode,

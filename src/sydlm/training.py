@@ -171,14 +171,14 @@ def _gold_slot_streams(corpus: Corpus, tree_source: str, seed: int):
         if n < 2:
             continue
         if tree_source == "gold":
-            tree = corpus.gold_trees[i]
-            if tree is None:
+            gold = corpus.gold_distances(i)
+            if gold is None:
                 continue
         elif tree_source == "random":
-            tree = random_binary_tree(n, _mixed_seed(seed, i))
+            gold = tree_to_distances(random_binary_tree(n, _mixed_seed(seed, i)))
         else:
             raise ValueError("unknown tree_source %r" % tree_source)
-        d[s : e - 1] = tree_to_distances(tree)
+        d[s : e - 1] = gold
         sent[s : e - 1] = i
     return d, sent
 
@@ -285,7 +285,8 @@ def train(model, corpus: Corpus, config: TrainConfig, valid_corpus: Optional[Cor
     optional tail iterate averaging.  Returns (per-epoch log, best params).
     The params are the average of the iterates of the last log entry's
     ``averaged`` epochs when that count is nonzero, else those of its
-    ``best_epoch`` (0: the initial params).
+    ``best_epoch`` (0: the initial params).  ``valid_corpus`` (default:
+    ``corpus``) must share the training vocabulary.
 
     Fully deterministic for a fixed config: one RNG owned by the trainer
     drives every dropout mask, and the data order is fixed.
@@ -293,6 +294,9 @@ def train(model, corpus: Corpus, config: TrainConfig, valid_corpus: Optional[Cor
     config.validate()
     if valid_corpus is None:
         valid_corpus = corpus
+    elif valid_corpus.vocab.words != corpus.vocab.words:
+        raise ValueError("the validation corpus's vocabulary differs from the training corpus's (%d vs %d words)"
+                         % (len(valid_corpus.vocab), len(corpus.vocab)))
     rng = np.random.default_rng(config.seed)
     params = list(model.params.values())
     lr = config.lr

@@ -505,15 +505,35 @@ class TestMalformedInputs:
 
     @pytest.mark.parametrize("key,value,needle", [
         ("sentence_spans", [1], "typed.json"), ("vocab", 5, "typed.json"),
-        ("gold_trees", [7, 7, 7], "typed.json"), ("gold_trees", [None, None], "gold tree lists"),
-    ], ids=["spans", "vocab", "trees", "tree-count"])
+        ("gold_trees_nary", [7, 7, 7], "typed.json"),
+        ("gold_trees_nary", [None, None], "gold tree list does not match the 1 sentence spans"),
+        ("gold_trees_nary", ["(S (NN aa) (NN bb))"], "gold tree 0 has 2 leaves for a 3-token span"),
+        ("gold_trees_nary", [""], "typed.json: corpus dump field 'gold_trees_nary' entry 0 holds 0 trees"),
+        ("gold_trees_nary", ["(S (NN aa) (NN bb) (NN aa)) (S (NN aa))"], "'gold_trees_nary' entry 0 holds 2 trees"),
+        ("gold_trees_nary", ["(S (NN aa) (NN bb) (NN aa)"], "'gold_trees_nary' entry 0: unbalanced '('"),
+    ], ids=["spans", "vocab", "trees", "tree-count", "leaf-count", "empty-tree", "two-trees", "unbalanced"])
     def test_corpus_dump_with_wrong_value(self, tmp_path, zero_eval, capsys, key, value, needle):
         corpus_path, _ = zero_eval
         payload = dict(json.loads(corpus_path.read_text()), **{key: value})
         broken = tmp_path / "typed.json"
         broken.write_text(json.dumps(payload))
-        self._data_error(["train", "--corpus", str(broken), "--out", str(tmp_path / "run")],
-                         capsys, needle)
+        self._data_error(["train", "--corpus", str(broken), "--out", str(tmp_path / "run")]
+                         + TRAIN_OVERRIDES, capsys, needle)
+
+    def test_valid_dump_with_other_vocab(self, tmp_path, treebank_file, capsys):
+        corpus, other, shared = (tmp_path / name for name in ("corpus.json", "other.json", "shared.json"))
+        src = tmp_path / "valid.mrg"
+        src.write_text("(S (NN aa) (NN bb) (NN aa))")
+        assert main(["preprocess", str(treebank_file), "--out", str(corpus)]) == 0
+        assert main(["preprocess", str(src), "--out", str(other)]) == 0
+        assert main(["preprocess", str(src), "--out", str(shared), "--vocab-from", str(corpus)]) == 0
+        capsys.readouterr()
+        run = tmp_path / "run"
+        self._data_error(["train", "--corpus", str(corpus), "--valid", str(other), "--out", str(run)]
+                         + TRAIN_OVERRIDES, capsys, "validation corpus's vocabulary differs")
+        assert not run.exists()
+        assert main(["train", "--corpus", str(corpus), "--valid", str(shared), "--out", str(run)]
+                    + TRAIN_OVERRIDES) == 0
 
 
 class TestStrictJson:

@@ -11,9 +11,9 @@ from sydlm.corpus import (
     preprocess_corpus,
 )
 from sydlm.distance import tree_to_distances
-from sydlm.trees import parse_bracketed, render_bracketed
+from sydlm.trees import binarize_right, parse_bracketed, render_bracketed
 
-from conftest import pcfg_treebank
+from conftest import pcfg_corpus, pcfg_treebank
 
 
 class TestVocab:
@@ -81,7 +81,7 @@ class TestPreprocess:
                                    PreprocessRules(vocab_max_size=20, mode="concat"))
         s, e = corpus.sentence_spans[0]
         assert e - s == 3
-        assert corpus.gold_trees[0].n_leaves() == 3
+        assert corpus.gold_trees_nary[0].n_leaves() == 3
         assert corpus.gold_trees_nary[0].tokens() == ["the", "cat", "sleeps"]
 
     def test_sentence_fully_pruned_disappears(self):
@@ -104,9 +104,15 @@ class TestPreprocess:
                                    PreprocessRules(vocab_max_size=40, mode="concat"))
         from sydlm.distance import validate_heights
 
-        for tree in corpus.gold_trees:
-            assert validate_heights(tree)
-            assert tree_to_distances(tree).shape == (tree.n_leaves() - 1,)
+        for i, tree in enumerate(corpus.gold_trees_nary):
+            assert validate_heights(binarize_right(tree))
+            assert corpus.gold_distances(i).shape == (tree.n_leaves() - 1,)
+
+    @pytest.mark.parametrize("mode", ["concat", "sepsent"])
+    def test_gold_distances_are_right_binarized_heights(self, mode):
+        corpus = pcfg_corpus(16, seed=5, mode=mode)
+        for i, tree in enumerate(corpus.gold_trees_nary):
+            assert np.array_equal(corpus.gold_distances(i), tree_to_distances(binarize_right(tree)))
 
     def test_stream_length_identity(self):
         corpus = preprocess_corpus(pcfg_treebank(15, seed=29),
@@ -119,10 +125,8 @@ class TestCorpusValidation:
     def test_leaf_count_mismatch_rejected(self):
         corpus = preprocess_corpus(parse_bracketed(TWO_SENTENCES),
                                    PreprocessRules(vocab_max_size=10, mode="concat"))
-        bad_tree = corpus.gold_trees[0]
         with pytest.raises(ValueError, match="leaves"):
             Corpus(tokens=corpus.tokens, sentence_spans=[(0, 2), (4, 7)],
-                   gold_trees=[bad_tree, corpus.gold_trees[1]],
                    gold_trees_nary=corpus.gold_trees_nary,
                    vocab=corpus.vocab, mode="concat")
 
@@ -135,9 +139,8 @@ class TestDumpFormat:
         assert np.array_equal(loaded.tokens, tiny_corpus.tokens)
         assert loaded.sentence_spans == tiny_corpus.sentence_spans
         assert loaded.vocab.words == tiny_corpus.vocab.words
-        for a, b in zip(loaded.gold_trees, tiny_corpus.gold_trees):
-            assert render_bracketed(a) == render_bracketed(b)
-            assert a.height == b.height
+        for i in range(tiny_corpus.n_sentences):
+            assert np.array_equal(loaded.gold_distances(i), tiny_corpus.gold_distances(i))
         for a, b in zip(loaded.gold_trees_nary, tiny_corpus.gold_trees_nary):
             assert render_bracketed(a) == render_bracketed(b)
 
@@ -163,3 +166,18 @@ class TestDumpFormat:
         s, e = tiny_corpus.sentence_spans[0]
         assert d.size + 1 == e - s
         assert (d >= 2).all()
+
+    def test_old_binarized_key_is_ignored(self, tmp_path, tiny_corpus):
+        # dumps of earlier versions also carry the binarized trees as "gold_trees"
+        path = tmp_path / "corpus.json"
+        tiny_corpus.save(str(path))
+        payload = json.loads(path.read_text())
+        assert "gold_trees" not in payload
+        payload["gold_trees"] = [render_bracketed(binarize_right(t)) for t in tiny_corpus.gold_trees_nary]
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(payload))
+        current, loaded = Corpus.load(str(path)), Corpus.load(str(old))
+        assert not hasattr(loaded, "gold_trees")
+        for i in range(tiny_corpus.n_sentences):
+            assert np.array_equal(loaded.gold_distances(i), current.gold_distances(i))
+            assert render_bracketed(loaded.gold_trees_nary[i]) == render_bracketed(current.gold_trees_nary[i])

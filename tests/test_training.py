@@ -25,7 +25,7 @@ from sydlm.training import (
 )
 from sydlm.trees import parse_bracketed
 
-from conftest import pcfg_corpus
+from conftest import pcfg_corpus, pcfg_treebank
 
 
 class TestLmLoss:
@@ -249,16 +249,15 @@ def _truncate_stream(corpus, n_tokens):
     """Trim a concat corpus to its first sentences totalling <= n_tokens."""
     from sydlm.corpus import Corpus
 
-    spans, trees, nary = [], [], []
+    spans, nary = [], []
     for i, (s, e) in enumerate(corpus.sentence_spans):
         if e + 1 > n_tokens:
             break
         spans.append((s, e))
-        trees.append(corpus.gold_trees[i])
         nary.append(corpus.gold_trees_nary[i])
     end = spans[-1][1] + 1
     return Corpus(tokens=corpus.tokens[:end].copy(), sentence_spans=spans,
-                  gold_trees=trees, gold_trees_nary=nary, vocab=corpus.vocab, mode="concat")
+                  gold_trees_nary=nary, vocab=corpus.vocab, mode="concat")
 
 
 def train_config(corpus, **kw):
@@ -328,7 +327,8 @@ class TestTrain:
             assert np.array_equal(best[name], param.data)
 
     def test_one_forward_per_train_and_validation_batch(self, tiny_corpus, monkeypatch):
-        valid = pcfg_corpus(8, seed=12)
+        valid = preprocess_corpus(pcfg_treebank(8, seed=12), PreprocessRules(vocab_max_size=60),
+                                  vocab=tiny_corpus.vocab)
         cfg = train_config(tiny_corpus, epochs=1)
         model = OnLstmLM(cfg.model, seed=cfg.seed)
         calls = []
