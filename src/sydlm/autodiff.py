@@ -6,6 +6,18 @@ adjoints into every parameter reached.  Outside a tape, ops just compute
 values, which is the evaluation path.  The primitive set is closed: exactly
 the operations the models in this package need, each with an exact analytic
 adjoint, plus a finite-difference checking harness.
+
+The sweep owns its adjoint buffers and writes into no other array.  A
+tensor's first adjoint is kept as its consumer's ``bwd`` returned it, with
+no copy: a ``bwd`` may hand one array, or views of it, to several parents
+(``add``, ``reshape``, ``_unbroadcast``), so that array is never written.
+The second adjoint is summed into a new array, which the sweep owns, and
+later ones are added to it in place.  ``getitem``'s ``bwd`` returns its
+``(key, dy)`` pair instead of a parent-sized array; the sweep adds ``dy``
+into the parent's owned buffer at ``key`` (``np.add.at`` when the key holds
+an index array, whose positions may repeat), so a slice's adjoint costs the
+size of the slice.  Once a node's output adjoint is handed to its ``bwd``,
+the sweep writes to it no more.
 """
 
 from __future__ import annotations
@@ -142,7 +154,8 @@ def backward(loss: Tensor) -> None:
 
     Adjoints of a tensor used several times sum.  Sweeping a node takes its
     output's adjoint out of the map, so the requires_grad tensors left in it
-    are the leaves; each adjoint is added to its leaf's ``.grad``.
+    are the leaves; each adjoint is added to its leaf's ``.grad``.  Sums
+    follow the ownership rule in the module docstring.
     """
     tape = active_tape()
     if tape is None:
@@ -150,15 +163,33 @@ def backward(loss: Tensor) -> None:
     if loss.data.size != 1:
         raise ShapeError("backward: loss must be scalar, got shape %s" % (loss.shape,))
     grads: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
+    owned: set[Tensor] = set()
     for node in reversed(tape.nodes):
         dy = grads.pop(node.out, None)
         if dy is None:
             continue
+        owned.discard(node.out)
         for parent, dp in zip(node.parents, node.bwd(dy)):
             if dp is None or not parent.tracked:
                 continue
             acc = grads.get(parent)
-            grads[parent] = dp if acc is None else acc + dp
+            if type(dp) is tuple:
+                if parent not in owned:
+                    acc = np.zeros_like(parent.data) if acc is None else np.array(acc)
+                    grads[parent] = acc
+                    owned.add(parent)
+                key, d = dp
+                if _basic(key):
+                    acc[key] += d
+                else:  # an index array may repeat a position
+                    np.add.at(acc, key, d)
+            elif acc is None:
+                grads[parent] = dp
+            elif parent in owned:
+                acc += dp
+            else:
+                grads[parent] = np.asarray(acc + dp)  # a 0-d sum is a numpy scalar
+                owned.add(parent)
     for tensor, g in grads.items():
         if not tensor.requires_grad:
             continue
@@ -166,6 +197,15 @@ def backward(loss: Tensor) -> None:
         if g.shape != tensor.data.shape:
             raise ShapeError("gradient shape %s != tensor shape %s" % (g.shape, tensor.data.shape))
         tensor.grad = g if tensor.grad is None else tensor.grad + g
+
+
+def _basic(key) -> bool:
+    """True for a basic index (ints, slices, None, Ellipsis): the positions
+    it selects are distinct."""
+    for k in key if type(key) is tuple else (key,):
+        if not (k is None or k is Ellipsis or isinstance(k, (int, np.integer, slice))):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -267,13 +307,10 @@ def concat(tensors: Sequence, axis: int = 0) -> Tensor:
 
 def getitem(a, key) -> Tensor:
     a = as_tensor(a)
-    ad = a.data
-    out = np.array(ad[key])
+    out = np.array(a.data[key])
 
     def bwd(dy):
-        grad = np.zeros_like(ad)
-        grad[key] += dy
-        return (grad,)
+        return ((key, dy),)  # backward adds dy into the parent's adjoint at key
 
     return _apply(out, (a,), bwd)
 

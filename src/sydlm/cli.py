@@ -55,6 +55,13 @@ def _fingerprint(paths: list) -> str:
     return h.hexdigest()
 
 
+def _vocab_sha256(corpus: Corpus) -> str:
+    """Checkpoint header key ``vocab_sha256``: the vocabulary's word list,
+    hashed, so that eval can tell a same-sized vocabulary from the one the
+    model was trained on."""
+    return hashlib.sha256(json.dumps(corpus.vocab.words).encode("utf-8")).hexdigest()
+
+
 def _manifest(argv: list, seed: int, input_paths: list, config: dict) -> dict:
     return {
         "command_line": "sydlm " + " ".join(argv),
@@ -141,11 +148,13 @@ def cmd_train(args, argv) -> int:
         for entry in log:
             fh.write(json.dumps(entry, sort_keys=True) + "\n")
     ad.save_checkpoint(str(outdir / "checkpoint.bin"), best,
-                       header={"manifest": manifest, "config": cfg.to_dict()})
+                       header={"manifest": manifest, "config": cfg.to_dict(),
+                               "vocab_sha256": _vocab_sha256(corpus)})
     last = log[-1]
     best = last["best_epoch"]
     if last["averaged"]:
-        saved = "the averaged iterate of the last %d epochs" % last["averaged"]
+        saved = ("the averaged iterate of the last %d epochs, valid ppl %.3f"
+                 % (last["averaged"], last["averaged_valid_ppl"]))
     elif best:
         saved = "epoch %d, valid ppl %.3f" % (best, log[best - 1]["valid_ppl"])
     else:
@@ -182,6 +191,9 @@ def cmd_eval(args, argv) -> int:
     if cfg.model.vocab_size != len(corpus.vocab):
         raise ConfigError("vocab mismatch: model %d vs corpus %d"
                           % (cfg.model.vocab_size, len(corpus.vocab)))
+    if "vocab_sha256" in header and header["vocab_sha256"] != _vocab_sha256(corpus):
+        raise ConfigError("vocab mismatch: %s has as many words as the model's vocabulary, "
+                          "but not the same words" % args.corpus)
     try:
         render = [int(tok) for tok in (args.render or "").split(",") if tok.strip()]
     except ValueError:

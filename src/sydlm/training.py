@@ -285,7 +285,9 @@ def train(model, corpus: Corpus, config: TrainConfig, valid_corpus: Optional[Cor
     optional tail iterate averaging.  Returns (per-epoch log, best params).
     The params are the average of the iterates of the last log entry's
     ``averaged`` epochs when that count is nonzero, else those of its
-    ``best_epoch`` (0: the initial params).  ``valid_corpus`` (default:
+    ``best_epoch`` (0: the initial params).  When averaging, the last
+    entry's ``averaged_valid_ppl`` is the averaged params' validation
+    perplexity.  ``valid_corpus`` (default:
     ``corpus``) must share the training vocabulary.
 
     Fully deterministic for a fixed config: one RNG owned by the trainer
@@ -311,6 +313,7 @@ def train(model, corpus: Corpus, config: TrainConfig, valid_corpus: Optional[Cor
     avg_count = 0
     log: list[dict] = []
     supervised = config.alpha > 0 and model.config.supervision_mode != "none"
+    val_source = "none" if model.config.supervision_mode == "none" else "gold"
 
     for epoch in range(1, config.epochs + 1):
         t0 = time.time()
@@ -362,9 +365,8 @@ def train(model, corpus: Corpus, config: TrainConfig, valid_corpus: Optional[Cor
                 for name, p in model.params.items():
                     avg_store[name] += (p.data - avg_store[name]) / avg_count
 
-        val_ppl, rank_acc = validation_pass(
-            model, valid_corpus, config.batch_size, config.bptt_length,
-            "none" if model.config.supervision_mode == "none" else "gold")
+        val_ppl, rank_acc = validation_pass(model, valid_corpus, config.batch_size,
+                                            config.bptt_length, val_source)
         val_loss = float(np.log(val_ppl))
         if val_loss < best_val - 1e-5:
             best_val = val_loss
@@ -392,4 +394,6 @@ def train(model, corpus: Corpus, config: TrainConfig, valid_corpus: Optional[Cor
         for name, p in model.params.items():
             p.data = avg_store[name]
         best_params = {name: data.copy() for name, data in avg_store.items()}
+        log[-1]["averaged_valid_ppl"] = validation_pass(
+            model, valid_corpus, config.batch_size, config.bptt_length, val_source)[0]
     return log, best_params

@@ -35,6 +35,7 @@ def primitive_cases(seed: int):
     conv_x = Tensor(rng.normal(size=(5, 2, 3)))
     take_idx = rng.integers(0, 6, size=5)
     drop_seed = int(rng.integers(0, 2**31))
+    repeated = np.array([1, 1, 2])
 
     x23 = rng.normal(size=(2, 3))
     x_relu = _away_from(rng.normal(size=(2, 3)), [0.0], margin=0.1)
@@ -85,4 +86,7 @@ def primitive_cases(seed: int):
          Tensor(conv_b.data.copy())),
         ("cross_entropy", lambda t: ad.tmean(ad.cross_entropy_logits(t, targets)),
          Tensor(rng.normal(size=(6, 4)))),
+        # an index array that repeats a position: its adjoints must sum there
+        ("slice_repeated", lambda t: ad.tsum(t[:, repeated] * t[:, repeated]),
+         Tensor(rng.normal(size=(2, 4)))),
     ]

@@ -114,6 +114,102 @@ class TestBackward:
         assert after == before
 
 
+def dense_backward(tape, loss):
+    """Reference sweep: every adjoint is a full array summed out of place,
+    and a getitem's (key, dy) becomes a zero array of its parent's shape.
+    Returns {leaf: gradient} without touching .grad."""
+    grads = {loss: np.ones_like(loss.data)}
+    for node in reversed(tape.nodes):
+        dy = grads.pop(node.out, None)
+        if dy is None:
+            continue
+        for parent, dp in zip(node.parents, node.bwd(dy)):
+            if dp is None or not parent.tracked:
+                continue
+            if type(dp) is tuple:
+                key, d = dp
+                dp = np.zeros_like(parent.data)
+                np.add.at(dp, key, d)
+            acc = grads.get(parent)
+            grads[parent] = dp if acc is None else acc + dp
+    return {t: g for t, g in grads.items() if t.requires_grad}
+
+
+# taped steps of the models, as in tests/test_perfbench_tracer.py
+MODEL_KINDS = [
+    dict(model="onlstm-syd", n_layers=2, hidden_size=8, chunk_factor=2, supervision_layer=2),
+    dict(model="prpn-syd", n_layers=1, hidden_size=8, supervision_layer=1, prpn_ff_hidden=8),
+    dict(model="prpn", n_layers=1, hidden_size=8, supervision_layer=1, prpn_ff_hidden=8,
+         supervision_mode="none"),
+]
+
+
+class TestOwnedSweep:
+    """backward sums into buffers it owns; its gradients must equal the
+    dense reference's (np.array_equal: only the sign of a zero may differ)."""
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS, ids=lambda k: k["model"])
+    def test_model_step_matches_dense_reference(self, kind):
+        from sydlm.config import ModelConfig, TrainConfig
+        from sydlm.models import build_model
+        from sydlm.training import lm_loss, ranking_loss
+
+        cfg = ModelConfig(vocab_size=12, embedding_size=8, **kind)
+        model = build_model(cfg, seed=1)
+        rng = np.random.default_rng(0)
+        ids = rng.integers(0, 12, size=(7, 2))
+        with Tape() as tape:
+            out = model.forward(ids[:-1], None, rng=rng, train_cfg=TrainConfig(model=cfg))
+            d_w = out.d_syd if out.d_syd is not None else out.d_lm[0]
+            loss = (lm_loss(out.logits, ids[1:].reshape(-1), np.ones(12))
+                    + ranking_loss(d_w, rng.normal(size=12), np.zeros(12, dtype=np.int64)))
+            ref = dense_backward(tape, loss)
+            backward(loss)
+        for name, p in model.params.items():
+            assert p.grad is not None, name
+            assert np.array_equal(p.grad, ref[p]), name
+
+    @pytest.mark.parametrize("slice_first", [True, False], ids=["slice-dense", "dense-slice"])
+    def test_adjoint_shared_by_add_is_not_written(self, slice_first):
+        # add hands one dy array to both parents; a's later adjoints must
+        # not be summed into it, or b's gradient changes
+        rng = np.random.default_rng(5)
+        a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        b = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        w_s, w_d, w_y = (Tensor(rng.normal(size=s)) for s in [(2, 4), (3, 4), (3, 4)])
+        with Tape() as tape:
+            if slice_first:
+                s = a[1:] * w_s
+                d = a * w_d
+            else:
+                d = a * w_d
+                s = a[1:] * w_s
+            y = a + b
+            loss = ad.tsum(s) + ad.tsum(d) + ad.tsum(y * w_y)
+            ref = dense_backward(tape, loss)
+            backward(loss)
+        assert np.array_equal(b.grad, w_y.data)
+        assert np.array_equal(a.grad, ref[a])
+        expected = w_y.data + w_d.data
+        expected[1:] += w_s.data
+        assert np.allclose(a.grad, expected)
+
+    def test_grad_sums_over_two_backward_calls(self):
+        rng = np.random.default_rng(6)
+        x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        refs = []
+        for scale in (1.0, -3.0):
+            with Tape() as tape:
+                loss = ad.tsum(x[1:3] * x[0]) + ad.tsum(x * scale) + ad.tsum(x[np.array([2, 2])])
+                refs.append(dense_backward(tape, loss)[x])
+                backward(loss)
+            if scale == 1.0:
+                first = x.grad
+                first_copy = first.copy()
+        assert np.array_equal(x.grad, refs[0] + refs[1])
+        assert np.array_equal(first, first_copy)
+
+
 class TestShapeErrors:
     def test_matmul_names_shapes(self):
         with pytest.raises(ShapeError, match="matmul"):

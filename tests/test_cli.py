@@ -165,7 +165,7 @@ dropout_embedding = 0
     @pytest.mark.parametrize("extra,saved", [
         ([], "holds epoch 2, valid ppl 4.000"),
         (["--set", "averaging=true", "--set", "average_from_epoch=2"],
-         "holds the averaged iterate of the last 2 epochs"),
+         "holds the averaged iterate of the last 2 epochs, valid ppl 5.000"),
     ], ids=["best-epoch", "averaged"])
     def test_summary_describes_the_saved_parameters(self, tmp_path, treebank_file, monkeypatch,
                                                      capsys, extra, saved):
@@ -173,7 +173,7 @@ dropout_embedding = 0
 
         corpus = tmp_path / "corpus.json"
         main(["preprocess", str(treebank_file), "--out", str(corpus)])
-        ppls = iter([9.0, 4.0, 6.0])  # the last epoch is not the best
+        ppls = iter([9.0, 4.0, 6.0, 5.0])  # the last epoch is not the best; 5.0 is the average's
         monkeypatch.setattr(training, "validation_pass", lambda *args: (next(ppls), None))
         capsys.readouterr()
         assert main(["train", "--corpus", str(corpus), "--out", str(tmp_path / "run")]
@@ -519,6 +519,23 @@ class TestMalformedInputs:
         broken.write_text(json.dumps(payload))
         self._data_error(["train", "--corpus", str(broken), "--out", str(tmp_path / "run")]
                          + TRAIN_OVERRIDES, capsys, needle)
+
+    def test_eval_corpus_with_other_vocab_of_the_same_size(self, tmp_path, capsys):
+        paths = {}
+        for name, text in (("train", "(S (NN aa) (NN bb) (NN aa))"), ("test", "(S (NN cc) (NN dd) (NN cc))")):
+            src = tmp_path / (name + ".mrg")
+            src.write_text(text)
+            paths[name] = tmp_path / (name + ".json")
+            assert main(["preprocess", str(src), "--out", str(paths[name])]) == 0
+        assert Corpus.load(str(paths["test"])).vocab.words == ["<unk>", "<eos>", "cc", "dd"]
+        run, metrics = tmp_path / "run", tmp_path / "metrics.json"
+        assert main(["train", "--corpus", str(paths["train"]), "--out", str(run)] + TRAIN_OVERRIDES) == 0
+        capsys.readouterr()
+        self._data_error(["eval", "--checkpoint", str(run / "checkpoint.bin"), "--corpus", str(paths["test"]),
+                          "--out", str(metrics)], capsys, "not the same words")
+        assert not metrics.exists()
+        assert main(["eval", "--checkpoint", str(run / "checkpoint.bin"), "--corpus", str(paths["train"]),
+                     "--out", str(metrics)]) == 0
 
     def test_valid_dump_with_other_vocab(self, tmp_path, treebank_file, capsys):
         corpus, other, shared = (tmp_path / name for name in ("corpus.json", "other.json", "shared.json"))

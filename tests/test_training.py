@@ -318,18 +318,22 @@ class TestTrain:
         assert all(e["syd_loss"] is not None for e in log)
         assert set(best) == set(model.params)
         assert log[-1]["valid_ppl"] < np.exp(log[0]["lm_loss"]) * 1.5
+        assert "averaged_valid_ppl" not in log[-1]
 
     def test_averaging_runs(self, tiny_corpus):
         cfg = train_config(tiny_corpus, epochs=4, averaging=True, average_from_epoch=3)
         model = OnLstmLM(cfg.model, seed=cfg.seed)
-        _, best = train(model, tiny_corpus, cfg)
+        log, best = train(model, tiny_corpus, cfg)
         for name, param in model.params.items():
             assert np.array_equal(best[name], param.data)
+        ppl, _ = validation_pass(model, tiny_corpus, cfg.batch_size, cfg.bptt_length, "gold")
+        assert log[-1]["averaged_valid_ppl"] == ppl != log[-1]["valid_ppl"]
 
-    def test_one_forward_per_train_and_validation_batch(self, tiny_corpus, monkeypatch):
+    def _forward_calls(self, tiny_corpus, monkeypatch, **kw):
+        """(forward calls made by train, training batches, validation batches)."""
         valid = preprocess_corpus(pcfg_treebank(8, seed=12), PreprocessRules(vocab_max_size=60),
                                   vocab=tiny_corpus.vocab)
-        cfg = train_config(tiny_corpus, epochs=1)
+        cfg = train_config(tiny_corpus, epochs=1, **kw)
         model = OnLstmLM(cfg.model, seed=cfg.seed)
         calls = []
         forward = OnLstmLM.forward
@@ -342,7 +346,16 @@ class TestTrain:
         train(model, tiny_corpus, cfg, valid)
         n_train = len(list(bptt_batches(tiny_corpus, cfg.batch_size, cfg.bptt_length)))
         n_valid = len(list(bptt_batches(valid, cfg.batch_size, cfg.bptt_length)))
-        assert len(calls) == n_train + n_valid
+        return len(calls), n_train, n_valid
+
+    def test_one_forward_per_train_and_validation_batch(self, tiny_corpus, monkeypatch):
+        calls, n_train, n_valid = self._forward_calls(tiny_corpus, monkeypatch)
+        assert calls == n_train + n_valid
+
+    def test_averaging_adds_one_validation_pass(self, tiny_corpus, monkeypatch):
+        calls, n_train, n_valid = self._forward_calls(tiny_corpus, monkeypatch, averaging=True,
+                                                      average_from_epoch=1)
+        assert calls == n_train + 2 * n_valid
 
     def test_step_graph_unreachable_at_next_forward(self, tiny_corpus, monkeypatch):
         # each forward after the first starts with no earlier step's tape alive
