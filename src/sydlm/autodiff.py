@@ -296,11 +296,12 @@ def concat(tensors: Sequence, axis: int = 0) -> Tensor:
     except ValueError:
         raise ShapeError("concat: incompatible shapes %s along axis %d"
                          % ([t.shape for t in ts], axis))
-    sizes = [d.shape[axis] for d in datas]
-    splits = np.cumsum(sizes)[:-1]
+    lead = (slice(None),) * (axis % out.ndim)
+    ends = np.cumsum([d.shape[axis] for d in datas]).tolist()
+    keys = [lead + (slice(end - d.shape[axis], end),) for d, end in zip(datas, ends)]
 
     def bwd(dy):
-        return tuple(np.split(dy, splits, axis=axis))
+        return tuple(dy[key] for key in keys)
 
     return _apply(out, tuple(ts), bwd)
 

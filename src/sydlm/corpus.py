@@ -144,6 +144,10 @@ class Corpus:
         return self._gold_distances[i]
 
     def validate(self) -> None:
+        bad = np.flatnonzero((self.tokens < 0) | (self.tokens >= len(self.vocab)))
+        if bad.size:
+            raise ValueError("tokens[%d] = %d is outside the vocabulary's ids [0, %d)"
+                             % (bad[0], self.tokens[bad[0]], len(self.vocab)))
         if len(self.gold_trees_nary) != len(self.sentence_spans):
             raise ValueError("the gold tree list does not match the %d sentence spans" % len(self.sentence_spans))
         sep = 1 if self.mode == "concat" else 0
@@ -179,22 +183,10 @@ class Corpus:
 
     @classmethod
     def load(cls, path: str) -> "Corpus":
-        with open(path) as fh:
-            payload = json.load(fh)
-        if not isinstance(payload, dict) or payload.get("magic") != CORPUS_MAGIC:
-            raise ConfigError("%s is not a corpus dump (bad magic)" % path)
-        if payload.get("version") != CORPUS_VERSION:
-            raise ConfigError("unsupported corpus version %r" % payload.get("version"))
-        for key, (kind, valid) in _DUMP_FIELDS.items():
-            if key not in payload:
-                raise ConfigError("%s: corpus dump has no %r" % (path, key))
-            if not valid(payload[key]):
-                raise ConfigError("%s: corpus dump field %r is not %s" % (path, key, kind))
-
         def load_tree(i: int, text: Optional[str]) -> Optional[Tree]:
             if text is None:
                 return None
-            where = "%s: corpus dump field 'gold_trees_nary' entry %d" % (path, i)
+            where = "corpus dump field 'gold_trees_nary' entry %d" % i
             try:
                 trees = parse_bracketed(text, clean=False)
             except TreebankError as exc:
@@ -203,14 +195,28 @@ class Corpus:
                 raise ConfigError("%s holds %d trees, not one" % (where, len(trees)))
             return trees[0]
 
-        return cls(
-            tokens=np.array(payload["tokens"], dtype=np.int64),
-            sentence_spans=[tuple(se) for se in payload["sentence_spans"]],
-            gold_trees_nary=[load_tree(i, t) for i, t in enumerate(payload["gold_trees_nary"])],
-            vocab=Vocab(payload["vocab"]),
-            mode=payload["mode"],
-            manifest=payload.get("manifest"),
-        )
+        try:
+            with open(path) as fh:
+                payload = json.load(fh)
+            if not isinstance(payload, dict) or payload.get("magic") != CORPUS_MAGIC:
+                raise ConfigError("not a corpus dump (bad magic)")
+            if payload.get("version") != CORPUS_VERSION:
+                raise ConfigError("unsupported corpus version %r" % payload.get("version"))
+            for key, (kind, valid) in _DUMP_FIELDS.items():
+                if key not in payload:
+                    raise ConfigError("corpus dump has no %r" % key)
+                if not valid(payload[key]):
+                    raise ConfigError("corpus dump field %r is not %s" % (key, kind))
+            return cls(
+                tokens=np.array(payload["tokens"], dtype=np.int64),
+                sentence_spans=[tuple(se) for se in payload["sentence_spans"]],
+                gold_trees_nary=[load_tree(i, t) for i, t in enumerate(payload["gold_trees_nary"])],
+                vocab=Vocab(payload["vocab"]),
+                mode=payload["mode"],
+                manifest=payload.get("manifest"),
+            )
+        except (ValueError, OverflowError) as exc:  # every check names the dump here, once
+            raise ConfigError("%s: %s" % (path, exc)) from None
 
 
 def preprocess_corpus(

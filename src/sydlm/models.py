@@ -88,16 +88,25 @@ class LanguageModel:
                                 (1, inputs.shape[1], self.config.embedding_size))
         return x_all * word_mask if word_mask is not None else x_all
 
-    def decode(self, tops: list, rng=None, train_cfg=None) -> Tensor:
-        """Logits (T*B, V) from the per-step top-layer states (each (B, H)),
-        after output dropout, through the tied or untied projection."""
-        out_mask = locked_mask(rng, train_cfg, "dropout_output", tops[0].shape)
+    def decode(self, tops: Tensor, rng=None, train_cfg=None) -> Tensor:
+        """Logits (T*B, V) from the (T, B, H) window of top-layer states, every
+        step times one locked (B, H) output dropout mask, flattened to
+        time-major rows for the tied or untied projection."""
+        t_len, batch, width = tops.shape
+        out_mask = locked_mask(rng, train_cfg, "dropout_output", (batch, width))
         if out_mask is not None:
-            tops = [h * out_mask for h in tops]
-        flat = ad.concat(tops, axis=0)
+            tops = tops * out_mask
+        flat = ad.reshape(tops, (t_len * batch, width))
         if self.w_out is None:
             return ad.matmul(flat, self.embedding, transpose_b=True) + self.b_out
         return ad.matmul(flat, self.w_out) + self.b_out
+
+
+def window(steps: list) -> Tensor:
+    """Per-step (B, width) tensors as one time-major (T, B, width) window,
+    the form a model's stages exchange."""
+    batch, width = steps[0].shape
+    return ad.reshape(ad.concat(steps, axis=0), (len(steps), batch, width))
 
 
 def lstm_gates(x: Tensor, h: Tensor, weight: Tensor, bias: Tensor, hidden: int):

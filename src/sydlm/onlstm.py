@@ -4,10 +4,12 @@ distance read-out.
 Master gates are cumax-constrained, so forget units switch on monotonically
 and input units switch off monotonically along the vector; the distance a
 step emits is the master dimension minus the master forget gate's mass.
-The cell step holds only the recurrence.  The forward runs layer-major:
-under a tape each layer is a loop of `onlstm_step`, and without one it is
-one `onlstm_layer` call, the same arithmetic in numpy with no tensors.
-Distances are read out of the gates once per window: the split head
+The cell step holds only the recurrence.  The forward runs layer-major,
+and each layer maps a time-major (T, B, width) input window to windows of
+h, the master forget gates and their preactivation: a loop of
+`onlstm_step` under a tape, else one `onlstm_layer` call, the same
+arithmetic in numpy.  Distances are read out of the gates once per
+window: the split head
 derives a second master forget gate from the same preactivation, and its
 distances are the ones trained against gold trees, leaving the
 language-model gates untouched.
@@ -23,7 +25,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .config import ModelConfig, TrainConfig
-from .models import ForwardOut, LanguageModel, feed_forward, locked_mask, lstm_gates
+from .models import ForwardOut, LanguageModel, feed_forward, locked_mask, lstm_gates, window
 
 GATE_NAMES = ("W_f", "W_i", "W_o", "W_c", "W_mf", "W_mi")
 BIAS_NAMES = ("b_f", "b_i", "b_o", "b_c", "b_mf", "b_mi")
@@ -34,7 +36,6 @@ class StepOutput:
     h: Tensor
     c: Tensor
     master_forget: Tensor
-    master_input: Tensor
     hf_pre: Tensor                 # master-forget preactivation, the split head's input
 
 
@@ -81,7 +82,7 @@ def onlstm_step(
     i_hat = i * omega + (i_mx - omega)
     c = f_hat * c_prev + i_hat * c_hat
     h = o * ad.tanh(c)
-    return StepOutput(h=h, c=c, master_forget=f_m, master_input=i_m, hf_pre=hf_pre)
+    return StepOutput(h=h, c=c, master_forget=f_m, hf_pre=hf_pre)
 
 
 def onlstm_layer(
@@ -136,40 +137,18 @@ def onlstm_layer(
     return h_seq, c_seq, forget_seq, pre_seq
 
 
-def _step_loop(xs: list, h: Tensor, c: Tensor, weight: Tensor, bias: Tensor,
+def _step_loop(x: Tensor, h: Tensor, c: Tensor, weight: Tensor, bias: Tensor,
                hidden: int, chunk: int, rec_mask: Optional[Tensor]) -> tuple:
-    """`onlstm_layer` on the tape: `onlstm_step` over the per-step inputs
-    xs.  Returns per-step lists of h, c, master forget gates and hf_pre."""
+    """`onlstm_layer` on the tape: `onlstm_step` over the steps of the input
+    window x.  Returns `onlstm_layer`'s four results, h, the master forget
+    gates and hf_pre as windows and c as an array."""
     outs = []
-    for x in xs:
-        out = onlstm_step(x, h if rec_mask is None else h * rec_mask, c, weight, bias, hidden, chunk)
+    for t in range(x.shape[0]):
+        out = onlstm_step(x[t], h if rec_mask is None else h * rec_mask, c, weight, bias, hidden, chunk)
         h, c = out.h, out.c
         outs.append(out)
-    return ([o.h for o in outs], [o.c for o in outs],
-            [o.master_forget for o in outs], [o.hf_pre for o in outs])
-
-
-def _stacked(steps) -> np.ndarray:
-    """(T, B, width) values of a layer's steps: a kernel array, or a list of
-    taped (B, width) tensors."""
-    return steps if isinstance(steps, np.ndarray) else np.stack([s.data for s in steps])
-
-
-def _window(steps) -> Tensor:
-    """A layer's steps as one time-major (T*B, width) tensor; taped steps are
-    concatenated on the tape."""
-    if isinstance(steps, np.ndarray):
-        return Tensor(steps.reshape(-1, steps.shape[-1]))
-    return ad.concat(steps, axis=0)
-
-
-def _masked(steps, mask: Optional[Tensor]):
-    """A layer's steps times a locked (B, width) mask, step by step on the tape."""
-    if mask is None:
-        return steps
-    if isinstance(steps, np.ndarray):
-        return steps * mask.data
-    return [s * mask for s in steps]
+    return (window([o.h for o in outs]), np.stack([o.c.data for o in outs]),
+            window([o.master_forget for o in outs]), window([o.hf_pre for o in outs]))
 
 
 class OnLstmLM(LanguageModel):
@@ -249,37 +228,35 @@ class OnLstmLM(LanguageModel):
 
         fused = [(ad.concat(weights, axis=1), ad.concat(biases, axis=0)) for weights, biases in self.layers]
 
-        taped = ad.active_tape() is not None
-        x = [x_all[t] for t in range(t_len)] if taped else x_all.data
-        forget, new_state = [], []
+        x, d_lm, new_state = x_all, [], []
         sup = cfg.supervision_layer - 1
-        for layer, ((weight, bias), rec_mask) in enumerate(zip(fused, rec_masks)):
+        rows = lambda w: ad.reshape(w, (t_len * batch, w.shape[-1]))  # a window's time-major rows
+        for layer, ((weight, bias), rec_mask, mid_mask) in enumerate(zip(fused, rec_masks, mid_masks + [None])):
             hidden, (h0, c0) = cfg.layer_hidden(layer), state[layer]
-            if taped:
-                hs, cs, fs, pres = _step_loop(x, Tensor(h0), Tensor(c0), weight, bias,
+            if ad.active_tape() is not None:
+                h, c_all, f, pre = _step_loop(x, Tensor(h0), Tensor(c0), weight, bias,
                                               hidden, cfg.chunk_factor, rec_mask)
             else:
-                hs, cs, fs, pres = onlstm_layer(x, h0, c0, weight.data, bias.data, hidden,
+                h, c_all, f, pre = onlstm_layer(x.data, h0, c0, weight.data, bias.data, hidden,
                                                 cfg.chunk_factor, None if rec_mask is None else rec_mask.data)
-            h_all, c_all = _stacked(hs), _stacked(cs)
-            finite = np.isfinite(h_all).all(axis=(1, 2)) & np.isfinite(c_all).all(axis=(1, 2))
+                h, f, pre = Tensor(h), Tensor(f), Tensor(pre)
+            finite = np.isfinite(h.data).all(axis=(1, 2)) & np.isfinite(c_all).all(axis=(1, 2))
             if not finite.all():
                 raise ad.NumericError("non-finite hidden state at step %d, layer %d"
                                       % (int(np.argmin(finite)), layer + 1))
-            new_state.append((h_all[-1].copy(), c_all[-1].copy()))
-            forget.append(fs)
+            new_state.append((h.data[-1].copy(), c_all[-1].copy()))
+            d_lm.append(extract_distance(rows(f)))
             if layer == sup:
-                sup_h, sup_pre = hs, pres
-            x = _masked(hs, mid_masks[layer]) if layer < cfg.n_layers - 1 else hs
+                sup_h, sup_pre = h, pre
+            x = h if mid_mask is None else h * mid_mask
 
-        logits = self.decode(x if taped else [Tensor(h) for h in x], rng, train_cfg)
-        d_lm = [extract_distance(_window(fs)) for fs in forget]
+        logits = self.decode(x, rng, train_cfg)
         d_syd = None
         if cfg.supervision_mode == "split-head":
-            d_syd = syd_head(_window(sup_pre), self.w_s, self.b_s)
+            d_syd = syd_head(rows(sup_pre), self.w_s, self.b_s)
         elif cfg.supervision_mode == "one-set-of-trees":
             d_syd = d_lm[sup]
         elif cfg.supervision_mode == "vanilla-multitask":
-            d_syd = ad.reshape(feed_forward(_window(sup_h), self.w_v1, self.b_v1,
+            d_syd = ad.reshape(feed_forward(rows(sup_h), self.w_v1, self.b_v1,
                                             self.w_v2, self.b_v2), (t_len * batch,))
         return ForwardOut(logits=logits, d_lm=d_lm, d_syd=d_syd, state=new_state)

@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .config import ModelConfig, TrainConfig
-from .models import ForwardOut, LanguageModel, feed_forward, lstm_gates
+from .models import ForwardOut, LanguageModel, feed_forward, lstm_gates, window
 
 
 def relatedness_alpha(d_t, d_j, tau: float):
@@ -53,22 +53,14 @@ def gated_attention(gates, z) -> Tensor:
     """Attention weights softly truncated by parsing gates:
     s_i = g_i z_i / sum_i g_i.
 
-    Rows whose gates are all zero fall back to a one-hot on the most recent
-    position.  As written the outputs sum to (sum g z)/(sum g), not 1.
+    `parsing_gates` gives the newest position gate 1, so no row of gates
+    the model builds sums to zero.  As written the outputs sum to
+    (sum g z)/(sum g), not 1.
     """
     gates, z = ad.as_tensor(gates), ad.as_tensor(z)
     if gates.shape != z.shape:
         raise ad.ShapeError("gated_attention: gates %s vs z %s" % (gates.shape, z.shape))
-    row_sum = gates.data.sum(axis=-1, keepdims=True)
-    dead = row_sum == 0.0
-    if not dead.any():
-        return gates * z / ad.tsum(gates, axis=-1, keepdims=True)
-    keep = Tensor((~dead).astype(np.float64))
-    onehot = np.zeros(gates.shape)
-    onehot[..., -1] = 1.0
-    denom = ad.tsum(gates, axis=-1, keepdims=True) * keep + Tensor(dead.astype(np.float64))
-    normal = gates * z / denom
-    return normal * keep + Tensor(onehot * dead)
+    return gates * z / ad.tsum(gates, axis=-1, keepdims=True)
 
 
 def prpn_distances(embeddings, pad_emb, w_c, b_c, w_d, b_d, lookback: int) -> Tensor:
@@ -94,13 +86,13 @@ def lstm_cell(x, h, c, weight, bias, hidden: int):
 
 def lstm_sequence(x_all, state, weight, bias, hidden: int):
     """Plain LSTM over (T, B, E) from the numpy state (h, c); returns the
-    (T, B, hidden) outputs and the final numpy state."""
+    (T, B, hidden) window of outputs and the final numpy state."""
     h, c = Tensor(state[0]), Tensor(state[1])
     hs = []
     for t in range(x_all.shape[0]):
         h, c = lstm_cell(x_all[t], h, c, weight, bias, hidden)
-        hs.append(ad.reshape(h, (1,) + h.shape))
-    return ad.concat(hs, axis=0), (h.data.copy(), c.data.copy())
+        hs.append(h)
+    return window(hs), (h.data.copy(), c.data.copy())
 
 
 class PrpnLM(LanguageModel):
@@ -244,7 +236,7 @@ class PrpnLM(LanguageModel):
             mem_c.append(ad.reshape(c, (batch, 1, rh)))
             top_states.append(h)
 
-        logits = self.decode(top_states, rng, train_cfg)
+        logits = self.decode(window(top_states), rng, train_cfg)
         d_lm_flat = ad.reshape(d_all, (t_len * batch,))
         d_syd_flat = ad.reshape(d_syd_all, (t_len * batch,)) if d_syd_all is not None else None
         return ForwardOut(logits=logits, d_lm=[d_lm_flat], d_syd=d_syd_flat, state=new_state)

@@ -160,7 +160,7 @@ def _mixed_seed(seed: int, index: int) -> int:
 def _gold_slot_streams(corpus: Corpus, tree_source: str, seed: int):
     """(d, sent): the gold distance and sentence id of each slot of the
     token stream, sentence -1 where no tree covers it, then one pad entry
-    (distance 0, sentence -1) that slot -1 reads in _gold_at."""
+    (distance 0, sentence -1) that slot -1, none, reads."""
     n_slots = max(len(corpus.tokens) - 1, 0)
     d = np.zeros(n_slots + 1)
     sent = np.full(n_slots + 1, -1, dtype=np.int64)
@@ -181,12 +181,6 @@ def _gold_slot_streams(corpus: Corpus, tree_source: str, seed: int):
         d[s : e - 1] = gold
         sent[s : e - 1] = i
     return d, sent
-
-
-def _gold_at(slot: np.ndarray, d: np.ndarray, sent: np.ndarray):
-    """(gold_d, sent_id) at a (T, B) array of stream slots; slot -1, none,
-    reads the streams' pad entry (distance 0, sentence -1)."""
-    return d[slot], sent[slot]
 
 
 def bptt_batches(
@@ -224,13 +218,12 @@ def _concat_batches(corpus, batch_size, bptt_length, tree_source, seed):
         targets = cols[start + 1 : start + 1 + t_len]
         slot = col_base[None, :] + start + np.arange(t_len)[:, None] - 1  # slot before input row
         slot[0] = -1                                     # row 0's slot lies before the window
-        gold_d, sent_id = _gold_at(slot, d_stream, sent_stream)
         yield Batch(
             inputs=inputs.copy(),
             targets=targets.copy(),
             target_weight=np.ones_like(inputs, dtype=np.float64),
-            gold_d=gold_d,
-            sent_id=sent_id,
+            gold_d=d_stream[slot],
+            sent_id=sent_stream[slot],
             carry_state=not first,
         )
         first = False
@@ -262,7 +255,7 @@ def _sepsent_batches(corpus, batch_size, tree_source, seed):
             targets[0:n, j] = inputs[1 : n + 1, j]
             weight[: n + 1, j] = 1.0
             slot[2 : n + 1, j] = np.arange(s, e - 1)  # slot k of the sentence sits before input row k+2
-        yield Batch(inputs, targets, weight, *_gold_at(slot, d_stream, sent_stream), carry_state=False)
+        yield Batch(inputs, targets, weight, d_stream[slot], sent_stream[slot], carry_state=False)
 
 
 # ---------------------------------------------------------------------------

@@ -511,7 +511,11 @@ class TestMalformedInputs:
         ("gold_trees_nary", [""], "typed.json: corpus dump field 'gold_trees_nary' entry 0 holds 0 trees"),
         ("gold_trees_nary", ["(S (NN aa) (NN bb) (NN aa)) (S (NN aa))"], "'gold_trees_nary' entry 0 holds 2 trees"),
         ("gold_trees_nary", ["(S (NN aa) (NN bb) (NN aa)"], "'gold_trees_nary' entry 0: unbalanced '('"),
-    ], ids=["spans", "vocab", "trees", "tree-count", "leaf-count", "empty-tree", "two-trees", "unbalanced"])
+        ("tokens", [2, 999, 2, 1], "typed.json: tokens[1] = 999 is outside the vocabulary's ids [0, 4)"),
+        ("tokens", [2, -1, 2, 1], "typed.json: tokens[1] = -1 is outside the vocabulary's ids [0, 4)"),
+        ("tokens", [2, 2**70, 2, 1], "typed.json: "),
+    ], ids=["spans", "vocab", "trees", "tree-count", "leaf-count", "empty-tree", "two-trees", "unbalanced",
+            "id-past-vocab", "negative-id", "id-past-int64"])
     def test_corpus_dump_with_wrong_value(self, tmp_path, zero_eval, capsys, key, value, needle):
         corpus_path, _ = zero_eval
         payload = dict(json.loads(corpus_path.read_text()), **{key: value})

@@ -1,11 +1,13 @@
 """The shared model shell: parameter names and their creation order are the
 checkpoint layout, so they are frozen here for every model kind,
-supervision mode and decoder tying."""
+supervision mode and decoder tying; the decoder reads a (T, B, H) window."""
 
+import numpy as np
 import pytest
 
 from sydlm import build_model
-from sydlm.config import ModelConfig
+from sydlm.autodiff import Tensor
+from sydlm.config import ModelConfig, TrainConfig
 
 ONLSTM_LAYERS = ["layer%d.%s" % (layer, name) for layer in (0, 1)
                  for name in ("W_f", "b_f", "W_i", "b_i", "W_o", "b_o",
@@ -44,3 +46,24 @@ def test_parameter_names_in_creation_order(kind, mode, body, head, tied):
         is_bias = name.split(".")[-1].startswith("b_")
         assert (not p.data.any()) == is_bias, name  # biases start at zero, weights do not
         assert p.requires_grad and p.name == name
+
+
+@pytest.mark.parametrize("tied", [True, False], ids=["tied", "untied"])
+def test_decode_locks_one_output_mask_over_the_window(tied):
+    cfg = ModelConfig(vocab_size=9, n_layers=2, embedding_size=4, hidden_size=6,
+                      supervision_layer=2, tie_embeddings=tied)
+    model = build_model(cfg, seed=0)
+    rng = np.random.default_rng(1)
+    model.b_out.data = rng.normal(size=9)
+    t_len, batch, width = 5, 3, cfg.layer_hidden(1)
+    tops = rng.normal(size=(t_len, batch, width))
+    train_cfg = TrainConfig(model=cfg, dropout_output=0.5)
+    logits = model.decode(Tensor(tops), np.random.default_rng(3), train_cfg)
+
+    # every step times the same (B, H) mask, drawn from an equally seeded generator
+    mask = (np.random.default_rng(3).random((batch, width)) >= 0.5) / 0.5
+    assert (mask == 0).any() and (mask != 0).any()
+    proj = model.embedding.data.T if tied else model.w_out.data
+    ref = np.concatenate([(tops[t] * mask) @ proj + model.b_out.data for t in range(t_len)])
+    assert logits.shape == (t_len * batch, 9)
+    np.testing.assert_allclose(logits.data, ref, rtol=1e-12, atol=1e-12)

@@ -78,17 +78,6 @@ class TestGatedAttention:
         assert (s >= 0).all()
         assert np.allclose(s.sum(-1), (g * z).sum(-1) / g.sum(-1))
 
-    def test_all_zero_gates_fall_back_to_most_recent(self):
-        s = gated_attention(Tensor(np.zeros((2, 4))), Tensor(np.full((2, 4), 0.25)))
-        assert np.allclose(s.data, [[0, 0, 0, 1], [0, 0, 0, 1]])
-
-    def test_mixed_dead_rows(self):
-        g = np.array([[0.0, 0.0], [0.5, 0.5]])
-        z = np.array([[0.9, 0.1], [0.2, 0.6]])
-        s = gated_attention(Tensor(g), Tensor(z)).data
-        assert np.allclose(s[0], [0.0, 1.0])
-        assert np.allclose(s[1], [0.1, 0.3])
-
     def test_gradient(self):
         rng = np.random.default_rng(3)
         z = Tensor(rng.uniform(0.1, 1.0, size=(2, 5)))
