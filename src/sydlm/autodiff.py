@@ -307,8 +307,12 @@ def concat(tensors: Sequence, axis: int = 0) -> Tensor:
 
 
 def getitem(a, key) -> Tensor:
+    """a[key]: a view of a's data for a basic key, a copy for an index-array
+    key.  The view is safe because nothing writes a tensor's data in place
+    while a tape holds it: the SGD step runs after the step's tape is
+    dropped, and grad_check perturbs x only after its taped pass."""
     a = as_tensor(a)
-    out = np.array(a.data[key])
+    out = a.data[key]
 
     def bwd(dy):
         return ((key, dy),)  # backward adds dy into the parent's adjoint at key

@@ -32,7 +32,7 @@ from .evaluation import (
     trees_from_distances,
 )
 from .models import build_model
-from .training import TrainingDiverged, train
+from .training import train
 from .trees import TreebankError, parse_bracketed
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC = 0, 1, 2, 3
@@ -95,12 +95,8 @@ def cmd_preprocess(args, argv) -> int:
     trees = []
     for path in args.inputs:
         try:
-            text = Path(path).read_text()
-        except OSError as exc:
-            raise TreebankError("%s: %s" % (path, exc))
-        try:
-            trees.extend(parse_bracketed(text))
-        except TreebankError as exc:
+            trees.extend(parse_bracketed(Path(path).read_text()))
+        except (OSError, TreebankError) as exc:
             raise TreebankError("%s: %s" % (path, exc))
     vocab = Corpus.load(args.vocab_from).vocab if args.vocab_from else None
     corpus = preprocess_corpus(trees, rules, vocab)
@@ -220,16 +216,12 @@ def cmd_eval(args, argv) -> int:
     if have_gold:
         pred = pick_stream(streams, args.trees)
         report = structure_report(pred, corpus.gold_trees_nary)
-        metrics["structure"] = report.to_json_dict()
         if args.wsj10_maxlen:
-            short = [i for i, (s, e) in enumerate(corpus.sentence_spans)
-                     if e - s <= args.wsj10_maxlen]
-            report_short = structure_report([pred[i] for i in short],
-                                            [corpus.gold_trees_nary[i] for i in short])
-            metrics["structure_short"] = dict(report_short.to_json_dict(),
+            short_gold = [gold if e - s <= args.wsj10_maxlen else None
+                          for gold, (s, e) in zip(corpus.gold_trees_nary, corpus.sentence_spans)]
+            metrics["structure_short"] = dict(structure_report(pred, short_gold),
                                               max_len=args.wsj10_maxlen)
-    else:
-        metrics["structure"] = None
+    metrics["structure"] = report
 
     text = report_to_json(metrics)
     if args.out:
@@ -241,7 +233,10 @@ def cmd_eval(args, argv) -> int:
 
     if args.plot_csv and report is not None:
         with atomic_open(args.plot_csv, "w", newline="") as fh:
-            csv.writer(fh).writerows(report.height_csv_rows())
+            writer = csv.writer(fh)
+            writer.writerow(("height", "accuracy", "count"))
+            writer.writerows((h, cell["accuracy"], cell["total"])
+                             for h, cell in report["height_accuracy"].items())
         print("wrote %s" % args.plot_csv)
 
     if render:
@@ -312,10 +307,10 @@ def main(argv=None) -> int:
         return cmd_eval(args, argv)
     except _UsageExit:
         return EXIT_USAGE
-    except (ConfigError, TreebankError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print("data error: %s" % exc, file=sys.stderr)
         return EXIT_DATA
-    except (ad.NumericError, TrainingDiverged) as exc:
+    except ad.NumericError as exc:
         print("numeric failure: %s" % exc, file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -66,9 +66,6 @@ class Vocab:
         words = [UNK, EOS] + [w for w, _ in ranked[:keep] if w not in (UNK, EOS)]
         return cls(words)
 
-    def to_jsonable(self) -> list[str]:
-        return list(self.words)
-
 
 @dataclass
 class PreprocessRules:
@@ -171,7 +168,7 @@ class Corpus:
             "magic": CORPUS_MAGIC,
             "version": CORPUS_VERSION,
             "mode": self.mode,
-            "vocab": self.vocab.to_jsonable(),
+            "vocab": list(self.vocab.words),
             "tokens": [int(t) for t in self.tokens],
             "sentence_spans": [[int(s), int(e)] for s, e in self.sentence_spans],
             "gold_trees_nary": [None if t is None else render_bracketed(t) for t in self.gold_trees_nary],
@@ -226,13 +223,10 @@ def preprocess_corpus(
 ) -> Corpus:
     """Clean trees, build/apply a vocabulary, and assemble the token stream.
 
-    Sentences whose leaves are all dropped disappear entirely.  When a vocab
-    is supplied (e.g. valid/test reusing the training vocab) it must carry
-    the special ids.
+    Sentences whose leaves are all dropped disappear entirely.  A supplied
+    vocab (e.g. valid/test reusing the training vocab) is used instead of
+    building one.
     """
-    if vocab is not None and (vocab.word(Vocab.unk_id) != UNK or vocab.word(Vocab.eos_id) != EOS):
-        raise ConfigError("supplied vocab is missing the special ids")
-
     drop = lambda tag, token: tag in rules.drop_tags
     cleaned: list[Tree] = []
     for tree in trees:

@@ -11,7 +11,6 @@ treebank, not its binarization.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -76,7 +75,7 @@ def sentence_distances(
             vals = dist.data.reshape(inputs.shape)
             per_sentence = out.setdefault(name, [None] * corpus.n_sentences)
             for j, (i, n) in enumerate(zip(group, lens)):
-                per_sentence[i] = vals[2 : n + 1, j].copy() if n >= 2 else np.zeros(0)
+                per_sentence[i] = vals[2 : n + 1, j].copy()
     return out
 
 
@@ -126,37 +125,32 @@ def labeled_spans(tree: Tree) -> list:
     return [(node.label, s, e) for node, s, e in constituents(tree) if e - s >= 2]
 
 
+def _f1(match: int, n_pred: int, n_gold: int) -> float:
+    """F1 on a 0-100 scale of match spans shared by n_pred predicted and
+    n_gold gold spans; two empty span sets score 100."""
+    if n_pred == 0 and n_gold == 0:
+        return 100.0
+    p = match / n_pred if n_pred else 0.0
+    r = match / n_gold if n_gold else 0.0
+    return 200.0 * p * r / (p + r) if p + r > 0 else 0.0
+
+
 def unlabeled_f1(pred_trees: Sequence[Tree], gold_trees: Sequence[Tree]):
     """(micro, macro) unlabeled span F1 on a 0-100 scale.
 
-    Per sentence both-empty span sets count as F1 100; micro pools the
-    match/pred/gold counts over the corpus."""
+    Macro averages the per-sentence F1; micro pools the match/pred/gold
+    counts over the corpus.  Both follow _f1's rule."""
     if len(pred_trees) != len(gold_trees):
         raise ValueError("pred and gold lists differ in length")
-    match_sum = pred_sum = gold_sum = 0
-    sent_f1 = []
+    counts = []
     for i, (pred, gold) in enumerate(zip(pred_trees, gold_trees)):
         if pred.n_leaves() != gold.n_leaves():
             raise ValueError("sentence %d: pred has %d leaves, gold %d"
                              % (i, pred.n_leaves(), gold.n_leaves()))
         sp, sg = spans_of(pred), spans_of(gold)
-        match = len(sp & sg)
-        match_sum += match
-        pred_sum += len(sp)
-        gold_sum += len(sg)
-        if not sp and not sg:
-            sent_f1.append(100.0)
-            continue
-        p = match / len(sp) if sp else 0.0
-        r = match / len(sg) if sg else 0.0
-        sent_f1.append(200.0 * p * r / (p + r) if p + r > 0 else 0.0)
-    if pred_sum == 0 and gold_sum == 0:
-        micro = 100.0
-    else:
-        p = match_sum / pred_sum if pred_sum else 0.0
-        r = match_sum / gold_sum if gold_sum else 0.0
-        micro = 200.0 * p * r / (p + r) if p + r > 0 else 0.0
-    macro = float(np.mean(sent_f1)) if sent_f1 else 100.0
+        counts.append((len(sp & sg), len(sp), len(sg)))
+    micro = _f1(*([sum(col) for col in zip(*counts)] or [0, 0, 0]))
+    macro = float(np.mean([_f1(*c) for c in counts])) if counts else 100.0
     return micro, macro
 
 
@@ -166,8 +160,6 @@ def per_tag_accuracy(pred_trees, gold_nary_trees, tags: Sequence[str] = DEFAULT_
     found = {t: 0 for t in tags}
     total = {t: 0 for t in tags}
     for pred, gold in zip(pred_trees, gold_nary_trees):
-        if gold is None:
-            continue
         pspans = spans_of(pred, include_root=True)
         for label, s, e in labeled_spans(gold):
             if label in total:
@@ -206,8 +198,6 @@ def accuracy_by_height(pred_trees, gold_trees) -> dict:
     constituent."""
     buckets: dict[int, list] = {}
     for pred, gold in zip(pred_trees, gold_trees):
-        if gold is None:
-            continue
         if pred.height is None:
             fill_heights(pred)
         gspans = spans_of(gold, include_root=True)
@@ -222,54 +212,26 @@ def accuracy_by_height(pred_trees, gold_trees) -> dict:
 # Reports
 # ---------------------------------------------------------------------------
 
-@dataclass
-class StructureReport:
-    f1_micro: float
-    f1_macro: float
-    per_tag: dict
-    mean_depth: float
-    left_right_ratio: Optional[float]
-    height_accuracy: dict  # height -> {"correct", "total", "accuracy"}
-    n_sentences: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "f1_micro": self.f1_micro,
-            "f1_macro": self.f1_macro,
-            "per_tag": self.per_tag,
-            "mean_depth": self.mean_depth,
-            "left_right_ratio": self.left_right_ratio,
-            "height_accuracy": {str(h): v for h, v in self.height_accuracy.items()},
-            "n_sentences": self.n_sentences,
-        }
-
-    def height_csv_rows(self) -> list:
-        rows = [("height", "accuracy", "count")]
-        for h, cell in self.height_accuracy.items():
-            rows.append((h, cell["accuracy"], cell["total"]))
-        return rows
-
-
-def structure_report(pred_trees, gold_nary_trees, tags: Sequence[str] = DEFAULT_TAGS) -> StructureReport:
+def structure_report(pred_trees, gold_nary_trees, tags: Sequence[str] = DEFAULT_TAGS) -> dict:
+    """The structure metrics as written to metrics.json, over the sentences
+    that have a gold tree (None marks one that has not).  height_accuracy
+    maps each predicted-constituent height, as a string and in ascending
+    order, to its {"correct", "total", "accuracy"} cell."""
     pairs = [(p, g) for p, g in zip(pred_trees, gold_nary_trees) if g is not None]
     preds = [p for p, _ in pairs]
     golds = [g for _, g in pairs]
     micro, macro = unlabeled_f1(preds, golds)
     mean_depth, ratio = depth_and_ratio(preds)
-    heights = accuracy_by_height(preds, golds)
-    height_cells = {
-        h: {"correct": c, "total": t, "accuracy": 100.0 * c / t if t else None}
-        for h, (c, t) in heights.items()
+    return {
+        "f1_micro": micro,
+        "f1_macro": macro,
+        "per_tag": per_tag_accuracy(preds, golds, tags),
+        "mean_depth": mean_depth,
+        "left_right_ratio": ratio,
+        "height_accuracy": {str(h): {"correct": c, "total": t, "accuracy": 100.0 * c / t}
+                            for h, (c, t) in accuracy_by_height(preds, golds).items()},
+        "n_sentences": len(preds),
     }
-    return StructureReport(
-        f1_micro=micro,
-        f1_macro=macro,
-        per_tag=per_tag_accuracy(preds, golds, tags),
-        mean_depth=mean_depth,
-        left_right_ratio=ratio,
-        height_accuracy=height_cells,
-        n_sentences=len(preds),
-    )
 
 
 def bracket_words(tree: Tree) -> str:

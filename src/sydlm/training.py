@@ -24,10 +24,6 @@ from .distance import tree_to_distances
 from .trees import random_binary_tree
 
 
-class TrainingDiverged(RuntimeError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # Losses
 # ---------------------------------------------------------------------------
@@ -323,7 +319,7 @@ def train(model, corpus: Corpus, config: TrainConfig, valid_corpus: Optional[Cor
                 try:
                     out = model.forward(batch.inputs, state, rng=rng, train_cfg=config)
                 except ad.NumericError as exc:
-                    raise TrainingDiverged("epoch %d step %d: %s" % (epoch, step, exc))
+                    raise ad.NumericError("epoch %d step %d: %s" % (epoch, step, exc))
                 l_lm = lm_loss(out.logits, batch.targets.reshape(-1),
                                batch.target_weight.reshape(-1))
                 l_syd = None
@@ -332,7 +328,7 @@ def train(model, corpus: Corpus, config: TrainConfig, valid_corpus: Optional[Cor
                                          batch.sent_id.reshape(-1), config.pair_mode)
                 loss = joint_loss(l_lm, l_syd, config.alpha)
                 if not np.isfinite(loss.data):
-                    raise TrainingDiverged("non-finite loss at epoch %d step %d" % (epoch, step))
+                    raise ad.NumericError("non-finite loss at epoch %d step %d" % (epoch, step))
                 ad.backward(loss)
             state = out.state
             lm_sum += float(l_lm.data)

@@ -84,6 +84,14 @@ class TestBackward:
         y = x * 2.0
         assert y.tracked is False
 
+    def test_getitem_views_a_basic_key_and_copies_an_index_array(self):
+        x = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
+        with Tape():
+            row, cols, picked = x[1], x[:, 1:3], x[np.array([0, 2, 0])]
+        assert np.shares_memory(row.data, x.data) and np.shares_memory(cols.data, x.data)
+        assert not np.shares_memory(picked.data, x.data)
+        assert np.array_equal(picked.data, x.data[[0, 2, 0]])
+
     def test_dropped_graph_is_freed_without_the_cycle_collector(self):
         from sydlm.config import ModelConfig
         from sydlm.onlstm import OnLstmLM

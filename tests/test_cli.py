@@ -112,7 +112,14 @@ class TestTrainEvalCommands:
         assert payload["perplexity"] > 1.0
         assert 0 <= payload["structure"]["f1_macro"] <= 100
         assert payload["structure_short"]["max_len"] == 10
-        assert csv_path.read_text().startswith("height,accuracy,count")
+        header, *rows = csv_path.read_text().splitlines()
+        assert header == "height,accuracy,count"
+        cells = payload["structure"]["height_accuracy"]
+        assert [row.split(",")[0] for row in rows] == sorted(cells, key=int)
+        for row in rows:
+            height, accuracy, count = row.split(",")
+            assert float(accuracy) == cells[height]["accuracy"]
+            assert int(count) == cells[height]["total"]
 
     def test_render_prints_stacked_trees(self, tmp_path, treebank_file, capsys):
         corpus = tmp_path / "corpus.json"
@@ -383,7 +390,7 @@ class TestEvalSinglePass:
         short = [i for i, (s, e) in enumerate(corpus.sentence_spans) if e - s <= 6]
         assert 0 < len(short) < corpus.n_sentences
         want = structure_report([pred[i] for i in short],
-                                [corpus.gold_trees_nary[i] for i in short]).to_json_dict()
+                                [corpus.gold_trees_nary[i] for i in short])
         got = json.loads(metrics.read_text())["structure_short"]
         assert got == dict(json.loads(report_to_json(want)), max_len=6)
 

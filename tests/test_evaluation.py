@@ -181,8 +181,22 @@ class TestUnlabeledF1:
 
     def test_both_empty_counts_perfect(self):
         two = [parse_bracketed("(X (X a) (X b))", clean=False)[0]]
-        micro, macro = unlabeled_f1(two, two)
-        assert micro == 100.0 and macro == 100.0
+        for trees in (two, []):  # one two-word sentence; no sentence at all
+            micro, macro = unlabeled_f1(trees, trees)
+            assert micro == 100.0 and macro == 100.0
+
+    def test_hand_computed_mix_of_empty_and_wrong_sentences(self):
+        pred = [parse_bracketed("(X (X a) (X b))", clean=False)[0],  # 0 of 0 spans
+                right_chain(list("abcde")),  # (1,5) (2,5) (3,5)
+                right_chain(list("abc"))]  # (1,3)
+        gold = [pred[0],
+                parse_bracketed("(S (X (X a) (X b)) (X (X c) (X (X d) (X e))))", clean=False)[0],
+                parse_bracketed("(S (X a) (X b) (X c))", clean=False)[0]]  # no span
+        # per sentence: 100, 2 of 3 vs 3 -> 200/3, 0 of 1 vs 0 -> 0
+        # pooled: match 2, pred 4, gold 3 -> 100 * 2 * 2 / (4 + 3)
+        micro, macro = unlabeled_f1(pred, gold)
+        assert np.isclose(micro, 400.0 / 7.0)
+        assert np.isclose(macro, (100.0 + 200.0 / 3.0 + 0.0) / 3.0)
 
     def test_leaf_count_mismatch_names_sentence(self):
         with pytest.raises(ValueError, match="sentence 0"):
@@ -351,14 +365,16 @@ class TestStructureReportAndStreams:
         model = OnLstmLM(cfg, seed=1)
         pred = induce_trees(model, tiny_corpus, stream="syd", algo="unbiased")
         report = structure_report(pred, tiny_corpus.gold_trees_nary)
-        assert 0.0 <= report.f1_micro <= 100.0
-        assert 0.0 <= report.f1_macro <= 100.0
-        assert report.n_sentences == tiny_corpus.n_sentences
-        payload = report.to_json_dict()
-        assert set(payload) == {"f1_micro", "f1_macro", "per_tag", "mean_depth",
-                                "left_right_ratio", "height_accuracy", "n_sentences"}
-        rows = report.height_csv_rows()
-        assert rows[0] == ("height", "accuracy", "count")
+        assert 0.0 <= report["f1_micro"] <= 100.0
+        assert 0.0 <= report["f1_macro"] <= 100.0
+        assert report["n_sentences"] == tiny_corpus.n_sentences
+        assert set(report) == {"f1_micro", "f1_macro", "per_tag", "mean_depth",
+                               "left_right_ratio", "height_accuracy", "n_sentences"}
+        heights = list(report["height_accuracy"])
+        assert heights and heights == [str(h) for h in sorted(map(int, heights))]
+        for cell in report["height_accuracy"].values():
+            assert set(cell) == {"correct", "total", "accuracy"}
+            assert cell["accuracy"] == 100.0 * cell["correct"] / cell["total"]
 
     def test_syd_stream_absent_without_supervision(self, tiny_corpus):
         cfg = ModelConfig(vocab_size=len(tiny_corpus.vocab), model="onlstm-syd", n_layers=1,

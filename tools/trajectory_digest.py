@@ -3,20 +3,28 @@
 Trains a fixed set of small configurations for 2 epochs with iterate
 averaging on, and prints one line per configuration: a SHA-256 of the
 per-epoch log without its wall-clock `seconds` field, and a SHA-256 of the
-best parameters' names and float64 bytes.  Two source trees that print the
-same lines trained bitwise the same trajectories.
+best parameters' names and float64 bytes.  A last `eval` line runs
+`sydlm preprocess`, `train` and `eval --wsj10-maxlen --plot-csv --render`
+and hashes `metrics.json`, `heights.csv` and eval's printed output.  Two
+source trees that print the same lines trained bitwise the same
+trajectories and wrote the same reports.
 
     python tools/trajectory_digest.py              # this checkout's src/
     python tools/trajectory_digest.py --src DIR    # another checkout's src/
 
-Nothing is written to disk.
+The eval line works in a temporary directory that it removes afterwards;
+nothing else is written to disk.
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
+import os
 import random
 import sys
+import tempfile
 from pathlib import Path
 
 sys.dont_write_bytecode = True
@@ -39,6 +47,8 @@ CONFIGS += [
     ("prpn-syd/split-head", dict(model="prpn-syd", supervision_mode="split-head")),
     ("prpn", dict(model="prpn", supervision_mode="none")),
 ]
+EVAL_SETTINGS = ["n_layers=3", "chunk_factor=2", "supervision_layer=2", "embedding_size=8",
+                 "hidden_size=12", "epochs=2", "batch_size=4", "bptt_length=10"]
 
 
 def treebank(sydlm, n_sentences: int, seed: int) -> list:
@@ -76,6 +86,38 @@ def digest(sydlm, corpus, model_fields: dict) -> tuple:
     return hashlib.sha256(log_text.encode()).hexdigest()[:16], params.hexdigest()[:16]
 
 
+def eval_digest(sydlm, trees: list) -> tuple:
+    """Hashes of metrics.json, heights.csv and eval's stdout after the CLI's
+    preprocess, train and eval.  Paths are relative to a temporary working
+    directory, so the manifests' command lines match across runs."""
+    from sydlm.cli import main
+
+    def run(*argv) -> str:
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            code = main(list(argv))
+        if code != 0:
+            raise SystemExit("sydlm %s exited %d" % (" ".join(argv), code))
+        return printed.getvalue()
+
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            Path("train.mrg").write_text("".join(sydlm.render_bracketed(t) + "\n" for t in trees))
+            run("preprocess", "train.mrg", "--out", "corpus.json")
+            run("train", "--corpus", "corpus.json", "--out", "run",
+                *[arg for kv in EVAL_SETTINGS for arg in ("--set", kv)])
+            printed = run("eval", "--checkpoint", "run/checkpoint.bin", "--corpus", "corpus.json",
+                          "--out", "metrics.json", "--wsj10-maxlen", "10",
+                          "--plot-csv", "heights.csv", "--render", "0,1,2")
+            blobs = [Path("metrics.json").read_bytes(), Path("heights.csv").read_bytes(),
+                     printed.encode()]
+        finally:
+            os.chdir(home)
+    return tuple(hashlib.sha256(blob).hexdigest()[:16] for blob in blobs)
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
@@ -84,10 +126,12 @@ def main() -> None:
     sys.path.insert(0, args.src)
     import sydlm
 
-    corpus = sydlm.preprocess_corpus(treebank(sydlm, 40, seed=7), sydlm.PreprocessRules())
+    trees = treebank(sydlm, 40, seed=7)
+    corpus = sydlm.preprocess_corpus(trees, sydlm.PreprocessRules())
     for name, fields in CONFIGS:
         log_hash, param_hash = digest(sydlm, corpus, fields)
         print("%-30s log %s  params %s" % (name, log_hash, param_hash))
+    print("%-30s metrics %s  heights %s  printed %s" % ("eval", *eval_digest(sydlm, trees)))
 
 
 if __name__ == "__main__":
