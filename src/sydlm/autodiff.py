@@ -234,15 +234,19 @@ def _broadcasting(name: str, op, a: Tensor, b: Tensor) -> np.ndarray:
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     sa, sb = a.data.shape, b.data.shape
+    ta, tb = a.tracked, b.tracked
     return _apply(_broadcasting("add", np.add, a, b), (a, b),
-                  lambda dy: (_unbroadcast(dy, sa), _unbroadcast(dy, sb)))
+                  lambda dy: (_unbroadcast(dy, sa) if ta else None,
+                              _unbroadcast(dy, sb) if tb else None))
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     sa, sb = a.data.shape, b.data.shape
+    ta, tb = a.tracked, b.tracked
     return _apply(_broadcasting("sub", np.subtract, a, b), (a, b),
-                  lambda dy: (_unbroadcast(dy, sa), _unbroadcast(-dy, sb)))
+                  lambda dy: (_unbroadcast(dy, sa) if ta else None,
+                              _unbroadcast(-dy, sb) if tb else None))
 
 
 def neg(a) -> Tensor:
@@ -253,33 +257,50 @@ def neg(a) -> Tensor:
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     ad, bd = a.data, b.data
+    ta, tb = a.tracked, b.tracked
     return _apply(_broadcasting("mul", np.multiply, a, b), (a, b),
-                  lambda dy: (_unbroadcast(dy * bd, ad.shape), _unbroadcast(dy * ad, bd.shape)))
+                  lambda dy: (_unbroadcast(dy * bd, ad.shape) if ta else None,
+                              _unbroadcast(dy * ad, bd.shape) if tb else None))
 
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     ad, bd = a.data, b.data
+    ta, tb = a.tracked, b.tracked
     out = _broadcasting("div", np.divide, a, b)
     return _apply(out, (a, b),
-                  lambda dy: (_unbroadcast(dy / bd, ad.shape),
-                              _unbroadcast(-dy * out / bd, bd.shape)))
+                  lambda dy: (_unbroadcast(dy / bd, ad.shape) if ta else None,
+                              _unbroadcast(-dy * out / bd, bd.shape) if tb else None))
 
 
 def matmul(a, b, transpose_b: bool = False) -> Tensor:
-    """a (..., m) @ b (m, n); with transpose_b, b is (n, m)."""
+    """a (..., m) @ b (m, n); with transpose_b, b is (n, m).
+
+    b may also be a stack of matrices (..., m, n): then a is (..., k, m) and
+    the leading axes of a and b broadcast as in numpy, so a 2-D a is used
+    against every matrix of the stack.  Each adjoint is summed back to its
+    operand's shape over the axes it was broadcast along."""
     a, b = as_tensor(a), as_tensor(b)
     ad, bd = a.data, b.data
-    if bd.ndim != 2 or ad.ndim < 1:
-        raise ShapeError("matmul: expects (..., m) @ 2-D, got %s @ %s" % (a.shape, b.shape))
-    m = bd.shape[1] if transpose_b else bd.shape[0]
+    stacked = bd.ndim > 2
+    if bd.ndim < 2 or ad.ndim < (2 if stacked else 1):
+        raise ShapeError("matmul: expects (..., m) @ 2-D or (..., k, m) @ (..., m, n), got %s @ %s"
+                         % (a.shape, b.shape))
+    bt = np.swapaxes(bd, -1, -2)
+    m = bd.shape[-1] if transpose_b else bd.shape[-2]
     if ad.shape[-1] != m:
         raise ShapeError("matmul: inner dims differ, %s @ %s (transpose_b=%s)"
                          % (a.shape, b.shape, transpose_b))
-    out = ad @ (bd.T if transpose_b else bd)
+    try:
+        out = ad @ (bt if transpose_b else bd)
+    except ValueError:
+        raise ShapeError("matmul: stacked shapes %s and %s do not broadcast" % (a.shape, b.shape))
 
     def bwd(dy):
-        da = dy @ (bd if transpose_b else bd.T)
+        da = dy @ (bd if transpose_b else bt)
+        if stacked:
+            db = np.swapaxes(dy, -1, -2) @ ad if transpose_b else np.swapaxes(ad, -1, -2) @ dy
+            return _unbroadcast(da, ad.shape), _unbroadcast(db, bd.shape)
         a2 = ad.reshape(-1, ad.shape[-1])
         dy2 = dy.reshape(-1, dy.shape[-1])
         db = dy2.T @ a2 if transpose_b else a2.T @ dy2

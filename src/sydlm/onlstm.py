@@ -138,17 +138,19 @@ def onlstm_layer(
 
 
 def _step_loop(x: Tensor, h: Tensor, c: Tensor, weight: Tensor, bias: Tensor,
-               hidden: int, chunk: int, rec_mask: Optional[Tensor]) -> tuple:
+               hidden: int, chunk: int, rec_mask: Optional[Tensor], with_pre: bool) -> tuple:
     """`onlstm_layer` on the tape: `onlstm_step` over the steps of the input
     window x.  Returns `onlstm_layer`'s four results, h, the master forget
-    gates and hf_pre as windows and c as an array."""
+    gates and hf_pre as windows and c as an array.  hf_pre is None unless
+    with_pre: only the split head reads it, at the supervision layer."""
     outs = []
     for t in range(x.shape[0]):
         out = onlstm_step(x[t], h if rec_mask is None else h * rec_mask, c, weight, bias, hidden, chunk)
         h, c = out.h, out.c
         outs.append(out)
     return (window([o.h for o in outs]), np.stack([o.c.data for o in outs]),
-            window([o.master_forget for o in outs]), window([o.hf_pre for o in outs]))
+            window([o.master_forget for o in outs]),
+            window([o.hf_pre for o in outs]) if with_pre else None)
 
 
 class OnLstmLM(LanguageModel):
@@ -230,12 +232,13 @@ class OnLstmLM(LanguageModel):
 
         x, d_lm, new_state = x_all, [], []
         sup = cfg.supervision_layer - 1
+        split_head = cfg.supervision_mode == "split-head"
         rows = lambda w: ad.reshape(w, (t_len * batch, w.shape[-1]))  # a window's time-major rows
         for layer, ((weight, bias), rec_mask, mid_mask) in enumerate(zip(fused, rec_masks, mid_masks + [None])):
             hidden, (h0, c0) = cfg.layer_hidden(layer), state[layer]
             if ad.active_tape() is not None:
-                h, c_all, f, pre = _step_loop(x, Tensor(h0), Tensor(c0), weight, bias,
-                                              hidden, cfg.chunk_factor, rec_mask)
+                h, c_all, f, pre = _step_loop(x, Tensor(h0), Tensor(c0), weight, bias, hidden,
+                                              cfg.chunk_factor, rec_mask, split_head and layer == sup)
             else:
                 h, c_all, f, pre = onlstm_layer(x.data, h0, c0, weight.data, bias.data, hidden,
                                                 cfg.chunk_factor, None if rec_mask is None else rec_mask.data)
@@ -252,7 +255,7 @@ class OnLstmLM(LanguageModel):
 
         logits = self.decode(x, rng, train_cfg)
         d_syd = None
-        if cfg.supervision_mode == "split-head":
+        if split_head:
             d_syd = syd_head(rows(sup_pre), self.w_s, self.b_s)
         elif cfg.supervision_mode == "one-set-of-trees":
             d_syd = d_lm[sup]

@@ -49,6 +49,26 @@ def parsing_gates(alphas) -> Tensor:
     return ad.concat(gates, axis=-1)
 
 
+def window_gates(d_all, tau: float) -> Tensor:
+    """The parsing gates of every step of a window, from one alpha matrix.
+
+    d_all (T, B) holds the window's distances.  Row t of the (T, B, T)
+    result starts with the t gates that step t reads over memory positions
+    0..t-1, from the alphas of d_t against positions 1..t-1.  The alphas of
+    positions t and later are masked to exactly 1: an infinite offset on d_t
+    saturates their hardtanh, whose adjoint there is 0.  Products with 1 are
+    exact, so each row's first t gates equal the per-step
+    `parsing_gates(relatedness_alpha(d_t, d_1..t-1, tau))` bitwise.
+    """
+    d_all = ad.as_tensor(d_all)
+    t_len, batch = d_all.shape
+    d_row = ad.concat([ad.reshape(d_all[t], (batch, 1)) for t in range(t_len)], axis=1)  # (B, T)
+    later = np.arange(1, t_len)[None, :] >= np.arange(t_len)[:, None]  # (T, T-1): position k+1 >= t
+    d_t = ad.reshape(d_all, (t_len, batch, 1)) + np.where(later, np.inf, 0.0)[:, None, :]
+    d_j = ad.reshape(d_row[:, 1:], (1, batch, t_len - 1))
+    return parsing_gates(relatedness_alpha(d_t, d_j, tau))
+
+
 def gated_attention(gates, z) -> Tensor:
     """Attention weights softly truncated by parsing gates:
     s_i = g_i z_i / sum_i g_i.
@@ -210,30 +230,26 @@ class PrpnLM(LanguageModel):
             d_all, d_syd_all, new_state = self.encoder_distances(x_all, state)
 
         # read-outs of the whole window, sliced at each step
-        tau = cfg.prpn_temperature
-        d_row = ad.concat([ad.reshape(d_all[t], (batch, 1)) for t in range(t_len)], axis=1)  # (B, T)
-        queries = ad.reshape(ad.matmul(x_all, self.w_q) + self.b_q, (t_len, batch, 1, rh))
-        mem_h: list[Tensor] = []
-        mem_c: list[Tensor] = []
+        gate_rows = window_gates(d_all, cfg.prpn_temperature)  # (T, B, T)
+        queries = ad.reshape(ad.matmul(x_all, self.w_q) + self.b_q, (t_len, batch, rh, 1))
         top_states = []
         h_tilde = Tensor(np.zeros((batch, rh)))
         c_tilde = Tensor(np.zeros((batch, rh)))
 
         for t in range(t_len):
             if t > 0:
-                # gates over memory positions 0..t-1 from the distances at 1..t
-                gates = parsing_gates(relatedness_alpha(d_row[:, t : t + 1], d_row[:, 1:t], tau))
-                h_past = ad.concat(mem_h, axis=1)  # (B, t, rh)
-                c_past = ad.concat(mem_c, axis=1)
-                scores = ad.tsum(h_past * queries[t], axis=-1) / math.sqrt(rh)
-                s3 = ad.reshape(gated_attention(gates, ad.softmax(scores)), (batch, t, 1))
-                h_tilde = ad.tsum(h_past * s3, axis=1)
-                c_tilde = ad.tsum(c_past * s3, axis=1)
+                # the memory of steps 0..t-1 grows by the last step's row, so
+                # its concat has two parents however long it is
+                h_row, c_row = ad.reshape(h, (batch, 1, rh)), ad.reshape(c, (batch, 1, rh))
+                h_past = h_row if t == 1 else ad.concat([h_past, h_row], axis=1)  # (B, t, rh)
+                c_past = c_row if t == 1 else ad.concat([c_past, c_row], axis=1)
+                scores = ad.reshape(ad.matmul(h_past, queries[t]), (batch, t)) / math.sqrt(rh)
+                s = ad.reshape(gated_attention(gate_rows[t, :, :t], ad.softmax(scores)), (batch, 1, t))
+                h_tilde = ad.reshape(ad.matmul(s, h_past), (batch, rh))
+                c_tilde = ad.reshape(ad.matmul(s, c_past), (batch, rh))
             h, c = lstm_cell(x_all[t], h_tilde, c_tilde, self.w_r, self.b_r, rh)
             if not np.isfinite(h.data).all():
                 raise ad.NumericError("non-finite hidden state at step %d" % t)
-            mem_h.append(ad.reshape(h, (batch, 1, rh)))
-            mem_c.append(ad.reshape(c, (batch, 1, rh)))
             top_states.append(h)
 
         logits = self.decode(window(top_states), rng, train_cfg)

@@ -28,6 +28,12 @@ def primitive_cases(seed: int):
     c26 = Tensor(rng.normal(size=(2, 6)))
     c24 = Tensor(rng.normal(size=(2, 4)))
     c231 = Tensor(rng.normal(size=(4, 2, 2)))
+    # stacked matmul: a (2, 3, 4) stack against b (2, 4, 5), a 2-D (3, 4) against the same b
+    s234 = Tensor(rng.normal(size=(2, 3, 4)))
+    s245 = Tensor(rng.normal(size=(2, 4, 5)))
+    s254 = Tensor(rng.normal(size=(2, 5, 4)))
+    c34 = Tensor(rng.normal(size=(3, 4)))
+    c235 = Tensor(rng.normal(size=(2, 3, 5)))
     ids = rng.integers(0, 5, size=(3, 2))
     targets = rng.integers(0, 4, size=6)
     conv_w = Tensor(rng.normal(size=(6, 2)))
@@ -53,6 +59,12 @@ def primitive_cases(seed: int):
         ("div_denominator", lambda t: ad.tsum(a / t), Tensor(x23.copy() + 3.0)),
         ("matmul", lambda t: ad.tsum(ad.matmul(t, w) * c24), Tensor(x23.copy())),
         ("matmul_tb", lambda t: ad.tsum(ad.matmul(t, wt, transpose_b=True) * c24), Tensor(x23.copy())),
+        ("matmul_stack_a", lambda t: ad.tsum(ad.matmul(t, s245) * c235), Tensor(s234.data.copy())),
+        ("matmul_stack_b", lambda t: ad.tsum(ad.matmul(s234, t) * c235), Tensor(s245.data.copy())),
+        # a 2-D a is used against every matrix of the stack: its adjoint sums over the stack
+        ("matmul_stack_2d_a", lambda t: ad.tsum(ad.matmul(t, s245) * c235), Tensor(c34.data.copy())),
+        ("matmul_stack_tb", lambda t: ad.tsum(ad.matmul(s234, t, transpose_b=True) * c235),
+         Tensor(s254.data.copy())),
         ("concat", lambda t: ad.tsum(ad.concat([t, c23], axis=1) * c26), Tensor(x23.copy())),
         ("slice", lambda t: ad.tsum(t[:, 1:3] * Tensor(np.ones((2, 2)))), Tensor(x23.copy())),
         ("reshape", lambda t: ad.tsum(ad.reshape(t, (3, 2)) * Tensor(np.arange(6.0).reshape(3, 2))),

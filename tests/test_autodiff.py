@@ -218,10 +218,39 @@ class TestOwnedSweep:
         assert np.array_equal(first, first_copy)
 
 
+class TestUntrackedParents:
+    """A binary primitive returns no adjoint for an untracked parent."""
+
+    @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul, ad.div], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("tracked_side", [0, 1])
+    def test_bwd_skips_untracked_side(self, op, tracked_side):
+        x = Tensor(np.full((2, 3), 2.0), requires_grad=True)
+        const = Tensor(np.full((1, 3), 4.0))
+        with Tape() as tape:
+            op(*((x, const) if tracked_side == 0 else (const, x)))
+        adjoints = tape.nodes[-1].bwd(np.ones((2, 3)))
+        assert adjoints[1 - tracked_side] is None
+        assert adjoints[tracked_side].shape == (2, 3)
+
+
 class TestShapeErrors:
     def test_matmul_names_shapes(self):
         with pytest.raises(ShapeError, match="matmul"):
             ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))))
+
+    def test_matmul_rejects_1d_b(self):
+        with pytest.raises(ShapeError, match="matmul"):
+            ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones(3)))
+
+    def test_matmul_stack_inner_dims(self):
+        with pytest.raises(ShapeError, match="inner dims"):
+            ad.matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 3, 5))))
+        with pytest.raises(ShapeError, match="inner dims"):
+            ad.matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 4, 5))), transpose_b=True)
+
+    def test_matmul_stack_leading_axes(self):
+        with pytest.raises(ShapeError, match="matmul"):
+            ad.matmul(Tensor(np.ones((3, 2, 4))), Tensor(np.ones((2, 4, 5))))
 
     def test_add_incompatible(self):
         with pytest.raises(ShapeError, match="add"):

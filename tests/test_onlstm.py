@@ -222,6 +222,18 @@ class TestDegeneracies:
         assert (nodes("split-head", 4) - nodes("none", 4)
                 == nodes("split-head", 8) - nodes("none", 8))
 
+    @pytest.mark.parametrize("mode", ["none", "split-head", "one-set-of-trees", "vanilla-multitask"])
+    def test_hf_pre_window_only_for_the_split_head(self, mode):
+        # each layer windows h and its master forget gates; only the split
+        # head reads hf_pre, and only at the supervision layer
+        t_len = 7
+        model = OnLstmLM(small_config(supervision_mode=mode), seed=9)
+        with Tape() as tape:
+            model.forward(np.ones((t_len, 2), dtype=np.int64))
+        windows = [n for n in tape.nodes
+                   if n.bwd.__qualname__.startswith("concat.") and len(n.parents) == t_len]
+        assert len(windows) == 2 * 2 + (mode == "split-head")
+
     def test_vanilla_multitask_has_own_stream(self):
         model = OnLstmLM(small_config(supervision_mode="vanilla-multitask"), seed=4)
         out = model.forward(np.array([[1], [2]]))

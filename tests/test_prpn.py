@@ -1,11 +1,16 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 from sydlm import autodiff as ad
 from sydlm.autodiff import Tape, Tensor, backward, grad_check
-from sydlm.config import ConfigError, ModelConfig
-from sydlm.prpn import PrpnLM, gated_attention, parsing_gates, prpn_distances, relatedness_alpha
-from sydlm.training import _pair_agreement, ranking_loss
+from sydlm.config import ConfigError, ModelConfig, TrainConfig
+from sydlm.models import window
+from sydlm.prpn import (PrpnLM, gated_attention, lstm_cell, parsing_gates, prpn_distances,
+                        relatedness_alpha, window_gates)
+from sydlm.training import _pair_agreement, lm_loss, ranking_loss
 
 
 class TestRelatednessAlpha:
@@ -58,6 +63,26 @@ class TestParsingGates:
         err = grad_check(lambda t: ad.tsum(parsing_gates(t) * mix),
                          Tensor(rng.uniform(0.1, 0.9, size=(2, 4))))
         assert err < 1e-4
+
+
+class TestWindowGates:
+    @pytest.mark.parametrize("t_len", [1, 2, 7])
+    def test_rows_equal_per_step_gates_bitwise(self, t_len):
+        rng = np.random.default_rng(t_len)
+        d_all = rng.normal(size=(t_len, 3))
+        d_all[t_len // 2] += 5.0  # a distance far above the rest saturates alphas at 0 and 1
+        tau = 2.0
+        gate_rows = window_gates(Tensor(d_all), tau)
+        assert gate_rows.shape == (t_len, 3, t_len)
+        d_row = Tensor(d_all.T.copy())
+        zeros = 0
+        for t in range(1, t_len):
+            alphas = relatedness_alpha(d_row[:, t : t + 1], d_row[:, 1:t], tau)
+            zeros += int((alphas.data == 0.0).sum())
+            assert np.array_equal(gate_rows.data[t, :, :t], parsing_gates(alphas).data), t
+            assert (gate_rows.data[t, :, t:] == 1.0).all()
+        if t_len == 7:
+            assert zeros > 0
 
 
 class TestGatedAttention:
@@ -205,3 +230,99 @@ class TestSydEncoder:
         with pytest.raises(ConfigError):
             ModelConfig(vocab_size=11, model="prpn", supervision_mode="split-head",
                         n_layers=1, supervision_layer=1).validate()
+
+
+def per_step_forward(model, inputs, rng=None, train_cfg=None):
+    """The reading loop with parsing gates built at every step and attention
+    reads as elementwise products and sums, as PrpnLM.forward ran before it
+    computed the gates once per window.  Returns (logits, d_lm, d_syd)."""
+    cfg = model.config
+    t_len, batch = inputs.shape
+    rh = model.read_hidden
+    x_all = model.embed(inputs, rng, train_cfg)
+    if cfg.model == "prpn":
+        d_all = prpn_distances(x_all, model.pad_emb, model.w_c, model.b_c,
+                               model.w_d, model.b_d, cfg.prpn_lookback)
+        d_syd = None
+    else:
+        d_all, d_syd, _ = model.encoder_distances(x_all)
+    tau = cfg.prpn_temperature
+    d_row = ad.concat([ad.reshape(d_all[t], (batch, 1)) for t in range(t_len)], axis=1)
+    queries = ad.reshape(ad.matmul(x_all, model.w_q) + model.b_q, (t_len, batch, 1, rh))
+    mem_h, mem_c, tops = [], [], []
+    h_tilde = Tensor(np.zeros((batch, rh)))
+    c_tilde = Tensor(np.zeros((batch, rh)))
+    for t in range(t_len):
+        if t > 0:
+            gates = parsing_gates(relatedness_alpha(d_row[:, t : t + 1], d_row[:, 1:t], tau))
+            h_past = ad.concat(mem_h, axis=1)
+            c_past = ad.concat(mem_c, axis=1)
+            scores = ad.tsum(h_past * queries[t], axis=-1) / math.sqrt(rh)
+            s3 = ad.reshape(gated_attention(gates, ad.softmax(scores)), (batch, t, 1))
+            h_tilde = ad.tsum(h_past * s3, axis=1)
+            c_tilde = ad.tsum(c_past * s3, axis=1)
+        h, c = lstm_cell(x_all[t], h_tilde, c_tilde, model.w_r, model.b_r, rh)
+        mem_h.append(ad.reshape(h, (batch, 1, rh)))
+        mem_c.append(ad.reshape(c, (batch, 1, rh)))
+        tops.append(h)
+    logits = model.decode(window(tops), rng, train_cfg)
+    d_syd = None if d_syd is None else ad.reshape(d_syd, (t_len * batch,))
+    return logits, ad.reshape(d_all, (t_len * batch,)), d_syd
+
+
+def taped_step(model, inputs, forward):
+    """Loss and gradients of one taped step; the loss reads the logits and
+    both distance sets, so no parameter's gradient is zero by symmetry."""
+    t_len, batch = inputs.shape
+    mix = np.random.default_rng(5).normal(size=(t_len - 1) * batch)
+    cfg = TrainConfig(model=model.config)
+    model.zero_grad()
+    with Tape():
+        logits, d_lm, d_syd = forward(model, inputs[:-1], np.random.default_rng(6), cfg)
+        loss = lm_loss(logits, inputs[1:].reshape(-1), np.ones(mix.size)) + ad.tsum(d_lm * Tensor(mix))
+        if d_syd is not None:
+            loss = loss + ad.tsum(d_syd * Tensor(mix[::-1].copy()))
+        backward(loss)
+    return logits.data, {name: p.grad for name, p in model.params.items()}
+
+
+def model_forward(model, inputs, rng, train_cfg):
+    out = model.forward(inputs, None, rng=rng, train_cfg=train_cfg)
+    return out.logits, out.d_lm[0], out.d_syd
+
+
+class TestReadLoop:
+    @pytest.mark.parametrize("make", [encoder_model, conv_model], ids=["prpn-syd", "prpn"])
+    def test_matches_per_step_reference(self, make):
+        inputs = np.random.default_rng(7).integers(0, 11, size=(13, 3))
+        logits, grads = taped_step(make(seed=13), inputs, model_forward)
+        ref_logits, ref_grads = taped_step(make(seed=13), inputs, per_step_forward)
+        assert np.abs(logits - ref_logits).max() <= 1e-12
+        for name, ref in ref_grads.items():
+            assert ref is not None and np.abs(ref).max() > 0, name
+            rel = np.abs(grads[name] - ref).max() / np.abs(ref).max()
+            assert rel <= 1e-12, (name, rel)
+
+    def test_huge_temperature_is_finite_and_silent(self):
+        model = PrpnLM(ModelConfig(vocab_size=11, model="prpn-syd", embedding_size=6, hidden_size=6,
+                                   supervision_mode="split-head", prpn_ff_hidden=5,
+                                   prpn_conv_window=2, supervision_layer=1, n_layers=1,
+                                   prpn_temperature=1e12), seed=14)
+        inputs = np.random.default_rng(8).integers(0, 11, size=(9, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            logits, grads = taped_step(model, inputs, model_forward)
+        assert np.isfinite(logits).all()
+        assert all(np.isfinite(g).all() for g in grads.values())
+
+    def test_tape_grows_linearly_in_window_length(self):
+        def nodes(t_len):
+            model = encoder_model(seed=15)
+            inputs = np.random.default_rng(9).integers(0, 11, size=(t_len + 1, 2))
+            with Tape() as tape:
+                logits, d_lm, d_syd = model_forward(model, inputs[:-1], None, None)
+                backward(lm_loss(logits, inputs[1:].reshape(-1), np.ones(2 * t_len))
+                         + ad.tsum(d_syd) + ad.tsum(d_lm))
+            return len(tape)
+
+        assert nodes(64) / nodes(32) < 2.2
