@@ -18,10 +18,20 @@ into the parent's owned buffer at ``key`` (``np.add.at`` when the key holds
 an index array, whose positions may repeat), so a slice's adjoint costs the
 size of the slice.  Once a node's output adjoint is handed to its ``bwd``,
 the sweep writes to it no more.
+
+Tape graphs are acyclic: the tape holds its nodes, a node holds its output
+and parents, and no tensor points back to a node, so reference counting
+frees a graph as soon as its tape is dropped
+(``test_dropped_graph_is_freed_without_the_cycle_collector``).  An open
+tape therefore pauses the cyclic garbage collector, which would otherwise
+keep re-walking the thousands of objects a step holds, and its close
+restores the state it found.  Reference cycles that user code makes inside
+a tape are collected after the tape closes.
 """
 
 from __future__ import annotations
 
+import gc
 import struct
 from typing import Callable, Optional, Sequence
 
@@ -43,6 +53,7 @@ class NumericError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 _TAPE_STACK: list["Tape"] = []
+_FLOAT64 = np.dtype(np.float64)
 
 
 class _Node:
@@ -57,19 +68,25 @@ class _Node:
 class Tape:
     """Ordered record of primitive applications; parents always precede
     their consumers, so one reverse sweep visits every node exactly once.
-    Only the tape refers to its nodes, so dropping it frees the graph."""
+    Only the tape refers to its nodes, so dropping it frees the graph.
+    While a tape is open the cyclic garbage collector is paused; closing
+    the tape restores the state it found."""
 
-    __slots__ = ("nodes",)
+    __slots__ = ("nodes", "_gc_was_enabled")
 
     def __init__(self):
         self.nodes: list[_Node] = []
 
     def __enter__(self) -> "Tape":
+        self._gc_was_enabled = gc.isenabled()
+        gc.disable()
         _TAPE_STACK.append(self)
         return self
 
     def __exit__(self, *exc):
         _TAPE_STACK.pop()
+        if self._gc_was_enabled:
+            gc.enable()
         return False
 
     def __len__(self) -> int:
@@ -85,8 +102,9 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "tracked", "grad", "name")
 
     def __init__(self, data, requires_grad: bool = False, name: Optional[str] = None):
-        arr = np.asarray(data, dtype=np.float64)
-        self.data = arr
+        if type(data) is not np.ndarray or data.dtype is not _FLOAT64:
+            data = np.asarray(data, dtype=np.float64)
+        self.data = data
         self.requires_grad = requires_grad
         self.tracked = requires_grad
         self.grad: Optional[np.ndarray] = None
@@ -142,10 +160,12 @@ def as_tensor(x) -> Tensor:
 
 def _apply(out_data: np.ndarray, parents: tuple, bwd: Callable) -> Tensor:
     out = Tensor(out_data)
-    tape = active_tape()
-    if tape is not None and any(p.tracked for p in parents):
-        out.tracked = True
-        tape.nodes.append(_Node(out, parents, bwd))
+    if _TAPE_STACK:
+        for p in parents:
+            if p.tracked:
+                out.tracked = True
+                _TAPE_STACK[-1].nodes.append(_Node(out, parents, bwd))
+                break
     return out
 
 
@@ -164,15 +184,16 @@ def backward(loss: Tensor) -> None:
         raise ShapeError("backward: loss must be scalar, got shape %s" % (loss.shape,))
     grads: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
     owned: set[Tensor] = set()
+    pop, get = grads.pop, grads.get
     for node in reversed(tape.nodes):
-        dy = grads.pop(node.out, None)
+        dy = pop(node.out, None)
         if dy is None:
             continue
         owned.discard(node.out)
         for parent, dp in zip(node.parents, node.bwd(dy)):
             if dp is None or not parent.tracked:
                 continue
-            acc = grads.get(parent)
+            acc = get(parent)
             if type(dp) is tuple:
                 if parent not in owned:
                     acc = np.zeros_like(parent.data) if acc is None else np.array(acc)
@@ -297,16 +318,24 @@ def matmul(a, b, transpose_b: bool = False) -> Tensor:
         raise ShapeError("matmul: stacked shapes %s and %s do not broadcast" % (a.shape, b.shape))
 
     def bwd(dy):
-        da = dy @ (bd if transpose_b else bt)
         if stacked:
-            db = np.swapaxes(dy, -1, -2) @ ad if transpose_b else np.swapaxes(ad, -1, -2) @ dy
+            da = _stacked_product(dy, bd if transpose_b else bt)
+            db = (_stacked_product(np.swapaxes(dy, -1, -2), ad) if transpose_b
+                  else _stacked_product(np.swapaxes(ad, -1, -2), dy))
             return _unbroadcast(da, ad.shape), _unbroadcast(db, bd.shape)
+        da = dy @ (bd if transpose_b else bt)
         a2 = ad.reshape(-1, ad.shape[-1])
         dy2 = dy.reshape(-1, dy.shape[-1])
         db = dy2.T @ a2 if transpose_b else a2.T @ dy2
         return da, db
 
     return _apply(out, (a, b), bwd)
+
+
+def _stacked_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x (..., p, k) @ y (..., k, q).  With k = 1 every entry is a single
+    product, so a broadcast multiply gives the same values, faster."""
+    return x * y if x.shape[-1] == 1 else x @ y
 
 
 def concat(tensors: Sequence, axis: int = 0) -> Tensor:
@@ -433,7 +462,7 @@ def cumsum(a) -> Tensor:
     out = np.cumsum(a.data, axis=-1)
 
     def bwd(dy):
-        return (np.flip(np.cumsum(np.flip(dy, axis=-1), axis=-1), axis=-1),)
+        return (dy[..., ::-1].cumsum(axis=-1)[..., ::-1],)
 
     return _apply(out, (a,), bwd)
 

@@ -259,10 +259,15 @@ def _sepsent_batches(corpus, batch_size, tree_source, seed):
 # ---------------------------------------------------------------------------
 
 def _global_clip(params, clip_norm: float) -> float:
+    """The factor that scales the gradients to a global norm of at most
+    clip_norm (no clipping when clip_norm <= 0).  Raises NumericError when
+    the squared norm is not finite, so that no parameter takes the step."""
     total = 0.0
     for p in params:
         if p.grad is not None:
             total += float((p.grad * p.grad).sum())
+    if not np.isfinite(total):
+        raise ad.NumericError("non-finite gradient")
     norm = np.sqrt(total)
     if clip_norm <= 0 or norm <= clip_norm:
         return 1.0
@@ -338,7 +343,10 @@ def train(model, corpus: Corpus, config: TrainConfig, valid_corpus: Optional[Cor
                 syd_n += 1
             # the step's graph must not stay reachable during the next forward
             del out, l_lm, l_syd, loss
-            coef = _global_clip(params, config.clip_norm)
+            try:
+                coef = _global_clip(params, config.clip_norm)
+            except ad.NumericError as exc:
+                raise ad.NumericError("%s at epoch %d step %d" % (exc, epoch, step))
             scale = lr * coef
             for p in params:
                 if p.grad is not None:

@@ -233,6 +233,109 @@ class TestUntrackedParents:
         assert adjoints[tracked_side].shape == (2, 3)
 
 
+class TestCollectorPause:
+    """An open tape pauses the cyclic collector and its close restores the
+    state the tape found."""
+
+    @pytest.fixture(autouse=True)
+    def _restore_collector(self):
+        was = gc.isenabled()
+        yield
+        (gc.enable if was else gc.disable)()
+
+    def test_paused_inside_and_restored_after(self):
+        gc.enable()
+        with Tape():
+            assert not gc.isenabled()
+        assert gc.isenabled()
+
+    def test_tape_opened_with_collector_off_leaves_it_off(self):
+        gc.disable()
+        with Tape():
+            assert not gc.isenabled()
+        assert not gc.isenabled()
+        # the next tape, opened with the collector on, still pauses it
+        gc.enable()
+        with Tape():
+            assert not gc.isenabled()
+        assert gc.isenabled()
+
+    def test_nested_tapes_restore_in_order(self):
+        gc.enable()
+        with Tape():
+            with Tape():
+                assert not gc.isenabled()
+            assert not gc.isenabled()
+            with Tape():
+                assert not gc.isenabled()
+            assert not gc.isenabled()
+        assert gc.isenabled()
+
+    def test_exception_inside_tape_restores(self):
+        gc.enable()
+        with pytest.raises(ValueError, match="inside"):
+            with Tape():
+                assert not gc.isenabled()
+                raise ValueError("raised inside the tape")
+        assert gc.isenabled()
+
+    def test_grad_check_leaves_state(self):
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            seen = []
+
+            def f(t):
+                seen.append(gc.isenabled())
+                return ad.tsum(t * t)
+
+            assert grad_check(f, Tensor(np.array([0.5, -1.5]))) < 1e-8
+            assert seen[0] is False  # the taped pass
+            assert gc.isenabled() is enabled
+
+
+class TestRewrittenBackward:
+    """Backward formulas rewritten for speed give bitwise the values of the
+    formulas they replace."""
+
+    @pytest.mark.parametrize("shape, key", [
+        ((7,), ...),
+        ((4, 9), ...),
+        ((3, 5, 6), ...),
+        ((3, 5, 12), (slice(None), slice(None, None, -1), slice(1, None, 2))),
+    ], ids=["1d", "2d", "3d", "3d-strided"])
+    def test_cumsum_matches_flip_formula(self, shape, key):
+        rng = np.random.default_rng(7)
+        dy = rng.normal(size=shape)[key]
+        x = Tensor(rng.normal(size=dy.shape), requires_grad=True)
+        with Tape() as tape:
+            ad.cumsum(x)
+        (dx,) = tape.nodes[-1].bwd(dy)
+        assert dx.shape == dy.shape
+        assert np.array_equal(dx, np.flip(np.cumsum(np.flip(dy, axis=-1), axis=-1), axis=-1))
+
+    @pytest.mark.parametrize("t", [1, 2, 17, 139])
+    def test_unit_contraction_matches_matmul_on_prpn_shapes(self, t):
+        # PRPN's read loop at B20, rh 16: scores = h_past @ query (the
+        # adjoint of h_past contracts an axis of length 1) and the gated
+        # read s @ h_past (the adjoint of h_past contracts one too)
+        rng = np.random.default_rng(t)
+        h_past = Tensor(rng.normal(size=(20, t, 16)), requires_grad=True)
+        query = Tensor(rng.normal(size=(20, 16, 1)), requires_grad=True)
+        gates = Tensor(rng.uniform(size=(20, 1, t)), requires_grad=True)
+        with Tape() as tape:
+            ad.matmul(h_past, query)
+            ad.matmul(gates, h_past)
+        score_node, read_node = tape.nodes
+        dy = rng.normal(size=(20, t, 1))
+        d_h, d_q = score_node.bwd(dy)
+        assert np.array_equal(d_h, np.matmul(dy, np.swapaxes(query.data, -1, -2)))
+        assert np.array_equal(d_q, np.matmul(np.swapaxes(h_past.data, -1, -2), dy))
+        dy = rng.normal(size=(20, 1, 16))
+        d_s, d_h = read_node.bwd(dy)
+        assert np.array_equal(d_s, np.matmul(dy, np.swapaxes(h_past.data, -1, -2)))
+        assert np.array_equal(d_h, np.matmul(np.swapaxes(gates.data, -1, -2), dy))
+
+
 class TestShapeErrors:
     def test_matmul_names_shapes(self):
         with pytest.raises(ShapeError, match="matmul"):

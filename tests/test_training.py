@@ -309,6 +309,28 @@ class TestTrain:
         with pytest.raises(ad.NumericError, match="epoch"):
             train(model, tiny_corpus, cfg)
 
+    def test_non_finite_gradient_stops_its_own_step(self, tiny_corpus, monkeypatch):
+        cfg = train_config(tiny_corpus, epochs=1)
+        model = OnLstmLM(cfg.model, seed=cfg.seed)
+        calls, before = [], {}
+        real_backward = ad.backward
+
+        def poisoned(loss):
+            real_backward(loss)
+            calls.append(1)
+            if len(calls) == 3:
+                before.update((name, p.data.copy()) for name, p in model.params.items())
+                p = next(p for p in model.params.values() if p.grad is not None)
+                p.grad = p.grad.copy()
+                p.grad.flat[0] = np.inf
+
+        monkeypatch.setattr(ad, "backward", poisoned)
+        with pytest.raises(ad.NumericError, match="^non-finite gradient at epoch 1 step 2$"):
+            train(model, tiny_corpus, cfg)
+        assert len(calls) == 3
+        for name, p in model.params.items():
+            assert np.array_equal(p.data, before[name]), name
+
     def test_log_and_best_params(self, tiny_corpus):
         cfg = train_config(tiny_corpus, epochs=3)
         model = OnLstmLM(cfg.model, seed=cfg.seed)
