@@ -114,10 +114,6 @@ class Tensor:
     def shape(self) -> tuple:
         return self.data.shape
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def __repr__(self) -> str:
         tag = self.name or ("param" if self.requires_grad else "tensor")
         return "Tensor<%s shape=%s>" % (tag, self.shape)
@@ -146,9 +142,6 @@ class Tensor:
 
     def __neg__(self):
         return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, key):
         return getitem(self, key)
@@ -478,9 +471,7 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     out = ad.sum(axis=axis, keepdims=keepdims)
 
     def bwd(dy):
-        if axis is None:
-            return (np.broadcast_to(dy, ad.shape).copy(),)
-        d = dy if keepdims else np.expand_dims(dy, axis)
+        d = dy if axis is None or keepdims else np.expand_dims(dy, axis)
         return (np.broadcast_to(d, ad.shape).copy(),)
 
     return _apply(out, (a,), bwd)
@@ -493,9 +484,7 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     count = ad.size if axis is None else ad.shape[axis]
 
     def bwd(dy):
-        if axis is None:
-            return (np.broadcast_to(dy / count, ad.shape).copy(),)
-        d = dy if keepdims else np.expand_dims(dy, axis)
+        d = dy if axis is None or keepdims else np.expand_dims(dy, axis)
         return (np.broadcast_to(d / count, ad.shape).copy(),)
 
     return _apply(out, (a,), bwd)
@@ -680,4 +669,6 @@ def load_checkpoint(path: str):
             n = int(np.prod(shape)) if shape else 1
             data = np.frombuffer(read(8 * n), dtype="<f8").reshape(shape).astype(np.float64)
             params[name] = data
+        if fh.read(1):
+            raise ValueError("%s: trailing bytes after the last parameter record" % path)
     return header, params

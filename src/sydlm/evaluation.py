@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import autodiff as ad
 from .corpus import Corpus
 from .distance import distances_to_tree_biased, distances_to_tree_unbiased
 from .training import sentence_batches, validation_pass
@@ -63,6 +64,8 @@ def sentence_distances(
 
     Each sentence is framed as [eos] + words with fresh state, so the model
     step reading word k+1 yields the slot between words k and k+1.
+    Raises NumericError naming the stream and the first sentence whose
+    distances are not finite.
     """
     idx = resolve_layer(model.config, layer)
     out: dict = {}
@@ -76,6 +79,10 @@ def sentence_distances(
             per_sentence = out.setdefault(name, [None] * corpus.n_sentences)
             for j, (i, n) in enumerate(zip(group, lens)):
                 per_sentence[i] = vals[2 : n + 1, j].copy()
+    for name, per_sentence in out.items():
+        for i, dist in enumerate(per_sentence):
+            if not np.isfinite(dist).all():
+                raise ad.NumericError("non-finite %s distances in sentence %d" % (name, i))
     return out
 
 

@@ -122,9 +122,11 @@ def lstm_gates(x: Tensor, h: Tensor, weight: Tensor, bias: Tensor, hidden: int):
             pre)
 
 
-def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    """Two-layer head: ReLU hidden layer, then a linear output."""
-    return ad.matmul(ad.relu(ad.matmul(x, w1) + b1), w2) + b2
+def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor) -> Tensor:
+    """Distance head: ReLU hidden layer, then one scalar per row of x, shaped
+    x.shape[:-1].  No output bias: distances are read only through their
+    differences, where it would cancel and so never train."""
+    return ad.reshape(ad.matmul(ad.relu(ad.matmul(x, w1) + b1), w2), x.shape[:-1])
 
 
 def build_model(config: ModelConfig, seed: int) -> LanguageModel:

@@ -186,7 +186,6 @@ class OnLstmLM(LanguageModel):
             self.w_v1 = self.param("W_v1", (sup_hidden, sup_hidden), scale)
             self.b_v1 = self.param("b_v1", (sup_hidden,), None)
             self.w_v2 = self.param("W_v2", (sup_hidden, 1), scale)
-            self.b_v2 = self.param("b_v2", (1,), None)
 
     # perfbench/tracer.py patches zero_grad and forward per class
     zero_grad = LanguageModel.zero_grad
@@ -260,6 +259,5 @@ class OnLstmLM(LanguageModel):
         elif cfg.supervision_mode == "one-set-of-trees":
             d_syd = d_lm[sup]
         elif cfg.supervision_mode == "vanilla-multitask":
-            d_syd = ad.reshape(feed_forward(rows(sup_h), self.w_v1, self.b_v1,
-                                            self.w_v2, self.b_v2), (t_len * batch,))
+            d_syd = feed_forward(rows(sup_h), self.w_v1, self.b_v1, self.w_v2)
         return ForwardOut(logits=logits, d_lm=d_lm, d_syd=d_syd, state=new_state)

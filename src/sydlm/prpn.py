@@ -148,7 +148,6 @@ class PrpnLM(LanguageModel):
             self.w_lm1 = param("enc.W_lm1", (h, fh), scale)
             self.b_lm1 = param("enc.b_lm1", (fh,), None)
             self.w_lm2 = param("enc.W_lm2", (fh, 1), 1.0 / math.sqrt(fh))
-            self.b_lm2 = param("enc.b_lm2", (1,), None)
 
         scale = 1.0 / math.sqrt(rh)
         self.w_q = param("read.W_q", (e_dim, rh), scale)
@@ -164,7 +163,6 @@ class PrpnLM(LanguageModel):
             self.w_syd1 = param("enc.W_syd1", (h, fh), 1.0 / math.sqrt(h))
             self.b_syd1 = param("enc.b_syd1", (fh,), None)
             self.w_syd2 = param("enc.W_syd2", (fh, 1), 1.0 / math.sqrt(fh))
-            self.b_syd2 = param("enc.b_syd2", (1,), None)
 
     # perfbench/tracer.py patches zero_grad and forward per class
     zero_grad = LanguageModel.zero_grad
@@ -186,7 +184,7 @@ class PrpnLM(LanguageModel):
         when configured).  Returns (d_lm, d_syd, new_state)."""
         cfg = self.config
         x_all = ad.as_tensor(x_all)
-        t_len, batch, _ = x_all.shape
+        batch = x_all.shape[1]
         h = cfg.hidden_size
         if state is None:
             state = self.init_state(batch)
@@ -197,12 +195,10 @@ class PrpnLM(LanguageModel):
         g_seq = ad.relu(ad.causal_conv1d(ad.concat([pad, h_seq], axis=0),
                                          self.w_conv, self.b_conv, window))
         hhat, dist_state = lstm_sequence(g_seq, dist_state, self.w_lstm_d, self.b_lstm_d, h)
-        d_lm = ad.reshape(feed_forward(hhat, self.w_lm1, self.b_lm1, self.w_lm2, self.b_lm2),
-                          (t_len, batch))
+        d_lm = feed_forward(hhat, self.w_lm1, self.b_lm1, self.w_lm2)
         d_syd = None
         if cfg.model == "prpn-syd" and cfg.supervision_mode == "split-head":
-            d_syd = ad.reshape(feed_forward(hhat, self.w_syd1, self.b_syd1, self.w_syd2, self.b_syd2),
-                               (t_len, batch))
+            d_syd = feed_forward(hhat, self.w_syd1, self.b_syd1, self.w_syd2)
         return d_lm, d_syd, (word_state, dist_state)
 
     # -- forward ----------------------------------------------------------------

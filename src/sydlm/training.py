@@ -112,7 +112,8 @@ def validation_pass(model, corpus: Corpus, batch_size: int, bptt_length: int,
     """(perplexity, gold-pair ranking accuracy in percent) from one forward
     per batch of bptt_batches, dropout off.  Inputs, targets and weights do
     not depend on tree_source; the accuracy is None unless tree_source is
-    "gold" and the model's supervised stream meets a strict gold pair."""
+    "gold" and the model's supervised stream meets a strict gold pair.
+    Raises NumericError when the perplexity is not finite."""
     nll, weight = 0.0, 0.0
     agree, strict = 0, 0
     state = None
@@ -132,7 +133,10 @@ def validation_pass(model, corpus: Corpus, batch_size: int, bptt_length: int,
             strict += s
     if weight == 0:
         raise ValueError("perplexity: corpus has no targets")
-    return float(np.exp(nll / weight)), (100.0 * agree / strict if strict else None)
+    ppl = float(np.exp(nll / weight))
+    if not np.isfinite(ppl):
+        raise ad.NumericError("non-finite perplexity (%s)" % ppl)
+    return ppl, (100.0 * agree / strict if strict else None)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +211,6 @@ def _concat_batches(corpus, batch_size, bptt_length, tree_source, seed):
     cols = stream[: seg * batch_size].reshape(batch_size, seg).T  # (seg, B)
     d_stream, sent_stream = _gold_slot_streams(corpus, tree_source, seed)
     col_base = np.arange(batch_size) * seg
-    first = True
     for start in range(0, seg - 1, bptt_length):
         t_len = min(bptt_length, seg - 1 - start)
         inputs = cols[start : start + t_len]
@@ -220,9 +223,8 @@ def _concat_batches(corpus, batch_size, bptt_length, tree_source, seed):
             target_weight=np.ones_like(inputs, dtype=np.float64),
             gold_d=d_stream[slot],
             sent_id=sent_stream[slot],
-            carry_state=not first,
+            carry_state=start > 0,
         )
-        first = False
 
 
 def sentence_batches(corpus: Corpus, batch_size: int):

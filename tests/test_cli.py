@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sydlm import autodiff as ad
+from sydlm import build_model
 from sydlm.cli import main
 from sydlm.config import ModelConfig, TrainConfig
 from sydlm.corpus import Corpus
@@ -315,6 +316,28 @@ class TestExitCodes:
             "numeric failure: non-finite hidden state at step 0, layer 2\n")
         assert not metrics.exists()
 
+    @pytest.mark.parametrize("fields,name,err", [
+        ({}, "b_out", "non-finite perplexity (nan)"),
+        ({}, "W_s", "non-finite syd distances in sentence 0"),
+        ({"model": "prpn-syd"}, "enc.W_syd2", "non-finite syd distances in sentence 0"),
+    ], ids=["decoder", "onlstm-split-head", "prpn-syd-head"])
+    def test_nan_weight_past_the_hidden_state_is_numeric_failure(self, tmp_path, treebank_file,
+                                                                 capsys, fields, name, err):
+        # the forward's hidden-state check cannot see these weights: the
+        # perplexity and the distance streams must be checked themselves
+        corpus = tmp_path / "corpus.json"
+        main(["preprocess", str(treebank_file), "--out", str(corpus)])
+        model, cfg = _small_model(corpus, **fields)
+        model.params[name].data[0] = np.nan
+        ckpt = tmp_path / "nan.bin"
+        ad.save_checkpoint(str(ckpt), model.params, header={"config": cfg.to_dict()})
+        capsys.readouterr()
+        metrics = tmp_path / "metrics.json"
+        assert main(["eval", "--checkpoint", str(ckpt), "--corpus", str(corpus),
+                     "--out", str(metrics)]) == 3
+        assert capsys.readouterr().err == "numeric failure: %s\n" % err
+        assert not metrics.exists()
+
     def test_vocab_mismatch_is_data_error(self, tmp_path, treebank_file, capsys):
         corpus = tmp_path / "corpus.json"
         main(["preprocess", str(treebank_file), "--out", str(corpus)])
@@ -327,6 +350,14 @@ class TestExitCodes:
         assert main(["eval", "--checkpoint", str(run / "checkpoint.bin"),
                      "--corpus", str(other)]) == 2
         capsys.readouterr()
+
+
+def _small_model(corpus_path, **model_kw):
+    """A seeded one-layer model sized to the corpus vocabulary, and its config."""
+    cfg = TrainConfig(model=ModelConfig(vocab_size=len(Corpus.load(str(corpus_path)).vocab),
+                                        n_layers=1, embedding_size=8, hidden_size=8,
+                                        supervision_layer=1, **model_kw))
+    return build_model(cfg.model, seed=0), cfg
 
 
 def _zero_checkpoint(tmp_path, corpus_path, **model_kw):
@@ -442,6 +473,28 @@ class TestEvalOptions:
         assert not metrics.exists() and not csv_path.exists()
 
 
+class TestOldCheckpoints:
+    @pytest.mark.parametrize("fields,dropped", [
+        ({"model": "prpn-syd"}, ["enc.b_lm2", "enc.b_syd2"]),
+        ({"supervision_mode": "vanilla-multitask"}, ["b_v2"]),
+    ], ids=["prpn-syd", "vanilla-multitask"])
+    def test_deleted_head_biases_are_ignored(self, tmp_path, treebank_file, fields, dropped):
+        # checkpoints written before the distance heads lost their output
+        # biases still hold them; eval reads only the model's own names
+        corpus = tmp_path / "corpus.json"
+        main(["preprocess", str(treebank_file), "--out", str(corpus)])
+        model, cfg = _small_model(corpus, **fields)
+        params = {name: p.data for name, p in model.params.items()}
+        results = []
+        for extra in ({}, {name: np.array([0.5]) for name in dropped}):
+            ckpt, metrics = tmp_path / "ckpt.bin", tmp_path / "metrics.json"
+            ad.save_checkpoint(str(ckpt), dict(params, **extra), header={"config": cfg.to_dict()})
+            assert main(["eval", "--checkpoint", str(ckpt), "--corpus", str(corpus),
+                         "--out", str(metrics)]) == 0
+            results.append({k: v for k, v in json.loads(metrics.read_text()).items() if k != "manifest"})
+        assert results[0] == results[1]
+
+
 class TestMalformedInputs:
     @pytest.fixture
     def zero_eval(self, tmp_path):
@@ -463,6 +516,13 @@ class TestMalformedInputs:
         cut.write_bytes(ckpt.read_bytes()[:-12])
         self._data_error(["eval", "--checkpoint", str(cut), "--corpus", str(corpus_path)],
                          capsys, "truncated")
+
+    def test_trailing_bytes_after_the_last_parameter(self, tmp_path, zero_eval, capsys):
+        corpus_path, ckpt = zero_eval
+        padded = tmp_path / "padded.bin"
+        padded.write_bytes(ckpt.read_bytes() + b"\0")
+        self._data_error(["eval", "--checkpoint", str(padded), "--corpus", str(corpus_path)],
+                         capsys, "%s: trailing bytes" % padded)
 
     def test_directory_as_checkpoint(self, tmp_path, zero_eval, capsys):
         corpus_path, _ = zero_eval

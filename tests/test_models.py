@@ -1,13 +1,16 @@
 """The shared model shell: parameter names and their creation order are the
 checkpoint layout, so they are frozen here for every model kind,
-supervision mode and decoder tying; the decoder reads a (T, B, H) window."""
+supervision mode and decoder tying; the decoder reads a (T, B, H) window,
+and the distance head maps rows to one scalar each."""
 
 import numpy as np
 import pytest
 
+from sydlm import autodiff as ad
 from sydlm import build_model
-from sydlm.autodiff import Tensor
+from sydlm.autodiff import Tensor, grad_check
 from sydlm.config import ModelConfig, TrainConfig
+from sydlm.models import feed_forward
 
 ONLSTM_LAYERS = ["layer%d.%s" % (layer, name) for layer in (0, 1)
                  for name in ("W_f", "b_f", "W_i", "b_i", "W_o", "b_o",
@@ -15,14 +18,14 @@ ONLSTM_LAYERS = ["layer%d.%s" % (layer, name) for layer in (0, 1)
 ONLSTM_HEADS = {
     "split-head": ["W_s", "b_s"],
     "one-set-of-trees": [],
-    "vanilla-multitask": ["W_v1", "b_v1", "W_v2", "b_v2"],
+    "vanilla-multitask": ["W_v1", "b_v1", "W_v2"],
     "none": [],
 }
 PRPN_CONV = ["pad_emb", "W_c", "b_c", "W_d", "b_d"]
 PRPN_ENCODER = ["enc.W_word", "enc.b_word", "enc.W_conv", "enc.b_conv", "enc.W_dist",
-                "enc.b_dist", "enc.W_lm1", "enc.b_lm1", "enc.W_lm2", "enc.b_lm2"]
+                "enc.b_dist", "enc.W_lm1", "enc.b_lm1", "enc.W_lm2"]
 PRPN_READ = ["read.W_q", "read.b_q", "read.W_r", "read.b_r"]
-PRPN_SYD_HEAD = ["enc.W_syd1", "enc.b_syd1", "enc.W_syd2", "enc.b_syd2"]
+PRPN_SYD_HEAD = ["enc.W_syd1", "enc.b_syd1", "enc.W_syd2"]
 
 CASES = (
     [("onlstm-syd", mode, ONLSTM_LAYERS, ONLSTM_HEADS[mode]) for mode in ONLSTM_HEADS]
@@ -67,3 +70,22 @@ def test_decode_locks_one_output_mask_over_the_window(tied):
     ref = np.concatenate([(tops[t] * mask) @ proj + model.b_out.data for t in range(t_len)])
     assert logits.shape == (t_len * batch, 9)
     np.testing.assert_allclose(logits.data, ref, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("lead", [(5,), (4, 3)], ids=["rows", "window"])
+def test_feed_forward_head_is_bias_free_with_exact_gradients(lead):
+    rng = np.random.default_rng(2)
+    x = Tensor(rng.normal(size=lead + (6,)))
+    w1 = Tensor(rng.uniform(-0.5, 0.5, size=(6, 4)))
+    b1 = Tensor(rng.uniform(-0.1, 0.1, size=4))
+    w2 = Tensor(rng.uniform(-0.5, 0.5, size=(4, 1)))
+    mix = Tensor(rng.normal(size=lead))
+    d = feed_forward(x, w1, b1, w2)
+    assert d.shape == lead
+    np.testing.assert_array_equal(d.data, (np.maximum(x.data @ w1.data + b1.data, 0) @ w2.data)[..., 0])
+    for name, tensor in (("x", x), ("w2", w2)):
+        def loss(t, _n=name):
+            args = {"x": x, "w2": w2}
+            args[_n] = t
+            return ad.tsum(feed_forward(args["x"], w1, b1, args["w2"]) * mix)
+        assert grad_check(loss, tensor) < 1e-4, name

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sydlm import autodiff as ad
+from sydlm import build_model
 from sydlm.autodiff import Tape, Tensor, backward
 from sydlm.config import ConfigError, ModelConfig, TrainConfig
 from sydlm.corpus import PreprocessRules, Vocab, preprocess_corpus
@@ -445,3 +446,43 @@ class TestOptimizedTreeEquality:
             words = ["w%d" % k for k in range(n + 1)]
             assert (distances_to_tree_unbiased(d_w.data, words).shape()
                     == distances_to_tree_unbiased(gold, words).shape())
+
+
+# the seven configurations of tools/trajectory_digest.py
+DIGEST_ONLSTM = dict(model="onlstm-syd", n_layers=3, chunk_factor=2, supervision_layer=2)
+DIGEST_CONFIGS = {
+    **{"onlstm-syd/" + mode: dict(DIGEST_ONLSTM, supervision_mode=mode)
+       for mode in ("none", "split-head", "one-set-of-trees", "vanilla-multitask")},
+    "onlstm-syd/split-head/untied": dict(DIGEST_ONLSTM, supervision_mode="split-head",
+                                         tie_embeddings=False),
+    "prpn-syd/split-head": dict(model="prpn-syd", supervision_mode="split-head"),
+    "prpn": dict(model="prpn", supervision_mode="none"),
+}
+
+
+class TestEveryParameterTrains:
+    @pytest.mark.parametrize("fields", DIGEST_CONFIGS.values(), ids=DIGEST_CONFIGS.keys())
+    def test_one_step_moves_every_parameter(self, tiny_corpus, fields):
+        # a parameter whose gradient is zero in exact arithmetic, such as a
+        # bias added to a whole distance stream that is read only through
+        # differences, gets rounding noise many orders below the rest
+        model_cfg = ModelConfig(vocab_size=len(tiny_corpus.vocab), embedding_size=8, hidden_size=12,
+                                **fields)
+        supervised = model_cfg.supervision_mode != "none"
+        cfg = TrainConfig(model=model_cfg, batch_size=4, bptt_length=10,
+                          tree_source="gold" if supervised else "none")
+        model = build_model(model_cfg, seed=cfg.seed)
+        batch = next(bptt_batches(tiny_corpus, cfg.batch_size, cfg.bptt_length, cfg.tree_source, cfg.seed))
+        assert (batch.sent_id >= 0).any() == supervised
+        with Tape():
+            out = model.forward(batch.inputs, None, rng=np.random.default_rng(cfg.seed), train_cfg=cfg)
+            l_lm = lm_loss(out.logits, batch.targets.reshape(-1), batch.target_weight.reshape(-1))
+            l_syd = None
+            if supervised:
+                l_syd = ranking_loss(out.d_syd, batch.gold_d.reshape(-1), batch.sent_id.reshape(-1))
+            backward(joint_loss(l_lm, l_syd, cfg.alpha))
+        largest = {name: 0.0 if p.grad is None else float(np.abs(p.grad).max())
+                   for name, p in model.params.items()}
+        step_max = max(largest.values())
+        assert step_max > 0
+        assert [name for name, g in largest.items() if not g > 1e-12 * step_max] == []
