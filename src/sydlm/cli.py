@@ -78,16 +78,17 @@ def _manifest(argv: list, seed: int, input_paths: list, config: dict) -> dict:
 
 def _load_rules(path: str | None, mode: str) -> PreprocessRules:
     settings = {"mode": mode}
-    if path is not None:
-        types = {f.name: f.type for f in dataclasses.fields(PreprocessRules)}
-        try:
-            for lineno, key, value in read_settings(Path(path).read_text()):
-                if key not in types:
-                    raise ConfigError("line %d: unknown rule %r" % (lineno, key))
-                settings[key] = value.split() if key == "drop_tags" else _coerce(key, value, types[key])
-        except ValueError as exc:
-            raise ConfigError("%s: %s" % (path, exc)) from None
-    return PreprocessRules(**settings)
+    if path is None:
+        return PreprocessRules(**settings)
+    types = {f.name: f.type for f in dataclasses.fields(PreprocessRules)}
+    try:
+        for lineno, key, value in read_settings(Path(path).read_text()):
+            if key not in types:
+                raise ConfigError("line %d: unknown rule %r" % (lineno, key))
+            settings[key] = value.split() if key == "drop_tags" else _coerce(key, value, types[key])
+        return PreprocessRules(**settings)
+    except ValueError as exc:
+        raise ConfigError("%s: %s" % (path, exc)) from None
 
 
 def cmd_preprocess(args, argv) -> int:

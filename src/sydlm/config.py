@@ -185,12 +185,16 @@ def _coerce(name: str, text: str, typ: str) -> object:
         if text.lower() in ("false", "0", "no", "off"):
             return False
         raise ConfigError("%s expects a boolean, got %r" % (name, text))
-    if typ == "int":
-        return int(text)
-    if typ == "float":
-        return float(text)
     if typ == "Optional[int]":
-        return None if text.lower() in ("none", "") else int(text)
+        if text.lower() in ("none", ""):
+            return None
+        typ = "int"
+    if typ in ("int", "float"):
+        try:
+            return int(text) if typ == "int" else float(text)
+        except ValueError:
+            kind = "an integer" if typ == "int" else "a number"
+            raise ConfigError("%s expects %s, got %r" % (name, kind, text)) from None
     return text
 
 

@@ -79,6 +79,13 @@ class PreprocessRules:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError("mode must be one of %s, got %r" % (MODES, self.mode))
+        if self.vocab_max_size < 2:
+            raise ConfigError("vocab_max_size must be >= 2 (<unk> and <eos>), got %d" % self.vocab_max_size)
+        try:
+            re.compile(self.number_pattern)
+        except re.error as exc:
+            raise ConfigError("number_pattern %r is not a regular expression: %s"
+                              % (self.number_pattern, exc)) from None
         self.drop_tags = frozenset(self.drop_tags)
 
     def clean_token(self, token: str) -> str:

@@ -27,9 +27,6 @@ from .autodiff import Tensor
 from .config import ModelConfig, TrainConfig
 from .models import ForwardOut, LanguageModel, feed_forward, locked_mask, lstm_gates, window
 
-GATE_NAMES = ("W_f", "W_i", "W_o", "W_c", "W_mf", "W_mi")
-BIAS_NAMES = ("b_f", "b_i", "b_o", "b_c", "b_mf", "b_mi")
-
 
 @dataclass
 class StepOutput:
@@ -161,17 +158,17 @@ class OnLstmLM(LanguageModel):
     def __init__(self, config: ModelConfig, seed: int):
         super().__init__(config, seed)
         cfg = config
-        self.layers = []  # per layer: (gate matrices, biases), both in GATE_NAMES order
+        self.layers = []  # per layer: the fused gate matrix and bias `onlstm_step` takes
         for layer in range(cfg.n_layers):
             i_dim, hidden = cfg.layer_input(layer), cfg.layer_hidden(layer)
             d_m = hidden // cfg.chunk_factor
             scale = 1.0 / np.sqrt(hidden)
-            widths = (hidden, hidden, hidden, hidden, d_m, d_m)
-            weights, biases = [], []
-            for gname, bname, width in zip(GATE_NAMES, BIAS_NAMES, widths):
-                weights.append(self.param("layer%d.%s" % (layer, gname), (i_dim + hidden, width), scale))
-                biases.append(self.param("layer%d.%s" % (layer, bname), (width,), None))
-            self.layers.append((weights, biases))
+            n_in, widths = i_dim + hidden, (hidden, hidden, hidden, hidden, d_m, d_m)  # f, i, o, c, mf, mi
+            weight = self.param("layer%d.W" % layer, (n_in, sum(widths)), None)
+            # one uniform draw per gate in column order: the values six per-gate matrices drew
+            for end, width in zip(np.cumsum(widths), widths):
+                weight.data[:, end - width : end] = self._init_rng.uniform(-scale, scale, (n_in, width))
+            self.layers.append((weight, self.param("layer%d.b" % layer, (sum(widths),), None)))
         self.init_decoder(cfg.layer_hidden(cfg.n_layers - 1))
 
         # supervision head parameters come last so the language-model
@@ -227,13 +224,11 @@ class OnLstmLM(LanguageModel):
         mid_masks = [locked_mask(rng, train_cfg, "dropout_layers", (batch, cfg.layer_hidden(l)))
                      for l in range(cfg.n_layers - 1)]
 
-        fused = [(ad.concat(weights, axis=1), ad.concat(biases, axis=0)) for weights, biases in self.layers]
-
         x, d_lm, new_state = x_all, [], []
         sup = cfg.supervision_layer - 1
         split_head = cfg.supervision_mode == "split-head"
         rows = lambda w: ad.reshape(w, (t_len * batch, w.shape[-1]))  # a window's time-major rows
-        for layer, ((weight, bias), rec_mask, mid_mask) in enumerate(zip(fused, rec_masks, mid_masks + [None])):
+        for layer, ((weight, bias), rec_mask, mid_mask) in enumerate(zip(self.layers, rec_masks, mid_masks + [None])):
             hidden, (h0, c0) = cfg.layer_hidden(layer), state[layer]
             if ad.active_tape() is not None:
                 h, c_all, f, pre = _step_loop(x, Tensor(h0), Tensor(c0), weight, bias, hidden,

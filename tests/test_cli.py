@@ -83,6 +83,15 @@ class TestPreprocessCommand:
         assert str(rules) in err and "flase" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("rule", ["number_pattern = [0-9", "vocab_max_size = -5", "vocab_max_size = 1"])
+    def test_invalid_rule_is_data_error_naming_it(self, tmp_path, treebank_file, capsys, rule):
+        rules, out = tmp_path / "rules.txt", tmp_path / "c.json"
+        rules.write_text(rule + "\n")
+        assert main(["preprocess", str(treebank_file), "--out", str(out), "--rules", str(rules)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: %s: %s " % (rules, rule.split()[0])) and err.count("\n") == 1
+        assert not out.exists()
+
     def test_vocab_reuse_across_splits(self, tmp_path, treebank_file):
         train_c = tmp_path / "train.json"
         other_c = tmp_path / "other.json"
@@ -258,6 +267,22 @@ class TestExitCodes:
                      "--set", "bogus_key=1"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("setting,expects", [
+        ("n_layers=abc", "an integer, got 'abc'"), ("lr=fast", "a number, got 'fast'"),
+    ], ids=["int", "float"])
+    @pytest.mark.parametrize("where", ["--set", "--config"])
+    def test_unparsable_number_names_its_key(self, tmp_path, treebank_file, capsys, setting, expects, where):
+        corpus = tmp_path / "corpus.json"
+        main(["preprocess", str(treebank_file), "--out", str(corpus)])
+        config = tmp_path / "train.cfg"
+        config.write_text(setting.replace("=", " = ") + "\n")
+        capsys.readouterr()
+        run = tmp_path / "run"
+        assert main(["train", "--corpus", str(corpus), "--out", str(run)] + TRAIN_OVERRIDES
+                    + [where, setting if where == "--set" else str(config)]) == 2
+        assert capsys.readouterr().err == "data error: %s expects %s\n" % (setting.split("=")[0], expects)
+        assert not (run / "checkpoint.bin").exists()
+
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_numeric_failure_exit_code(self, tmp_path, treebank_file, capsys):
         corpus = tmp_path / "corpus.json"
@@ -305,7 +330,7 @@ class TestExitCodes:
                                             n_layers=2, embedding_size=16, hidden_size=24,
                                             supervision_layer=2))
         model = OnLstmLM(cfg.model, seed=0)
-        model.params["layer1.W_f"].data[0, 0] = np.nan
+        model.params["layer1.W"].data[0, 0] = np.nan
         ckpt = tmp_path / "nan.bin"
         ad.save_checkpoint(str(ckpt), model.params, header={"config": cfg.to_dict()})
         capsys.readouterr()
@@ -493,6 +518,27 @@ class TestOldCheckpoints:
                          "--out", str(metrics)]) == 0
             results.append({k: v for k, v in json.loads(metrics.read_text()).items() if k != "manifest"})
         assert results[0] == results[1]
+
+
+    def test_per_gate_onlstm_layout_is_rejected(self, tmp_path, treebank_file, capsys):
+        # ON-LSTM checkpoints from before the fused gate matrix hold six
+        # weights and six biases per layer, and none of the fused names
+        corpus = tmp_path / "corpus.json"
+        main(["preprocess", str(treebank_file), "--out", str(corpus)])
+        model, cfg = _small_model(corpus)
+        params = {name: p.data for name, p in model.params.items() if not name.startswith("layer0.")}
+        widths = [8, 8, 8, 8, 8, 8]
+        for gate, block, bias in zip(("f", "i", "o", "c", "mf", "mi"),
+                                     np.split(model.params["layer0.W"].data, np.cumsum(widths)[:-1], axis=1),
+                                     np.split(model.params["layer0.b"].data, np.cumsum(widths)[:-1])):
+            params["layer0.W_" + gate], params["layer0.b_" + gate] = block, bias
+        ckpt = tmp_path / "ckpt.bin"
+        ad.save_checkpoint(str(ckpt), params, header={"config": cfg.to_dict()})
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(ckpt), "--corpus", str(corpus),
+                     "--out", str(tmp_path / "metrics.json")]) == 2
+        assert capsys.readouterr().err == "data error: checkpoint is missing parameter 'layer0.W'\n"
+        assert not (tmp_path / "metrics.json").exists()
 
 
 class TestMalformedInputs:

@@ -12,9 +12,7 @@ from sydlm.autodiff import Tensor, grad_check
 from sydlm.config import ModelConfig, TrainConfig
 from sydlm.models import feed_forward
 
-ONLSTM_LAYERS = ["layer%d.%s" % (layer, name) for layer in (0, 1)
-                 for name in ("W_f", "b_f", "W_i", "b_i", "W_o", "b_o",
-                              "W_c", "b_c", "W_mf", "b_mf", "W_mi", "b_mi")]
+ONLSTM_LAYERS = ["layer0.W", "layer0.b", "layer1.W", "layer1.b"]
 ONLSTM_HEADS = {
     "split-head": ["W_s", "b_s"],
     "one-set-of-trees": [],
@@ -46,7 +44,7 @@ def test_parameter_names_in_creation_order(kind, mode, body, head, tied):
     decoder = ["b_out"] if tied else ["W_out", "b_out"]
     assert list(model.params) == ["embedding"] + body + decoder + head
     for name, p in model.params.items():
-        is_bias = name.split(".")[-1].startswith("b_")
+        is_bias = name.split(".")[-1].split("_")[0] == "b"  # b_out, b_s, layer0.b, ...
         assert (not p.data.any()) == is_bias, name  # biases start at zero, weights do not
         assert p.requires_grad and p.name == name
 

@@ -310,10 +310,38 @@ class TestUntapedForward:
     @pytest.mark.parametrize("taped", [False, True])
     def test_non_finite_state_names_first_step_and_layer(self, taped):
         model = OnLstmLM(small_config(n_layers=3, supervision_layer=3), seed=2)
-        model.params["layer1.W_f"].data[0, 0] = np.nan
+        model.params["layer1.W"].data[0, 0] = np.nan
         with Tape() if taped else contextlib.nullcontext():
             with pytest.raises(ad.NumericError, match="^non-finite hidden state at step 0, layer 2$"):
                 model.forward(np.array([[1, 2], [3, 4]]))
+
+
+class TestFusedGateParameters:
+    @pytest.mark.parametrize("chunk", [1, 2])
+    def test_gate_matrix_holds_the_six_gate_draws(self, chunk):
+        # replay the init generator: the embedding, then per layer one draw
+        # per gate (f, i, o, c, mf, mi), then the split head
+        cfg = small_config(n_layers=3, embedding_size=4, hidden_size=6, supervision_layer=3, chunk_factor=chunk)
+        model = OnLstmLM(cfg, seed=5)
+        rng = np.random.default_rng(5)
+        rng.uniform(-0.1, 0.1, size=(cfg.vocab_size, cfg.embedding_size))
+        for layer in range(cfg.n_layers):
+            hidden = cfg.layer_hidden(layer)
+            n_in, scale, d_m = cfg.layer_input(layer) + hidden, 1.0 / np.sqrt(hidden), hidden // chunk
+            blocks = [rng.uniform(-scale, scale, size=(n_in, width)) for width in (hidden,) * 4 + (d_m,) * 2]
+            assert model.params["layer%d.W" % layer].data.tobytes() == np.concatenate(blocks, axis=1).tobytes()
+            assert model.params["layer%d.b" % layer].data.tobytes() == bytes(8 * (4 * hidden + 2 * d_m))
+        scale = 1.0 / np.sqrt(4 // chunk)
+        assert np.array_equal(model.params["W_s"].data, rng.uniform(-scale, scale, size=(4 // chunk, 4 // chunk)))
+
+    def test_taped_forward_copies_no_gate_matrix(self):
+        # the step multiplies by the stored matrix: no node rebuilds it
+        model = OnLstmLM(small_config(), seed=3)
+        shapes = {model.params["layer%d.W" % layer].shape for layer in range(2)}
+        with Tape() as tape:
+            model.forward(np.ones((4, 3), dtype=np.int64))
+        assert len(tape) > 0
+        assert not [n for n in tape.nodes if n.out.shape in shapes]
 
 
 class TestToyOverfit:
