@@ -4,8 +4,9 @@ Ops executed inside a ``with Tape():`` block are recorded in creation order
 (a Wengert list); ``backward`` sweeps the list once in reverse, summing
 adjoints into every parameter reached.  Outside a tape, ops just compute
 values, which is the evaluation path.  The primitive set is closed: exactly
-the operations the models in this package need, each with an exact analytic
-adjoint, plus a finite-difference checking harness.
+the operations the models in this package need, with exact analytic
+adjoints (the gathers ``take`` and ``embedding`` share ``getitem``'s), plus
+a finite-difference checking harness.
 
 The sweep owns its adjoint buffers and writes into no other array.  A
 tensor's first adjoint is kept as its consumer's ``bwd`` returned it, with
@@ -13,11 +14,12 @@ no copy: a ``bwd`` may hand one array, or views of it, to several parents
 (``add``, ``reshape``, ``_unbroadcast``), so that array is never written.
 The second adjoint is summed into a new array, which the sweep owns, and
 later ones are added to it in place.  ``getitem``'s ``bwd`` returns its
-``(key, dy)`` pair instead of a parent-sized array; the sweep adds ``dy``
-into the parent's owned buffer at ``key`` (``np.add.at`` when the key holds
-an index array, whose positions may repeat), so a slice's adjoint costs the
-size of the slice.  Once a node's output adjoint is handed to its ``bwd``,
-the sweep writes to it no more.
+``(key, dy)`` pair instead of a parent-sized array: a basic key's ``dy`` is
+added into the parent's owned buffer at ``key``, so a slice's adjoint costs
+the size of the slice; an index array's, whose positions may repeat, is
+scattered whole into a new zero array (``np.add.at``) and summed as a dense
+adjoint.  Once a node's output adjoint is handed to its ``bwd``, the sweep
+writes to it no more.
 
 Tape graphs are acyclic: the tape holds its nodes, a node holds its output
 and parents, and no tensor points back to a node, so reference counting
@@ -32,6 +34,8 @@ a tape are collected after the tape closes.
 from __future__ import annotations
 
 import gc
+import math
+import os
 import struct
 from typing import Callable, Optional, Sequence
 
@@ -188,16 +192,17 @@ def backward(loss: Tensor) -> None:
                 continue
             acc = get(parent)
             if type(dp) is tuple:
-                if parent not in owned:
-                    acc = np.zeros_like(parent.data) if acc is None else np.array(acc)
-                    grads[parent] = acc
-                    owned.add(parent)
                 key, d = dp
                 if _basic(key):
+                    if parent not in owned:
+                        acc = np.zeros_like(parent.data) if acc is None else np.array(acc)
+                        grads[parent] = acc
+                        owned.add(parent)
                     acc[key] += d
-                else:  # an index array may repeat a position
-                    np.add.at(acc, key, d)
-            elif acc is None:
+                    continue
+                dp = np.zeros_like(parent.data)  # an index array: scatter, then sum densely
+                np.add.at(dp, key, d)
+            if acc is None:
                 grads[parent] = dp
             elif parent in owned:
                 acc += dp
@@ -264,8 +269,8 @@ def sub(a, b) -> Tensor:
 
 
 def neg(a) -> Tensor:
-    a = as_tensor(a)
-    return _apply(-a.data, (a,), lambda dy: (-dy,))
+    """-a, as a * -1.0: the same bits, and mul's adjoint."""
+    return mul(a, -1.0)
 
 
 def mul(a, b) -> Tensor:
@@ -392,20 +397,12 @@ def repeat_last(a, k: int) -> Tensor:
 
 
 def take(a, indices) -> Tensor:
-    """Gather rows of a along axis 0."""
+    """Gather rows of a along axis 0: an index-array getitem."""
     a = as_tensor(a)
     idx = np.asarray(indices, dtype=np.int64)
-    ad = a.data
-    if idx.size and (idx.min() < 0 or idx.max() >= ad.shape[0]):
-        raise ShapeError("take: index out of range for axis of length %d" % ad.shape[0])
-    out = ad[idx]
-
-    def bwd(dy):
-        grad = np.zeros_like(ad)
-        np.add.at(grad, idx, dy)
-        return (grad,)
-
-    return _apply(out, (a,), bwd)
+    if idx.size and (idx.min() < 0 or idx.max() >= a.data.shape[0]):
+        raise ShapeError("take: index out of range for axis of length %d" % a.data.shape[0])
+    return getitem(a, idx)
 
 
 def sigmoid(a) -> Tensor:
@@ -478,33 +475,20 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
+    """np.mean is a sum and then a true divide by the count."""
     a = as_tensor(a)
-    ad = a.data
-    out = ad.mean(axis=axis, keepdims=keepdims)
-    count = ad.size if axis is None else ad.shape[axis]
-
-    def bwd(dy):
-        d = dy if axis is None or keepdims else np.expand_dims(dy, axis)
-        return (np.broadcast_to(d / count, ad.shape).copy(),)
-
-    return _apply(out, (a,), bwd)
+    count = a.data.size if axis is None else a.data.shape[axis]
+    return div(tsum(a, axis, keepdims), count)
 
 
 def embedding(weight, ids) -> Tensor:
-    """Look up rows of weight (V, E) by an integer id array."""
+    """Look up rows of weight (V, E) by an integer id array (a getitem)."""
     weight = as_tensor(weight)
     idx = np.asarray(ids, dtype=np.int64)
     v = weight.data.shape[0]
     if idx.size and (idx.min() < 0 or idx.max() >= v):
         raise ShapeError("embedding: id out of range [0, %d)" % v)
-    out = weight.data[idx]
-
-    def bwd(dy):
-        grad = np.zeros_like(weight.data)
-        np.add.at(grad, idx.reshape(-1), dy.reshape(-1, weight.data.shape[1]))
-        return (grad,)
-
-    return _apply(out, (weight,), bwd)
+    return getitem(weight, idx)
 
 
 def dropout(a, p: float, rng: np.random.Generator) -> Tensor:
@@ -514,8 +498,7 @@ def dropout(a, p: float, rng: np.random.Generator) -> Tensor:
         raise ValueError("dropout: p must be in [0, 1), got %r" % p)
     if p == 0.0:
         return a
-    mask = (rng.random(a.data.shape) >= p) / (1.0 - p)
-    return _apply(a.data * mask, (a,), lambda dy: (dy * mask,))
+    return mul(a, (rng.random(a.data.shape) >= p) / (1.0 - p))
 
 
 def causal_conv1d(x, weight, bias, window: int) -> Tensor:
@@ -648,6 +631,8 @@ def load_checkpoint(path: str):
     import json
 
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+
         def read(n: int) -> bytes:
             data = fh.read(n)
             if len(data) != n:
@@ -658,7 +643,10 @@ def load_checkpoint(path: str):
         if magic != CHECKPOINT_MAGIC:
             raise ValueError("%s is not a checkpoint (bad magic)" % path)
         (hlen,) = struct.unpack("<I", read(4))
-        header = json.loads(read(hlen).decode("utf-8"))
+        try:
+            header = json.loads(read(hlen).decode("utf-8"))
+        except RecursionError:  # the decoder recurses once per nesting level
+            raise ValueError("%s: checkpoint header is nested too deeply" % path) from None
         (count,) = struct.unpack("<I", read(4))
         params = {}
         for _ in range(count):
@@ -666,8 +654,11 @@ def load_checkpoint(path: str):
             name = read(nlen).decode("utf-8")
             (ndim,) = struct.unpack("<B", read(1))
             shape = tuple(struct.unpack("<I", read(4))[0] for _ in range(ndim))
-            n = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(read(8 * n), dtype="<f8").reshape(shape).astype(np.float64)
+            nbytes = 8 * math.prod(shape)  # a Python int: no overflow
+            if nbytes > size - fh.tell():
+                raise ValueError("%s: checkpoint truncated: parameter %r of shape %s needs %d bytes, "
+                                 "%d remain" % (path, name, shape, nbytes, size - fh.tell()))
+            data = np.frombuffer(read(nbytes), dtype="<f8").reshape(shape).astype(np.float64)
             params[name] = data
         if fh.read(1):
             raise ValueError("%s: trailing bytes after the last parameter record" % path)

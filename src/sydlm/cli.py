@@ -183,7 +183,10 @@ def _load_model(checkpoint: str):
 
 def cmd_eval(args, argv) -> int:
     model, cfg, header = _load_model(args.checkpoint)
-    resolve_layer(cfg.model, args.layer)  # a bad --layer fails before any work
+    resolve_layer(cfg.model, args.layer)  # a bad --layer or --trees fails before any work
+    if args.trees == "syd" and cfg.model.supervision_mode == "none":
+        raise ConfigError("--trees syd: the model has no supervised distance stream "
+                          "(supervision_mode none); use --trees lm")
     corpus = Corpus.load(args.corpus)
     if cfg.model.vocab_size != len(corpus.vocab):
         raise ConfigError("vocab mismatch: model %d vs corpus %d"

@@ -58,8 +58,8 @@ class ModelConfig:
                     raise ConfigError("hidden size %d of layer %d not divisible by chunk_factor %d"
                                       % (hidden, layer + 1, self.chunk_factor))
         if self.model in ("prpn", "prpn-syd"):
-            if not self.prpn_temperature > 0:  # NaN too
-                raise ConfigError("prpn_temperature must be positive, got %r" % self.prpn_temperature)
+            if not 0 < self.prpn_temperature < math.inf:  # NaN too
+                raise ConfigError("prpn_temperature must be positive and finite, got %r" % self.prpn_temperature)
             if self.model == "prpn" and self.supervision_mode not in ("none",):
                 raise ConfigError("model 'prpn' has no supervised distance stream; use prpn-syd")
             if self.model == "prpn-syd" and self.supervision_mode not in ("split-head", "none"):
@@ -110,8 +110,8 @@ class TrainConfig:
 
     def validate(self) -> None:
         self.model.validate()
-        if not self.alpha >= 0:  # NaN too
-            raise ConfigError("alpha must be >= 0, got %r" % self.alpha)
+        if not 0 <= self.alpha < math.inf:  # NaN too
+            raise ConfigError("alpha must be >= 0 and finite, got %r" % self.alpha)
         if self.tree_source not in TREE_SOURCES:
             raise ConfigError("tree_source must be one of %s" % (TREE_SOURCES,))
         if self.pair_mode not in PAIR_MODES:
@@ -122,8 +122,8 @@ class TrainConfig:
             raise ConfigError("bptt_length must be >= 2")
         if self.batch_size < 1 or self.epochs < 1:
             raise ConfigError("batch_size and epochs must be positive")
-        if not self.lr > 0:
-            raise ConfigError("lr must be positive, got %r" % self.lr)
+        if not 0 < self.lr < math.inf:  # NaN too
+            raise ConfigError("lr must be positive and finite, got %r" % self.lr)
         if not 0 < self.lr_decay <= 1:
             raise ConfigError("lr_decay must be in (0, 1], got %r" % self.lr_decay)
         if self.lr_patience < 0:

@@ -219,7 +219,7 @@ class Corpus:
                 mode=payload["mode"],
                 manifest=payload.get("manifest"),
             )
-        except (ValueError, OverflowError) as exc:  # every check names the dump here, once
+        except (ValueError, OverflowError, RecursionError) as exc:  # every check names the dump here, once
             raise ConfigError("%s: %s" % (path, exc)) from None
 
 

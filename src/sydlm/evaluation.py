@@ -41,11 +41,11 @@ def perplexity(model, corpus: Corpus, batch_size: int = 1, bptt_length: int = 70
 
 def resolve_layer(config, layer: Optional[int] = None) -> int:
     """0-based index of the LM distance layer to read.  ON-LSTM emits one
-    distance layer per recurrent layer, PRPN one; the default is the
-    supervision layer (the only one for PRPN)."""
+    distance layer per recurrent layer, PRPN one; the default is ON-LSTM's
+    supervision layer, and PRPN's only layer whatever its supervision_layer."""
     n_layers = config.n_layers if config.model == "onlstm-syd" else 1
     if layer is None:
-        layer = min(config.supervision_layer, n_layers)
+        layer = config.supervision_layer if config.model == "onlstm-syd" else 1
     if not 1 <= layer <= n_layers:
         raise ValueError("layer %d outside the model's distance layers 1..%d" % (layer, n_layers))
     return layer - 1

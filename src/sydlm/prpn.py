@@ -62,10 +62,10 @@ def window_gates(d_all, tau: float) -> Tensor:
     """
     d_all = ad.as_tensor(d_all)
     t_len, batch = d_all.shape
-    d_row = ad.concat([ad.reshape(d_all[t], (batch, 1)) for t in range(t_len)], axis=1)  # (B, T)
     later = np.arange(1, t_len)[None, :] >= np.arange(t_len)[:, None]  # (T, T-1): position k+1 >= t
     d_t = ad.reshape(d_all, (t_len, batch, 1)) + np.where(later, np.inf, 0.0)[:, None, :]
-    d_j = ad.reshape(d_row[:, 1:], (1, batch, t_len - 1))
+    # d_j[0, b, k] = d_all[k+1, b]: the transpose of positions 1..T-1, one gather
+    d_j = d_all[np.arange(1, t_len)[None, None, :], np.arange(batch)[None, :, None]]
     return parsing_gates(relatedness_alpha(d_t, d_j, tau))
 
 

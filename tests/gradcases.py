@@ -101,4 +101,11 @@ def primitive_cases(seed: int):
         # an index array that repeats a position: its adjoints must sum there
         ("slice_repeated", lambda t: ad.tsum(t[:, repeated] * t[:, repeated]),
          Tensor(rng.normal(size=(2, 4)))),
+        # embedding's gather as a getitem: a 2-D id array whose ids repeat
+        ("gather_2d", lambda t: ad.tsum(t[ids] * Tensor(np.arange(24.0).reshape(3, 2, 4))),
+         Tensor(rng.normal(size=(5, 4)))),
+        # window_gates' transpose: two broadcast index arrays, (3, 2) -> (1, 2, 2)
+        ("gather_transpose", lambda t: ad.tsum(t[np.arange(1, 3)[None, None, :], np.arange(2)[None, :, None]]
+                                               * Tensor(np.arange(4.0).reshape(1, 2, 2))),
+         Tensor(rng.normal(size=(3, 2)))),
     ]

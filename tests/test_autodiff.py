@@ -202,6 +202,44 @@ class TestOwnedSweep:
         expected[1:] += w_s.data
         assert np.allclose(a.grad, expected)
 
+    @pytest.mark.parametrize("kind", MODEL_KINDS, ids=lambda k: k["model"])
+    def test_tied_step_without_embedding_dropout_matches_dense_reference(self, kind):
+        # with no row dropout the gather reads the embedding parameter
+        # itself, which the tied decoder also reads
+        from sydlm.config import ModelConfig, TrainConfig
+        from sydlm.models import build_model
+        from sydlm.training import lm_loss, ranking_loss
+
+        cfg = ModelConfig(vocab_size=12, embedding_size=8, tie_embeddings=True, **kind)
+        model = build_model(cfg, seed=2)
+        rng = np.random.default_rng(1)
+        ids = rng.integers(0, 12, size=(7, 2))
+        with Tape() as tape:
+            out = model.forward(ids[:-1], None, rng=rng,
+                                train_cfg=TrainConfig(model=cfg, dropout_embedding=0.0))
+            d_w = out.d_syd if out.d_syd is not None else out.d_lm[0]
+            loss = (lm_loss(out.logits, ids[1:].reshape(-1), np.ones(12))
+                    + ranking_loss(d_w, rng.normal(size=12), np.zeros(12, dtype=np.int64)))
+            assert any(n.parents[0] is model.embedding and n.bwd.__qualname__.startswith("getitem.")
+                       for n in tape.nodes)
+            ref = dense_backward(tape, loss)
+            backward(loss)
+        for name, p in model.params.items():
+            assert np.array_equal(p.grad, ref[p]), name
+
+    def test_index_array_adjoint_is_summed_after_its_scatter(self):
+        # x already holds a dense adjoint of 1.0 when the gather's two 1e-16
+        # terms arrive: scattered first they make 2e-16, which survives the
+        # sum; added one by one into 1.0 each would be lost
+        x = Tensor(np.zeros(3), requires_grad=True)
+        with Tape() as tape:
+            gathered = x[np.array([0, 0])]
+            loss = ad.tsum(gathered * 1e-16) + ad.tsum(x)
+            ref = dense_backward(tape, loss)
+            backward(loss)
+        assert x.grad[0] == 1.0 + 2e-16 == ref[x][0]
+        assert x.grad.tobytes() == ref[x].tobytes()
+
     def test_grad_sums_over_two_backward_calls(self):
         rng = np.random.default_rng(6)
         x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
@@ -231,6 +269,43 @@ class TestUntrackedParents:
         adjoints = tape.nodes[-1].bwd(np.ones((2, 3)))
         assert adjoints[1 - tracked_side] is None
         assert adjoints[tracked_side].shape == (2, 3)
+
+
+class TestSharedAdjoints:
+    """The gathers share getitem's adjoint and the compositions their
+    parts'; 19 primitives keep an adjoint of their own."""
+
+    OWN_ADJOINT = {"add", "sub", "mul", "div", "matmul", "concat", "getitem", "reshape",
+                   "broadcast_to", "repeat_last", "sigmoid", "tanh", "relu", "hardtanh",
+                   "softmax", "cumsum", "tsum", "causal_conv1d", "cross_entropy_logits"}
+
+    @staticmethod
+    def kinds(tape):
+        return {n.bwd.__qualname__.split(".", 1)[0] for n in tape.nodes}
+
+    COMPOSITES = {
+        "take": lambda x: ad.take(x, np.array([2, 0, 2])),
+        "embedding": lambda x: ad.embedding(x, np.array([[1, 1], [0, 2]])),
+        "neg": lambda x: -x,
+        "tmean": lambda x: ad.tmean(x, axis=1),
+        "dropout": lambda x: ad.dropout(x, 0.5, np.random.default_rng(0)),
+    }
+
+    @pytest.mark.parametrize("name", list(COMPOSITES))
+    def test_composite_records_no_node_of_its_own(self, name):
+        x = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
+        with Tape() as tape:
+            self.COMPOSITES[name](x)
+        assert len(tape) >= 1 and name not in self.kinds(tape)
+
+    def test_grad_cases_record_exactly_the_own_adjoint_kinds(self):
+        seen = set()
+        for _name, f, x in primitive_cases(0):
+            x.requires_grad = x.tracked = True
+            with Tape() as tape:
+                f(x)
+            seen |= self.kinds(tape)
+        assert seen == self.OWN_ADJOINT and len(seen) == 19
 
 
 class TestCollectorPause:

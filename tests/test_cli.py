@@ -323,6 +323,22 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert not (run / "checkpoint.bin").exists()
 
+    @pytest.mark.parametrize("sets", [
+        ["lr=inf"], ["alpha=inf"], ["model=prpn-syd", "prpn_temperature=inf"],
+    ], ids=lambda sets: sets[-1])
+    def test_infinite_setting_is_data_error_naming_the_field(self, tmp_path, treebank_file,
+                                                             capsys, sets):
+        corpus = tmp_path / "corpus.json"
+        main(["preprocess", str(treebank_file), "--out", str(corpus)])
+        capsys.readouterr()
+        run = tmp_path / "run"
+        assert main(["train", "--corpus", str(corpus), "--out", str(run)] + TRAIN_OVERRIDES
+                    + [a for kv in sets for a in ("--set", kv)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: %s must" % sets[-1].split("=")[0]) and "finite" in err
+        assert err.count("\n") == 1
+        assert not (run / "checkpoint.bin").exists()
+
     def test_nan_weight_eval_is_numeric_failure(self, tmp_path, treebank_file, capsys):
         corpus = tmp_path / "corpus.json"
         main(["preprocess", str(treebank_file), "--out", str(corpus)])
@@ -481,6 +497,35 @@ class TestEvalOptions:
         assert not metrics.exists()
         assert main(args + ["--layer", "3"]) == 0
 
+    def test_trees_syd_without_a_supervised_stream_fails_before_any_work(self, tmp_path, capsys):
+        # a corpus with no gold tree and no --render used to pass silently
+        src = tmp_path / "tiny.mrg"
+        src.write_text("(S (NN aa) (NN bb) (NN aa))")
+        corpus_path = tmp_path / "c.json"
+        main(["preprocess", str(src), "--out", str(corpus_path)])
+        payload = json.loads(corpus_path.read_text())
+        payload["gold_trees_nary"] = [None]
+        corpus_path.write_text(json.dumps(payload))
+        ckpt = _zero_checkpoint(tmp_path, corpus_path, supervision_mode="none")
+        capsys.readouterr()
+        metrics = tmp_path / "m.json"
+        args = ["eval", "--checkpoint", str(ckpt), "--corpus", str(corpus_path), "--out", str(metrics)]
+        assert main(args) == 2  # --trees defaults to syd
+        out, err = capsys.readouterr()
+        assert err.startswith("data error: --trees syd") and err.count("\n") == 1
+        assert out == "" and not metrics.exists()
+        assert main(args + ["--trees", "lm"]) == 0
+
+    def test_prpn_trained_with_supervision_layer_zero_evaluates(self, tmp_path, treebank_file):
+        corpus = tmp_path / "corpus.json"
+        assert main(["preprocess", str(treebank_file), "--out", str(corpus)]) == 0
+        run = tmp_path / "run"
+        assert main(["train", "--corpus", str(corpus), "--out", str(run)] + TRAIN_OVERRIDES
+                    + ["--set", "epochs=1", "--set", "model=prpn-syd", "--set", "prpn_ff_hidden=4",
+                       "--set", "supervision_layer=0"]) == 0
+        assert main(["eval", "--checkpoint", str(run / "checkpoint.bin"), "--corpus", str(corpus),
+                     "--out", str(tmp_path / "m.json")]) == 0
+
     @pytest.mark.parametrize("render", ["0,9999", "a"], ids=["index-out-of-range", "not-an-integer"])
     def test_bad_render_fails_before_any_output(self, tmp_path, capsys, render):
         src = tmp_path / "tiny.mrg"
@@ -636,6 +681,35 @@ class TestMalformedInputs:
         broken.write_text(json.dumps(payload))
         self._data_error(["train", "--corpus", str(broken), "--out", str(tmp_path / "run")]
                          + TRAIN_OVERRIDES, capsys, needle)
+
+    @pytest.mark.parametrize("shape", [(2**32 - 1, 2**32 - 1), (2**31, 2**20)],
+                             ids=["overflows-int64", "needs-16-PB"])
+    def test_parameter_record_larger_than_the_file(self, tmp_path, zero_eval, capsys, shape):
+        corpus_path, _ = zero_eval
+        ckpt = tmp_path / "huge.bin"
+        ad.save_checkpoint(str(ckpt), {"embedding": np.zeros((1, 1))}, header={"config": {}})
+        raw = ckpt.read_bytes()
+        dims = raw.index(b"embedding") + len("embedding") + 1  # after the ndim byte
+        ckpt.write_bytes(raw[:dims] + b"".join(d.to_bytes(4, "little") for d in shape) + raw[dims + 8:])
+        self._data_error(["eval", "--checkpoint", str(ckpt), "--corpus", str(corpus_path)],
+                         capsys, "%s: checkpoint truncated: parameter 'embedding'" % ckpt)
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_corpus_dump_nested_too_deeply(self, tmp_path, zero_eval, capsys, command):
+        _, ckpt = zero_eval
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000 + "]" * 100000)
+        argv = {"train": ["train", "--corpus", str(deep), "--out", str(tmp_path / "run")],
+                "eval": ["eval", "--checkpoint", str(ckpt), "--corpus", str(deep)]}[command]
+        self._data_error(argv, capsys, "%s: maximum recursion depth" % deep)
+
+    def test_checkpoint_header_nested_too_deeply(self, tmp_path, zero_eval, capsys):
+        corpus_path, _ = zero_eval
+        ckpt = tmp_path / "deep.bin"
+        blob = b"[" * 100000 + b"]" * 100000
+        ckpt.write_bytes(ad.CHECKPOINT_MAGIC + len(blob).to_bytes(4, "little") + blob + bytes(4))
+        self._data_error(["eval", "--checkpoint", str(ckpt), "--corpus", str(corpus_path)],
+                         capsys, "%s: checkpoint header is nested too deeply" % ckpt)
 
     def test_eval_corpus_with_other_vocab_of_the_same_size(self, tmp_path, capsys):
         paths = {}

@@ -394,6 +394,13 @@ class TestStructureReportAndStreams:
             with pytest.raises(ValueError, match="distance layers"):
                 resolve_layer(config, layer)
 
+    def test_prpn_default_layer_ignores_supervision_layer(self):
+        # validate checks supervision_layer for ON-LSTM only
+        for supervision_layer in (0, 1, 5):
+            prpn = ModelConfig(vocab_size=10, model="prpn-syd", supervision_layer=supervision_layer)
+            prpn.validate()
+            assert resolve_layer(prpn) == 0
+
     def test_sentence_distances_match_single_forward(self, tiny_corpus):
         cfg = ModelConfig(vocab_size=len(tiny_corpus.vocab), model="onlstm-syd", n_layers=1,
                           embedding_size=8, hidden_size=8, supervision_layer=1)

@@ -14,6 +14,7 @@ from sydlm.onlstm import OnLstmLM
 from sydlm.training import (
     Batch,
     bptt_batches,
+    _global_clip,
     joint_loss,
     lm_loss,
     _pair_agreement,
@@ -425,6 +426,14 @@ class TestTrain:
         cfg = train_config(tiny_corpus, **settings)  # three epochs
         with pytest.raises(ConfigError, match=needle):
             cfg.validate()
+
+    def test_infinite_clip_norm_means_no_clipping(self, tiny_corpus):
+        # lr, alpha and prpn_temperature must be finite; clip_norm need not be
+        cfg = train_config(tiny_corpus, clip_norm=float("inf"))
+        cfg.validate()
+        p = Tensor(np.zeros(2), requires_grad=True)
+        p.grad = np.array([3e100, 4e100])
+        assert _global_clip([p], cfg.clip_norm) == 1.0
 
 
 class TestOptimizedTreeEquality:
