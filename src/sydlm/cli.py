@@ -97,13 +97,17 @@ def cmd_preprocess(args, argv) -> int:
     for path in args.inputs:
         try:
             trees.extend(parse_bracketed(Path(path).read_text()))
-        except (OSError, TreebankError) as exc:
-            raise TreebankError("%s: %s" % (path, exc))
+        except (OSError, TreebankError, RecursionError) as exc:
+            raise TreebankError("%s: %s" % (path, exc)) from None
     vocab = Corpus.load(args.vocab_from).vocab if args.vocab_from else None
-    corpus = preprocess_corpus(trees, rules, vocab)
-    corpus.manifest = _manifest(argv, 0, list(args.inputs), {
+    manifest = _manifest(argv, 0, list(args.inputs), {
         "rules": dict(dataclasses.asdict(rules), drop_tags=sorted(rules.drop_tags))})
-    corpus.save(args.out)
+    try:  # the tree walks recurse, so a tree nested too deeply for them is bad data
+        corpus = preprocess_corpus(trees, rules, vocab)
+        corpus.manifest = manifest
+        corpus.save(args.out)
+    except RecursionError as exc:
+        raise TreebankError("%s: %s" % (", ".join(args.inputs), exc)) from None
     dist_path = args.out + ".dist"
     with atomic_open(dist_path) as fh:
         for i in range(corpus.n_sentences):

@@ -20,8 +20,7 @@ import numpy as np
 from .atomic import atomic_open
 from .config import ConfigError
 from .distance import tree_to_distances
-from .trees import (Tree, TreebankError, binarize_right, map_leaf_tokens, parse_bracketed,
-                    prune_leaves, render_bracketed)
+from .trees import Tree, TreebankError, binarize_right, parse_bracketed, rebuild, render_bracketed
 
 UNK = "<unk>"
 EOS = "<eos>"
@@ -60,11 +59,11 @@ class Vocab:
 
     @classmethod
     def build(cls, counts: Counter, max_size: int) -> "Vocab":
-        # most frequent first, ties broken lexicographically; specials always kept
-        ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        keep = max(max_size - 2, 0)
-        words = [UNK, EOS] + [w for w, _ in ranked[:keep] if w not in (UNK, EOS)]
-        return cls(words)
+        # most frequent first, ties broken lexicographically; specials always
+        # kept, and counted words equal to them take none of the other slots
+        ranked = sorted((kv for kv in counts.items() if kv[0] not in (UNK, EOS)),
+                        key=lambda kv: (-kv[1], kv[0]))
+        return cls([UNK, EOS] + [w for w, _ in ranked[:max(max_size - 2, 0)]])
 
 
 @dataclass
@@ -234,24 +233,24 @@ def preprocess_corpus(
     vocab (e.g. valid/test reusing the training vocab) is used instead of
     building one.
     """
-    drop = lambda tag, token: tag in rules.drop_tags
+    drop = lambda n: n.label in rules.drop_tags and n.is_leaf
     cleaned: list[Tree] = []
+    sentences: list[list[str]] = []
     for tree in trees:
-        pruned = prune_leaves(tree, drop)
-        if pruned is None:
-            continue
-        cleaned.append(map_leaf_tokens(pruned, rules.clean_token))
+        kept = rebuild(tree, drop, token=rules.clean_token)
+        if kept is not None:
+            cleaned.append(kept)
+            sentences.append(kept.tokens())
 
     if vocab is None:
         counts = Counter()
-        for tree in cleaned:
-            counts.update(tree.tokens())
+        for words in sentences:
+            counts.update(words)
         vocab = Vocab.build(counts, rules.vocab_max_size)
 
     tokens: list[int] = []
     spans: list[tuple[int, int]] = []
-    for tree in cleaned:
-        words = tree.tokens()
+    for words in sentences:
         start = len(tokens)
         tokens.extend(vocab.id(w) for w in words)
         spans.append((start, len(tokens)))

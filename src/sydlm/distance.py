@@ -14,56 +14,52 @@ import math
 
 import numpy as np
 
-from .trees import Tree, fill_heights, leaf
+from .trees import Tree, leaf, node
 
 
 def tree_to_distances(tree: Tree) -> np.ndarray:
     """The N-1 slot distances (float64) of a binarized N-leaf tree with
     heights: slot t gets the height of the internal node whose subtrees
     meet between leaves t and t+1."""
-    n = tree.n_leaves()
-    values = np.zeros(n - 1, dtype=np.float64)
+    values: list[int] = []
 
-    def walk(node: Tree, offset: int) -> int:
-        # returns leaf count of the subtree rooted here
+    def walk(node: Tree) -> None:
+        # in order: every slot of the left subtree, this node's, the right's
         if node.is_leaf:
-            return 1
+            return
         if len(node.children) != 2:
             raise ValueError("tree_to_distances needs a binary tree")
         if node.height is None:
             raise ValueError("tree_to_distances needs heights (run binarize_right)")
-        left = walk(node.children[0], offset)
-        right = walk(node.children[1], offset + left)
-        values[offset + left - 1] = node.height
-        return left + right
+        walk(node.children[0])
+        values.append(node.height)
+        walk(node.children[1])
 
-    walk(tree, 0)
-    return values
+    walk(tree)
+    return np.array(values, dtype=np.float64)
 
 
-def distances_to_tree_unbiased(d, leaves: list[str], label: str = "X") -> Tree:
+def distances_to_tree_unbiased(d, leaves: list[str]) -> Tree:
     """Top-down recovery: split each span at its maximal distance slot,
     recurse on both sides.  Ties take the rightmost maximal slot, so flat
     distances lean left rather than silently right-branching; heights are
-    recomputed."""
+    those of the recovered tree, not the distances."""
     values = np.asarray(d, dtype=np.float64)
     if len(values) != len(leaves) - 1:
         raise ValueError("need %d distances for %d leaves, got %d" % (len(leaves) - 1, len(leaves), len(values)))
 
     def build(lo: int, hi: int) -> Tree:
         if hi - lo == 1:
-            return leaf(label, leaves[lo])
+            return leaf("X", leaves[lo])
         # slot t sits between leaves t and t+1; rightmost argmax
         span = values[lo : hi - 1]
         slot = lo + (span.size - 1 - int(np.argmax(span[::-1])))
-        return Tree(label=label, children=[build(lo, slot + 1), build(slot + 1, hi)])
+        return node("X", [build(lo, slot + 1), build(slot + 1, hi)])
 
-    tree = build(0, len(leaves))
-    fill_heights(tree)
-    return tree
+    return build(0, len(leaves))
 
 
-def distances_to_tree_biased(d, leaves: list[str], label: str = "X") -> Tree:
+def distances_to_tree_biased(d, leaves: list[str]) -> Tree:
     """Greedy build with a right-branching bias: the maximal-distance word
     becomes the left sibling of the recursively built right span, so flat or
     tied regions collapse into right-branching chains.
@@ -78,34 +74,22 @@ def distances_to_tree_biased(d, leaves: list[str], label: str = "X") -> Tree:
 
     def build(lo: int, hi: int) -> Tree:
         if hi - lo == 1:
-            return leaf(label, leaves[lo])
+            return leaf("X", leaves[lo])
         pivot = lo + int(np.argmax(word_d[lo:hi]))
-        right = Tree(label=label, children=[leaf(label, leaves[pivot]), build(pivot + 1, hi)]) \
-            if pivot + 1 < hi else leaf(label, leaves[pivot])
+        right = node("X", [leaf("X", leaves[pivot]), build(pivot + 1, hi)]) \
+            if pivot + 1 < hi else leaf("X", leaves[pivot])
         if pivot == lo:
             return right
-        return Tree(label=label, children=[build(lo, pivot), right])
+        return node("X", [build(lo, pivot), right])
 
-    tree = build(0, len(leaves))
-    fill_heights(tree)
-    return tree
+    return build(0, len(leaves))
 
 
 def validate_heights(tree: Tree) -> bool:
     """True iff heights satisfy the ultrametric contract: leaves are 1 and
     every parent equals max(children) + 1 (hence strictly dominates both)."""
     for node in tree.iter_nodes():
-        if node.height is None:
-            return False
-        if node.is_leaf:
-            if node.height != 1:
-                return False
-            continue
-        child_heights = [ch.height for ch in node.children]
-        if any(h is None for h in child_heights):
-            return False
-        if node.height != max(child_heights) + 1:
-            return False
-        if not all(node.height > h for h in child_heights):
+        heights = [ch.height for ch in node.children]
+        if node.height is None or None in heights or node.height != max(heights, default=0) + 1:
             return False
     return True

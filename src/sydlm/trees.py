@@ -1,14 +1,18 @@
 """Constituency trees: bracketed-notation parsing, cleaning, binarization.
 
 A node is either a leaf (has a ``token``, no children) or an internal node
-(has >= 1 children, no token).  ``binarize_right`` turns any tree into a
-strictly binary one whose internal nodes carry heights: leaves have height 1
-and every parent has height max(children) + 1.
+(has >= 1 children, no token).  The parser tokenizes with one regular
+expression, and ``rebuild`` is the one tree copy: it drops nodes and maps
+labels and tokens, for the parser's cleaning and for leaf pruning alike.
+Binary trees are built with ``leaf`` and ``node``, which set heights as they
+go: leaves have height 1 and every parent has height max(children) + 1.
+``binarize_right`` turns any tree into such a strictly binary one.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
@@ -22,7 +26,8 @@ class Tree:
     label: str
     children: list["Tree"] = field(default_factory=list)
     token: Optional[str] = None
-    # Filled by binarize_right / fill_heights; ignored by equality.
+    # Set by leaf and node as binary trees are built, by fill_heights on
+    # parsed ones; ignored by equality.
     height: Optional[int] = field(default=None, compare=False)
 
     @property
@@ -31,15 +36,13 @@ class Tree:
 
     def leaves(self) -> list["Tree"]:
         acc: list[Tree] = []
-
-        def walk(node: "Tree") -> None:
-            if node.is_leaf:
-                acc.append(node)
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if node.children:
+                stack.extend(reversed(node.children))
             else:
-                for ch in node.children:
-                    walk(ch)
-
-        walk(self)
+                acc.append(node)
         return acc
 
     def tokens(self) -> list[str]:
@@ -71,6 +74,12 @@ class Tree:
 
 def leaf(label: str, token: str) -> Tree:
     return Tree(label=label, token=token, height=1)
+
+
+def node(label: str, children: list[Tree]) -> Tree:
+    """An internal node over children with heights; its own height is
+    max(children) + 1."""
+    return Tree(label=label, children=children, height=max(ch.height for ch in children) + 1)
 
 
 def constituents(tree: Tree) -> list[tuple[Tree, int, int]]:
@@ -106,46 +115,37 @@ def _clean_label(label: str) -> str:
     return label
 
 
+# an open bracket with the label right after it, a close bracket, or a word
+_TOKEN = re.compile(r"\(([^\s()]*)|\)|[^\s()]+")
+
+
 def parse_bracketed(text: str, clean: bool = True) -> list[Tree]:
     """Parse one or more bracketed trees ``(LABEL child ...)``.
 
     With ``clean`` (the default), -NONE- empty elements are removed, label
     suffixes after the first "-" or "=" are stripped, and nodes left without
     children by the removal are dropped recursively.  Raises TreebankError
-    with the byte offset of the offending bracket on unbalanced input.
+    with the character offset of the offending bracket on unbalanced input.
     """
     trees: list[Tree] = []
     stack: list[Tree] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c == "(":
-            j = i + 1
-            while j < n and not text[j].isspace() and text[j] not in "()":
-                j += 1
-            node = Tree(label=text[i + 1 : j])
-            stack.append(node)
-            i = j
-        elif c == ")":
+    for match in _TOKEN.finditer(text):
+        label, word = match.group(1, 0)
+        if label is not None:
+            stack.append(Tree(label=label))
+        elif word == ")":
             if not stack:
-                raise TreebankError("unbalanced ')' at offset %d" % i)
-            node = stack.pop()
-            if not node.children and node.token is None:
-                raise TreebankError("empty node '(%s)' at offset %d" % (node.label, i))
+                raise TreebankError("unbalanced ')' at offset %d" % match.start())
+            closed = stack.pop()
+            if not closed.children and closed.token is None:
+                raise TreebankError("empty node '(%s)' at offset %d" % (closed.label, match.start()))
             if stack:
-                stack[-1].children.append(node)
+                stack[-1].children.append(closed)
             else:
-                trees.append(node)
-            i += 1
+                trees.append(closed)
+        elif not stack:
+            raise TreebankError("token %r outside brackets at offset %d" % (word, match.start()))
         else:
-            j = i
-            while j < n and not text[j].isspace() and text[j] not in "()":
-                j += 1
-            word = text[i:j]
-            if not stack:
-                raise TreebankError("token %r outside brackets at offset %d" % (word, i))
             parent = stack[-1]
             if parent.children or parent.token is not None:
                 # multiple words under one label: treat extras as sibling leaves
@@ -155,28 +155,12 @@ def parse_bracketed(text: str, clean: bool = True) -> list[Tree]:
                 parent.children.append(Tree(label=parent.label, token=word))
             else:
                 parent.token = word
-            i = j
     if stack:
-        raise TreebankError("unbalanced '(' at offset %d (unclosed '%s')" % (n, stack[-1].label))
+        raise TreebankError("unbalanced '(' at offset %d (unclosed '%s')" % (len(text), stack[-1].label))
     if not clean:
         return trees
-    cleaned = []
-    for tree in trees:
-        kept = _clean_tree(tree)
-        if kept is not None:
-            cleaned.append(kept)
-    return cleaned
-
-
-def _clean_tree(node: Tree) -> Optional[Tree]:
-    if node.label == "-NONE-":
-        return None
-    if node.is_leaf:
-        return Tree(label=_clean_label(node.label), token=node.token)
-    children = [c for c in (_clean_tree(ch) for ch in node.children) if c is not None]
-    if not children:
-        return None
-    return Tree(label=_clean_label(node.label), children=children)
+    cleaned = (rebuild(tree, lambda n: n.label == "-NONE-", _clean_label) for tree in trees)
+    return [tree for tree in cleaned if tree is not None]
 
 
 def render_bracketed(tree: Tree) -> str:
@@ -190,121 +174,113 @@ def render_bracketed(tree: Tree) -> str:
 # Cleaning and binarization
 # ---------------------------------------------------------------------------
 
-def prune_leaves(tree: Tree, drop: Callable[[str, str], bool]) -> Optional[Tree]:
-    """Remove leaves where drop(tag, token) holds.
+def rebuild(tree: Tree, drop: Callable[[Tree], bool],
+            label: Optional[Callable[[str], str]] = None,
+            token: Optional[Callable[[str], str]] = None) -> Optional[Tree]:
+    """Copy ``tree`` without the nodes where ``drop(node)`` holds, mapping
+    every label through ``label`` and every leaf token through ``token``
+    (unchanged when None).
 
-    Internal nodes with no remaining children are removed; unary chains are
-    left as-is.  Returns None when every leaf is dropped.
+    A dropped node takes its subtree with it, and an internal node left
+    without children is dropped too; unary chains are kept.  Returns None
+    when nothing is left.
     """
-    if tree.is_leaf:
-        if drop(tree.label, tree.token or ""):
+    def copy(old: Tree) -> Optional[Tree]:
+        if drop(old):
             return None
-        return Tree(label=tree.label, token=tree.token)
-    children = [c for c in (prune_leaves(ch, drop) for ch in tree.children) if c is not None]
-    if not children:
-        return None
-    return Tree(label=tree.label, children=children)
+        name = old.label if label is None else label(old.label)
+        if not old.children:
+            return Tree(label=name, token=old.token if token is None else token(old.token or ""))
+        children = []
+        for child in old.children:
+            kept = copy(child)
+            if kept is not None:
+                children.append(kept)
+        return Tree(label=name, children=children) if children else None
+
+    return copy(tree)
 
 
-def map_leaf_tokens(tree: Tree, fn: Callable[[str], str]) -> Tree:
-    if tree.is_leaf:
-        return Tree(label=tree.label, token=fn(tree.token or ""))
-    return Tree(label=tree.label, children=[map_leaf_tokens(c, fn) for c in tree.children])
+def prune_leaves(tree: Tree, drop: Callable[[str, str], bool]) -> Optional[Tree]:
+    """Remove leaves where drop(tag, token) holds, and the nodes they empty."""
+    return rebuild(tree, lambda n: n.is_leaf and drop(n.label, n.token or ""))
 
 
 def fill_heights(tree: Tree) -> int:
-    """Set heights bottom-up: leaf 1, parent max(children) + 1."""
-    if tree.is_leaf:
-        tree.height = 1
-    else:
-        tree.height = max(fill_heights(ch) for ch in tree.children) + 1
+    """Set heights bottom-up on a tree built without them (a parsed one):
+    leaf 1, parent max(children) + 1."""
+    tree.height = max((fill_heights(ch) for ch in tree.children), default=0) + 1
     return tree.height
 
 
 def binarize_right(tree: Tree) -> Tree:
-    """Right-branching binarization with sentinel nodes, heights filled.
+    """Right-branching binarization with sentinel nodes, heights set.
 
     k > 2 children nest rightward: (X a b c) -> (X a (X' b c)).  Unary
     internal nodes collapse into their child, keeping the higher label.
     """
-    out = _binarize(tree)
-    fill_heights(out)
-    return out
-
-
-def _binarize(node: Tree) -> Tree:
-    if node.is_leaf:
-        return Tree(label=node.label, token=node.token)
-    if len(node.children) == 1:
-        inner = _binarize(node.children[0])
-        inner.label = node.label
+    if tree.is_leaf:
+        return leaf(tree.label, tree.token)
+    if len(tree.children) == 1:
+        inner = binarize_right(tree.children[0])
+        inner.label = tree.label
         return inner
-    children = [_binarize(ch) for ch in node.children]
+    children = [binarize_right(ch) for ch in tree.children]
     while len(children) > 2:
-        rest = Tree(label=node.label + "'", children=children[-2:])
+        rest = node(tree.label + "'", children[-2:])
         children = children[:-2] + [rest]
     # nest rightward: (c1, (c2, (c3, ...)))
-    return Tree(label=node.label, children=children)
+    return node(tree.label, children)
 
 
-def random_binary_tree(n_leaves: int, rng_seed: int, tokens: Optional[list[str]] = None) -> Tree:
-    """Uniform-split random binary tree (split point uniform per span)."""
+def random_binary_tree(n_leaves: int, rng_seed: int) -> Tree:
+    """Uniform-split random binary tree (split point uniform per span) over
+    the words w0 ... w{n-1}."""
     if n_leaves < 1:
         raise ValueError("random_binary_tree needs n_leaves >= 1")
     rng = random.Random(rng_seed)
-    if tokens is None:
-        tokens = ["w%d" % i for i in range(n_leaves)]
-    if len(tokens) != n_leaves:
-        raise ValueError("token list length %d != n_leaves %d" % (len(tokens), n_leaves))
 
     def build(lo: int, hi: int) -> Tree:
         if hi - lo == 1:
-            return leaf("X", tokens[lo])
+            return leaf("X", "w%d" % lo)
         split = rng.randint(lo + 1, hi - 1)
-        return Tree(label="X", children=[build(lo, split), build(split, hi)])
+        return node("X", [build(lo, split), build(split, hi)])
 
-    tree = build(0, n_leaves)
-    fill_heights(tree)
-    return tree
+    return build(0, n_leaves)
 
 
-def right_chain(tokens: list[str], label: str = "X") -> Tree:
+def right_chain(tokens: list[str]) -> Tree:
     """Right-branching chain baseline: (a (b (c d)))."""
     if not tokens:
         raise ValueError("right_chain needs at least one token")
-    node = leaf(label, tokens[-1])
+    tree = leaf("X", tokens[-1])
     for tok in reversed(tokens[:-1]):
-        node = Tree(label=label, children=[leaf(label, tok), node])
-    fill_heights(node)
-    return node
+        tree = node("X", [leaf("X", tok), tree])
+    return tree
 
 
-def left_chain(tokens: list[str], label: str = "X") -> Tree:
+def left_chain(tokens: list[str]) -> Tree:
     """Left-branching chain baseline: (((a b) c) d)."""
     if not tokens:
         raise ValueError("left_chain needs at least one token")
-    node = leaf(label, tokens[0])
+    tree = leaf("X", tokens[0])
     for tok in tokens[1:]:
-        node = Tree(label=label, children=[node, leaf(label, tok)])
-    fill_heights(node)
-    return node
+        tree = node("X", [tree, leaf("X", tok)])
+    return tree
 
 
 def enumerate_binary_shapes(n_leaves: int) -> list[Tree]:
-    """All binary tree shapes over n_leaves leaves (Catalan(n-1) of them)."""
-    tokens = ["w%d" % i for i in range(n_leaves)]
+    """All binary tree shapes over n_leaves leaves (Catalan(n-1) of them);
+    shapes share their subtrees."""
 
     def build(lo: int, hi: int) -> list[Tree]:
         if hi - lo == 1:
-            return [leaf("X", tokens[lo])]
+            return [leaf("X", "w%d" % lo)]
         shapes = []
         for split in range(lo + 1, hi):
             for lt in build(lo, split):
                 for rt in build(split, hi):
-                    shapes.append(Tree(label="X", children=[lt, rt]))
+                    shapes.append(node("X", [lt, rt]))
         return shapes
 
-    out = build(0, n_leaves)
-    for t in out:
-        fill_heights(t)
-    return out
+    return build(0, n_leaves)

@@ -703,6 +703,17 @@ class TestMalformedInputs:
                 "eval": ["eval", "--checkpoint", str(ckpt), "--corpus", str(deep)]}[command]
         self._data_error(argv, capsys, "%s: maximum recursion depth" % deep)
 
+    @pytest.mark.parametrize("shape", ["(S %s)", "(S (NN a) %s)"])
+    def test_treebank_nested_too_deeply(self, tmp_path, capsys, shape):
+        text = "(NN x)"
+        for _ in range(600):
+            text = shape % text
+        src, out = tmp_path / "deep.mrg", tmp_path / "deep.json"
+        src.write_text(text)
+        self._data_error(["preprocess", str(src), "--out", str(out)], capsys,
+                         "%s: maximum recursion depth" % src)
+        assert not out.exists() and not (tmp_path / "deep.json.dist").exists()
+
     def test_checkpoint_header_nested_too_deeply(self, tmp_path, zero_eval, capsys):
         corpus_path, _ = zero_eval
         ckpt = tmp_path / "deep.bin"

@@ -32,6 +32,14 @@ class TestVocab:
         vocab = Vocab.build(Counter({"b": 2, "a": 2, "c": 2}), max_size=4)
         assert vocab.words == ["<unk>", "<eos>", "a", "b"]
 
+    def test_literal_specials_take_no_slot(self):
+        from collections import Counter
+
+        counts = Counter({"<unk>": 9, "a": 5, "b": 3, "c": 1})
+        assert Vocab.build(counts, max_size=4).words == ["<unk>", "<eos>", "a", "b"]
+        counts["<eos>"] = 7
+        assert Vocab.build(counts, max_size=5).words == ["<unk>", "<eos>", "a", "b", "c"]
+
     def test_specials_required(self):
         with pytest.raises(ConfigError):
             Vocab(["a", "b"])
@@ -98,6 +106,16 @@ class TestPreprocess:
                                   vocab=train.vocab)
         assert other.vocab is train.vocab
         assert other.tokens[1] == Vocab.unk_id  # zz unseen
+
+    def test_ptb_wrapper_matches_unwrapped_tree(self):
+        inner = "(S (NP (DT the) (NN cat)) (VP (VBZ sleeps)))"
+        rules = PreprocessRules(vocab_max_size=10, mode="concat")
+        wrapped = preprocess_corpus(parse_bracketed("( %s )" % inner), rules)
+        plain = preprocess_corpus(parse_bracketed(inner), rules)
+        assert wrapped.vocab.words == plain.vocab.words
+        assert np.array_equal(wrapped.tokens, plain.tokens)
+        assert np.array_equal(wrapped.gold_distances(0), plain.gold_distances(0))
+        assert wrapped.gold_trees_nary[0].children == [plain.gold_trees_nary[0]]
 
     def test_gold_trees_binarized_with_heights(self):
         corpus = preprocess_corpus(pcfg_treebank(10, seed=23),

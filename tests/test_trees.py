@@ -9,9 +9,11 @@ from sydlm.trees import (
     enumerate_binary_shapes,
     leaf,
     left_chain,
+    node,
     parse_bracketed,
     prune_leaves,
     random_binary_tree,
+    rebuild,
     render_bracketed,
     right_chain,
 )
@@ -57,6 +59,32 @@ class TestParseBracketed:
         trees = parse_bracketed("(S (NN a))\n\n  (S (NN b))")
         assert len(trees) == 2
 
+    def test_error_messages_keep_their_offsets(self):
+        cases = [("(S (NN x)))", "unbalanced ')' at offset 10"),
+                 ("  x (S (NN y))", "token 'x' outside brackets at offset 2"),
+                 ("(S (NN x) (VP))", "empty node '(VP)' at offset 13"),
+                 ("(S (NP (NN x)", "unbalanced '(' at offset 13 (unclosed 'NP')")]
+        for text, message in cases:
+            with pytest.raises(TreebankError) as err:
+                parse_bracketed(text)
+            assert str(err.value) == message
+
+    def test_ptb_empty_label_wrapper(self):
+        text = "( (S (NP (DT the) (NN cat)) (VP (VBZ sleeps))) )"
+        for clean in (True, False):
+            (root,) = parse_bracketed(text, clean=clean)
+            assert root.label == "" and len(root.children) == 1
+            assert root.children[0] == parse_bracketed(text[2:-2], clean=clean)[0]
+        assert render_bracketed(root) == "( (S (NP (DT the) (NN cat)) (VP (VBZ sleeps))))"
+
+    def test_words_split_where_str_isspace_says(self):
+        # \x1c and the no-break space are whitespace to str.isspace, the
+        # zero-width space is not
+        assert "\x1c".isspace() and "\u00a0".isspace() and not "\u200b".isspace()
+        tree = parse_bracketed("(NP\x1c(NN a\x1cb)\u00a0(NN c\u00a0d) (NN e\u200bf))")[0]
+        assert tree.tokens() == ["a", "b", "c", "d", "e\u200bf"]
+        assert [len(c.children) for c in tree.children] == [2, 2, 0]  # "(NN a b)" holds two leaves
+
     def test_round_trip_on_cleaned_trees(self):
         for tree in pcfg_treebank(30, seed=3):
             text = render_bracketed(tree)
@@ -94,6 +122,36 @@ class TestPruneLeaves:
                 continue
             assert pruned.tokens() == expected
             assert binarize_right(pruned).tokens() == expected
+
+
+class TestRebuild:
+    TREE = "(S (NP (DT The) (NN cat)) (VP (VBZ sleeps) (PP (IN on) (NN mats))) (. .))"
+
+    def test_drops_an_internal_node_with_its_subtree(self):
+        tree = parse_bracketed(self.TREE)[0]
+        kept = rebuild(tree, lambda n: n.label == "PP")
+        assert render_bracketed(kept) == "(S (NP (DT The) (NN cat)) (VP (VBZ sleeps)) (. .))"
+        assert tree == parse_bracketed(self.TREE)[0]  # the input is left as it was
+
+    def test_maps_labels_and_tokens(self):
+        tree = parse_bracketed(self.TREE)[0]
+        kept = rebuild(tree, lambda n: n.label == "." and n.is_leaf, str.lower, str.upper)
+        assert render_bracketed(kept) == "(s (np (dt THE) (nn CAT)) (vp (vbz SLEEPS) (pp (in ON) (nn MATS))))"
+
+    def test_drop_sees_the_node_before_its_label_is_mapped(self):
+        tree = parse_bracketed("(S (NP (NN a)) (VP (VB b)))", clean=False)[0]
+        kept = rebuild(tree, lambda n: n.label == "NP", label=lambda label: "NP")
+        assert render_bracketed(kept) == "(NP (NP (NP b)))"
+
+    def test_nodes_emptied_by_drops_go_too(self):
+        tree = parse_bracketed(self.TREE)[0]
+        kept = rebuild(tree, lambda n: n.is_leaf and n.token in ("on", "mats", "sleeps"))
+        assert render_bracketed(kept) == "(S (NP (DT The) (NN cat)) (. .))"
+
+    def test_nothing_left_is_none(self):
+        tree = parse_bracketed(self.TREE)[0]
+        assert rebuild(tree, lambda n: n.is_leaf) is None
+        assert rebuild(tree, lambda n: n.label == "S") is None
 
 
 class TestBinarizeRight:
@@ -157,6 +215,22 @@ class TestRandomBinaryTree:
     def test_heights_follow_shape(self):
         for i in range(20):
             assert validate_heights(random_binary_tree(1 + i % 9, i))
+
+
+class TestNode:
+    def test_height_is_one_above_the_highest_child(self):
+        low, high = leaf("X", "a"), node("X", [leaf("X", "b"), leaf("X", "c")])
+        assert node("X", [low, high]).height == 3
+        assert node("X", [high, low]).height == 3
+
+    @pytest.mark.parametrize("build", [lambda: right_chain(list("abcde")), lambda: left_chain(list("abcde")),
+                                       lambda: random_binary_tree(9, 3),
+                                       lambda: binarize_right(parse_bracketed("(S (A a) (B b) (C c) (D d))")[0])])
+    def test_binary_builders_set_heights(self, build):
+        assert validate_heights(build())
+
+    def test_enumerated_shapes_carry_heights(self):
+        assert all(validate_heights(shape) for shape in enumerate_binary_shapes(5))
 
 
 class TestChains:

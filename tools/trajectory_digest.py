@@ -5,15 +5,18 @@ averaging on, and prints one line per configuration: a SHA-256 of the
 per-epoch log without its wall-clock `seconds` field, and a SHA-256 of the
 best parameters' names and float64 bytes.  A last `eval` line runs
 `sydlm preprocess`, `train` and `eval --wsj10-maxlen --plot-csv --render`
-and hashes `metrics.json`, `heights.csv` and eval's printed output.  Two
-source trees that print the same lines trained bitwise the same
-trajectories and wrote the same reports.
+and hashes `metrics.json`, `heights.csv` and eval's printed output.  A
+`preprocess` line hashes the corpus dump and `.dist` file that
+`sydlm preprocess` writes for a fixed PTB-style text (function tags, -NONE-
+elements, punctuation, numbers, the empty-label root and a multi-word leaf).
+Two source trees that print the same lines trained bitwise the same
+trajectories and wrote the same reports and corpora.
 
     python tools/trajectory_digest.py              # this checkout's src/
     python tools/trajectory_digest.py --src DIR    # another checkout's src/
 
-The eval line works in a temporary directory that it removes afterwards;
-nothing else is written to disk.
+The eval and preprocess lines work in a temporary directory that is removed
+afterwards; nothing else is written to disk.
 """
 
 import argparse
@@ -47,6 +50,16 @@ CONFIGS += [
     ("prpn-syd/split-head", dict(model="prpn-syd", supervision_mode="split-head")),
     ("prpn", dict(model="prpn", supervision_mode="none")),
 ]
+PTB_TEXT = """\
+( (S (NP-SBJ-1 (DT The) (NNP Dow) (NNPS Jones)) (VP (VBD rose) (NP-EXT (CD 12.5) (NNS points))
+     (PP-TMP (IN on) (NNP Friday))) (. .)) )
+( (S (NP-SBJ (-NONE- *-1)) (VP (VBZ says) (SBAR (-NONE- 0) (S (NP-SBJ=2 (PRP it))
+     (VP (MD will) (VP (VB sell) (NP (CD 1,000) (NNS shares)) (PP (IN in) (NNP New York)))))))
+     (, ,) (`` ``) (NP (-NONE- *T*-2)) ('' '') (. .)) )
+(S (NP (-LRB- -LRB-) (NN cat) (-RRB- -RRB-)) (VP (VBD sat) (NP (CD 3/4) (NN mile)))
+   (: ;) (NP ($ $) (CD 5) (NN Dollars)) (# #))
+( (FRAG (-NONE- *U*)) )
+"""
 EVAL_SETTINGS = ["n_layers=3", "chunk_factor=2", "supervision_layer=2", "embedding_size=8",
                  "hidden_size=12", "epochs=2", "batch_size=4", "bptt_length=10"]
 
@@ -86,35 +99,53 @@ def digest(sydlm, corpus, model_fields: dict) -> tuple:
     return hashlib.sha256(log_text.encode()).hexdigest()[:16], params.hexdigest()[:16]
 
 
-def eval_digest(sydlm, trees: list) -> tuple:
-    """Hashes of metrics.json, heights.csv and eval's stdout after the CLI's
-    preprocess, train and eval.  Paths are relative to a temporary working
-    directory, so the manifests' command lines match across runs."""
-    from sydlm.cli import main
-
-    def run(*argv) -> str:
-        printed = io.StringIO()
-        with contextlib.redirect_stdout(printed):
-            code = main(list(argv))
-        if code != 0:
-            raise SystemExit("sydlm %s exited %d" % (" ".join(argv), code))
-        return printed.getvalue()
-
+@contextlib.contextmanager
+def scratch_dir():
+    """Work in a temporary directory, so that paths in manifests are relative
+    and match across runs."""
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            Path("train.mrg").write_text("".join(sydlm.render_bracketed(t) + "\n" for t in trees))
-            run("preprocess", "train.mrg", "--out", "corpus.json")
-            run("train", "--corpus", "corpus.json", "--out", "run",
-                *[arg for kv in EVAL_SETTINGS for arg in ("--set", kv)])
-            printed = run("eval", "--checkpoint", "run/checkpoint.bin", "--corpus", "corpus.json",
-                          "--out", "metrics.json", "--wsj10-maxlen", "10",
-                          "--plot-csv", "heights.csv", "--render", "0,1,2")
-            blobs = [Path("metrics.json").read_bytes(), Path("heights.csv").read_bytes(),
-                     printed.encode()]
+            yield
         finally:
             os.chdir(home)
+
+
+def run_cli(*argv) -> str:
+    from sydlm.cli import main
+
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        code = main(list(argv))
+    if code != 0:
+        raise SystemExit("sydlm %s exited %d" % (" ".join(argv), code))
+    return printed.getvalue()
+
+
+def eval_digest(sydlm, trees: list) -> tuple:
+    """Hashes of metrics.json, heights.csv and eval's stdout after the CLI's
+    preprocess, train and eval."""
+    with scratch_dir():
+        Path("train.mrg").write_text("".join(sydlm.render_bracketed(t) + "\n" for t in trees))
+        run_cli("preprocess", "train.mrg", "--out", "corpus.json")
+        run_cli("train", "--corpus", "corpus.json", "--out", "run",
+                *[arg for kv in EVAL_SETTINGS for arg in ("--set", kv)])
+        printed = run_cli("eval", "--checkpoint", "run/checkpoint.bin", "--corpus", "corpus.json",
+                          "--out", "metrics.json", "--wsj10-maxlen", "10",
+                          "--plot-csv", "heights.csv", "--render", "0,1,2")
+        blobs = [Path("metrics.json").read_bytes(), Path("heights.csv").read_bytes(),
+                 printed.encode()]
+    return tuple(hashlib.sha256(blob).hexdigest()[:16] for blob in blobs)
+
+
+def preprocess_digest() -> tuple:
+    """Hashes of the corpus dump and .dist file that preprocess writes for
+    PTB_TEXT."""
+    with scratch_dir():
+        Path("ptb.mrg").write_text(PTB_TEXT)
+        run_cli("preprocess", "ptb.mrg", "--out", "corpus.json")
+        blobs = [Path("corpus.json").read_bytes(), Path("corpus.json.dist").read_bytes()]
     return tuple(hashlib.sha256(blob).hexdigest()[:16] for blob in blobs)
 
 
@@ -132,6 +163,7 @@ def main() -> None:
         log_hash, param_hash = digest(sydlm, corpus, fields)
         print("%-30s log %s  params %s" % (name, log_hash, param_hash))
     print("%-30s metrics %s  heights %s  printed %s" % ("eval", *eval_digest(sydlm, trees)))
+    print("%-30s corpus %s  dist %s" % ("preprocess", *preprocess_digest()))
 
 
 if __name__ == "__main__":
