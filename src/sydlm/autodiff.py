@@ -21,6 +21,27 @@ scattered whole into a new zero array (``np.add.at``) and summed as a dense
 adjoint.  Once a node's output adjoint is handed to its ``bwd``, the sweep
 writes to it no more.
 
+A weight adjoint may arrive as factors.  ``matmul``'s 2-D ``bwd`` (without
+``transpose_b``) returns the adjoint of a weight with at least
+``FLUSH_ROWS`` rows as ``_Factors``: the left rows ``a2`` and the right rows
+``dy2`` whose product ``a2.T @ dy2`` it is.  The sweep appends them to a
+list per tensor and forms the product of the stacked rows,
+``concatenate(lefts).T @ concatenate(rights)``, as one GEMM: a recurrent
+weight read once per step gets one tall product in place of T rank-B ones,
+each summed into a buffer as large as the weight (Appleyard, Kočiský &
+Blunsom 2016, arXiv 1604.01946).  The product is a new array, so the sweep
+owns it, and it is summed like any dense adjoint.  A list is flushed when
+it holds ``FLUSH_ROWS`` rows, which bounds the memory the held rows keep
+alive, when its tensor's own node is swept, and at the leaves before
+``.grad`` is written.  A weight with fewer rows keeps its per-step product:
+that product is small and cheap, and a full list would hold more memory
+than it.  A list of one factor flushes as ``left.T @ right``, exactly
+``matmul``'s own product, so a weight that one matmul reads gets the same
+bits; only a large weight read several times sums in another order.
+Holding ``a2`` and ``dy2`` is safe because nothing writes either while the
+sweep runs: ``a2`` is forward data, and ``dy2`` is a view of an adjoint
+already handed to a ``bwd``.
+
 Tape graphs are acyclic: the tape holds its nodes, a node holds its output
 and parents, and no tensor points back to a node, so reference counting
 frees a graph as soon as its tape is dropped
@@ -58,6 +79,23 @@ class NumericError(RuntimeError):
 
 _TAPE_STACK: list["Tape"] = []
 _FLOAT64 = np.dtype(np.float64)
+
+
+class _Factors:
+    """A weight adjoint left unformed: ``left.T @ right``."""
+
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        self.left = left
+        self.right = right
+
+
+# A factor list is flushed once it holds this many rows (7 steps at B20),
+# enough for a tall GEMM.  Only a weight with at least this many rows is
+# factored, so the right rows a full list holds never take more memory than
+# the weight-sized product a step would otherwise form.
+FLUSH_ROWS = 140
 
 
 class _Node:
@@ -172,7 +210,8 @@ def backward(loss: Tensor) -> None:
     Adjoints of a tensor used several times sum.  Sweeping a node takes its
     output's adjoint out of the map, so the requires_grad tensors left in it
     are the leaves; each adjoint is added to its leaf's ``.grad``.  Sums
-    follow the ownership rule in the module docstring.
+    follow the ownership rule in the module docstring, and factor lists are
+    flushed as it says.
     """
     tape = active_tape()
     if tape is None:
@@ -181,27 +220,49 @@ def backward(loss: Tensor) -> None:
         raise ShapeError("backward: loss must be scalar, got shape %s" % (loss.shape,))
     grads: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
     owned: set[Tensor] = set()
-    pop, get = grads.pop, grads.get
+    factors: dict[Tensor, list] = {}  # tensor -> [lefts, rights, row count]
+    inner: set[Tensor] = set()  # the tensors in factors that a node made
+    pop, get, ndarray = grads.pop, grads.get, np.ndarray
     for node in reversed(tape.nodes):
-        dy = pop(node.out, None)
+        out = node.out
+        if inner and out in inner:
+            inner.discard(out)
+            _flush(grads, owned, out, factors.pop(out))
+        dy = pop(out, None)
         if dy is None:
             continue
-        owned.discard(node.out)
+        owned.discard(out)
         for parent, dp in zip(node.parents, node.bwd(dy)):
             if dp is None or not parent.tracked:
                 continue
-            acc = get(parent)
-            if type(dp) is tuple:
-                key, d = dp
-                if _basic(key):
-                    if parent not in owned:
-                        acc = np.zeros_like(parent.data) if acc is None else np.array(acc)
-                        grads[parent] = acc
-                        owned.add(parent)
-                    acc[key] += d
+            if type(dp) is not ndarray:  # factors, a getitem's (key, dy), or a numpy scalar
+                if type(dp) is _Factors:
+                    f = factors.get(parent)
+                    if f is None:
+                        f = factors[parent] = [[], [], 0]
+                        if not parent.requires_grad:
+                            inner.add(parent)
+                    f[0].append(dp.left)
+                    f[1].append(dp.right)
+                    f[2] += dp.left.shape[0]
+                    if f[2] >= FLUSH_ROWS:
+                        del factors[parent]
+                        inner.discard(parent)
+                        _flush(grads, owned, parent, f)
                     continue
-                dp = np.zeros_like(parent.data)  # an index array: scatter, then sum densely
-                np.add.at(dp, key, d)
+                if type(dp) is tuple:
+                    key, d = dp
+                    if _basic(key):
+                        acc = get(parent)
+                        if parent not in owned:
+                            acc = np.zeros_like(parent.data) if acc is None else np.array(acc)
+                            grads[parent] = acc
+                            owned.add(parent)
+                        acc[key] += d
+                        continue
+                    dp = np.zeros_like(parent.data)  # an index array: scatter, then sum densely
+                    np.add.at(dp, key, d)
+            acc = get(parent)
             if acc is None:
                 grads[parent] = dp
             elif parent in owned:
@@ -209,6 +270,9 @@ def backward(loss: Tensor) -> None:
             else:
                 grads[parent] = np.asarray(acc + dp)  # a 0-d sum is a numpy scalar
                 owned.add(parent)
+    for tensor, f in factors.items():  # the leaves
+        if tensor.requires_grad:
+            _flush(grads, owned, tensor, f)
     for tensor, g in grads.items():
         if not tensor.requires_grad:
             continue
@@ -216,6 +280,29 @@ def backward(loss: Tensor) -> None:
         if g.shape != tensor.data.shape:
             raise ShapeError("gradient shape %s != tensor shape %s" % (g.shape, tensor.data.shape))
         tensor.grad = g if tensor.grad is None else tensor.grad + g
+
+
+def _flush(grads: dict, owned: set, tensor: Tensor, f: list) -> None:
+    """Sum the product of tensor's factor list into its adjoint."""
+    p = _stacked_rows(f)  # a new array, so the sweep owns it
+    acc = grads.get(tensor)
+    if acc is None:
+        grads[tensor] = p
+    elif tensor in owned:
+        acc += p
+    else:
+        p += acc  # the same bits as acc + p
+        grads[tensor] = p
+    owned.add(tensor)
+
+
+def _stacked_rows(f: list) -> np.ndarray:
+    """The product a factor list [lefts, rights, rows] stands for, as one
+    GEMM over the stacked rows.  One factor gives matmul's own product."""
+    lefts, rights, _ = f
+    if len(lefts) == 1:
+        return lefts[0].T @ rights[0]
+    return np.concatenate(lefts).T @ np.concatenate(rights)
 
 
 def _basic(key) -> bool:
@@ -298,7 +385,9 @@ def matmul(a, b, transpose_b: bool = False) -> Tensor:
     b may also be a stack of matrices (..., m, n): then a is (..., k, m) and
     the leading axes of a and b broadcast as in numpy, so a 2-D a is used
     against every matrix of the stack.  Each adjoint is summed back to its
-    operand's shape over the axes it was broadcast along."""
+    operand's shape over the axes it was broadcast along.  Without
+    transpose_b, the adjoint of a 2-D b with at least FLUSH_ROWS rows goes
+    to the sweep as factors (module docstring)."""
     a, b = as_tensor(a), as_tensor(b)
     ad, bd = a.data, b.data
     stacked = bd.ndim > 2
@@ -324,8 +413,11 @@ def matmul(a, b, transpose_b: bool = False) -> Tensor:
         da = dy @ (bd if transpose_b else bt)
         a2 = ad.reshape(-1, ad.shape[-1])
         dy2 = dy.reshape(-1, dy.shape[-1])
-        db = dy2.T @ a2 if transpose_b else a2.T @ dy2
-        return da, db
+        if transpose_b:
+            return da, dy2.T @ a2
+        if bd.shape[0] < FLUSH_ROWS:  # a small weight keeps its per-step product
+            return da, a2.T @ dy2
+        return da, _Factors(a2, dy2)  # the sweep forms a2.T @ dy2
 
     return _apply(out, (a, b), bwd)
 

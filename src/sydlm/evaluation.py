@@ -243,9 +243,22 @@ def structure_report(pred_trees, gold_nary_trees, tags: Sequence[str] = DEFAULT_
 
 def bracket_words(tree: Tree) -> str:
     """Label-free bracketing over tokens, for side-by-side inspection."""
-    if tree.is_leaf:
-        return tree.token or ""
-    return "(%s)" % " ".join(bracket_words(ch) for ch in tree.children)
+    out = []
+    stack: list = [tree]  # trees still to write, and the strings that go between them
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+        elif item.is_leaf:
+            out.append(item.token or "")
+        else:
+            out.append("(")
+            stack.append(")")
+            for ch in reversed(item.children[1:]):
+                stack.append(ch)
+                stack.append(" ")
+            stack.append(item.children[0])
+    return "".join(out)
 
 
 def render_parallel(words: list, named_trees: list) -> str:

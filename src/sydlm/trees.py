@@ -52,15 +52,25 @@ class Tree:
         return len(self.leaves())
 
     def iter_nodes(self) -> Iterator["Tree"]:
-        yield self
-        for ch in self.children:
-            yield from ch.iter_nodes()
+        """Every node in preorder: a parent, then its children's subtrees in
+        order."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
 
     def depth(self) -> int:
         """Maximum root-to-leaf edge count."""
-        if self.is_leaf:
-            return 0
-        return 1 + max(ch.depth() for ch in self.children)
+        deepest = 0
+        stack = [(self, 0)]
+        while stack:
+            node, d = stack.pop()
+            if node.children:
+                stack.extend((ch, d + 1) for ch in node.children)
+            elif d > deepest:
+                deepest = d
+        return deepest
 
     def shape(self):
         """Nested-tuple skeleton, ignoring labels and tokens."""
@@ -87,16 +97,33 @@ def constituents(tree: Tree) -> list[tuple[Tree, int, int]]:
     are the leaf positions the node covers; children come before their
     parent, so the root is last."""
     out = []
-
-    def walk(node: Tree, start: int) -> int:
-        end = start + 1 if node.is_leaf else start
-        for ch in node.children:
-            end = walk(ch, end)
+    starts: list[int] = []  # the start of every finished subtree not yet claimed by its parent
+    end = 0  # leaves seen so far: the end of the subtree just finished
+    for node in _postorder(tree):
+        k = len(node.children)
+        if k:
+            start = starts[-k]
+            del starts[-k:]
+        else:
+            start = end
+            end += 1
+        starts.append(start)
         out.append((node, start, end))
-        return end
-
-    walk(tree, 0)
     return out
+
+
+def _postorder(tree: Tree) -> list[Tree]:
+    """Every node, children's subtrees in order before their parent: the
+    reverse of a preorder that visits children right to left.  Iterative,
+    so a tree of any depth is walked."""
+    order = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack.extend(node.children)
+    order.reverse()
+    return order
 
 
 # ---------------------------------------------------------------------------
@@ -125,13 +152,17 @@ def parse_bracketed(text: str, clean: bool = True) -> list[Tree]:
     With ``clean`` (the default), -NONE- empty elements are removed, label
     suffixes after the first "-" or "=" are stripped, and nodes left without
     children by the removal are dropped recursively.  Raises TreebankError
-    with the character offset of the offending bracket on unbalanced input.
+    with the character offset of the offending bracket on unbalanced input,
+    an empty node, or a word followed by a child bracket under one label.
     """
     trees: list[Tree] = []
     stack: list[Tree] = []
     for match in _TOKEN.finditer(text):
         label, word = match.group(1, 0)
         if label is not None:
+            if stack and stack[-1].token is not None:
+                raise TreebankError("word %r before a child bracket at offset %d"
+                                    % (stack[-1].token, match.start()))
             stack.append(Tree(label=label))
         elif word == ")":
             if not stack:
@@ -209,7 +240,8 @@ def prune_leaves(tree: Tree, drop: Callable[[str, str], bool]) -> Optional[Tree]
 def fill_heights(tree: Tree) -> int:
     """Set heights bottom-up on a tree built without them (a parsed one):
     leaf 1, parent max(children) + 1."""
-    tree.height = max((fill_heights(ch) for ch in tree.children), default=0) + 1
+    for node in _postorder(tree):
+        node.height = max((ch.height for ch in node.children), default=0) + 1
     return tree.height
 
 

@@ -3,6 +3,8 @@ the acceptance gradient suite.  Constants are frozen per seed so finite
 differences see a fixed function; relu/hardtanh inputs keep clear of the
 kinks."""
 
+import math
+
 import numpy as np
 
 from sydlm import autodiff as ad
@@ -42,6 +44,23 @@ def primitive_cases(seed: int):
     take_idx = rng.integers(0, 6, size=5)
     drop_seed = int(rng.integers(0, 2**31))
     repeated = np.array([1, 1, 2])
+    # matmul hands the adjoint of a weight with at least FLUSH_ROWS rows to
+    # the sweep as factors (a2, dy2); drawn from their own generator, so the
+    # other cases' inputs stay as they were
+    frng = np.random.default_rng(seed + 1000)
+    k = ad.FLUSH_ROWS
+    m3k, m2k = (Tensor(frng.normal(size=(r, k)) / math.sqrt(k)) for r in (3, 2))
+    dk2, c32 = Tensor(frng.normal(size=(k, 2))), Tensor(frng.normal(size=(3, 2)))
+    steps = k // 40 + 2  # 40 rows a read: one flush part-way, then a remainder
+    xs = [Tensor(frng.normal(size=(40, k)) / math.sqrt(k)) for _ in range(steps)]
+    cs = [Tensor(frng.normal(size=(40, 2))) for _ in range(steps)]
+
+    def read_per_step(t):
+        return sum((ad.tsum(ad.tanh(ad.matmul(x, t)) * c) for x, c in zip(xs, cs)), Tensor(0.0))
+
+    def nonleaf_weight(t):
+        w = t * dk2  # two matmuls read w: its factors are flushed before its own node is swept
+        return ad.tsum(ad.matmul(m3k, w) * c32) + ad.tsum(ad.matmul(m2k, w) * t[:2])
 
     x23 = rng.normal(size=(2, 3))
     x_relu = _away_from(rng.normal(size=(2, 3)), [0.0], margin=0.1)
@@ -58,6 +77,14 @@ def primitive_cases(seed: int):
         ("div", lambda t: ad.tsum(t / b), Tensor(x23.copy())),
         ("div_denominator", lambda t: ad.tsum(a / t), Tensor(x23.copy() + 3.0)),
         ("matmul", lambda t: ad.tsum(ad.matmul(t, w) * c24), Tensor(x23.copy())),
+        # the weight's adjoint mixes factors with a dense one, in both sweep orders
+        ("matmul_factors_then_dense", lambda t: ad.tsum(t * dk2) + ad.tsum(ad.matmul(m3k, t) * c32),
+         Tensor(frng.normal(size=(k, 2)))),
+        ("matmul_dense_then_factors", lambda t: ad.tsum(ad.matmul(m3k, t) * c32) + ad.tsum(t * dk2),
+         Tensor(frng.normal(size=(k, 2)))),
+        # a weight read once per step, more rows than one flush holds
+        ("matmul_flushed_part_way", read_per_step, Tensor(frng.normal(size=(k, 2)))),
+        ("matmul_nonleaf_weight", nonleaf_weight, Tensor(frng.normal(size=(k, 2)))),
         ("matmul_tb", lambda t: ad.tsum(ad.matmul(t, wt, transpose_b=True) * c24), Tensor(x23.copy())),
         ("matmul_stack_a", lambda t: ad.tsum(ad.matmul(t, s245) * c235), Tensor(s234.data.copy())),
         ("matmul_stack_b", lambda t: ad.tsum(ad.matmul(s234, t) * c235), Tensor(s245.data.copy())),

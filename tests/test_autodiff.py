@@ -124,8 +124,9 @@ class TestBackward:
 
 def dense_backward(tape, loss):
     """Reference sweep: every adjoint is a full array summed out of place,
-    and a getitem's (key, dy) becomes a zero array of its parent's shape.
-    Returns {leaf: gradient} without touching .grad."""
+    a getitem's (key, dy) becomes a zero array of its parent's shape, and
+    matmul's weight factors are multiplied out at once, one product per
+    read.  Returns {leaf: gradient} without touching .grad."""
     grads = {loss: np.ones_like(loss.data)}
     for node in reversed(tape.nodes):
         dy = grads.pop(node.out, None)
@@ -134,7 +135,9 @@ def dense_backward(tape, loss):
         for parent, dp in zip(node.parents, node.bwd(dy)):
             if dp is None or not parent.tracked:
                 continue
-            if type(dp) is tuple:
+            if type(dp) is ad._Factors:
+                dp = dp.left.T @ dp.right
+            elif type(dp) is tuple:
                 key, d = dp
                 dp = np.zeros_like(parent.data)
                 np.add.at(dp, key, d)
@@ -152,30 +155,75 @@ MODEL_KINDS = [
 ]
 
 
-class TestOwnedSweep:
-    """backward sums into buffers it owns; its gradients must equal the
-    dense reference's (np.array_equal: only the sign of a zero may differ)."""
+def matmul_reads(tape) -> dict:
+    """{tensor: number of matmul nodes that read it as their weight}."""
+    reads: dict = {}
+    for n in tape.nodes:
+        if n.bwd.__qualname__.startswith("matmul."):
+            reads[n.parents[1]] = reads.get(n.parents[1], 0) + 1
+    return reads
 
-    @pytest.mark.parametrize("kind", MODEL_KINDS, ids=lambda k: k["model"])
-    def test_model_step_matches_dense_reference(self, kind):
+
+def assert_matches_dense(model, tape, ref):
+    """A weight that several matmuls read sums their products in one stacked
+    GEMM, in another order than the reference: within 1e-12 norm-relative.
+    Every other gradient is the reference's (np.array_equal: only the sign
+    of a zero may differ).  Returns the names compared within tolerance."""
+    reads = matmul_reads(tape)
+    reordered = []
+    for name, p in model.params.items():
+        if p not in ref:
+            assert p.grad is None, name
+        elif reads.get(p, 0) > 1:
+            reordered.append(name)
+            assert np.linalg.norm(p.grad - ref[p]) <= 1e-12 * np.linalg.norm(ref[p]), name
+        else:
+            assert np.array_equal(p.grad, ref[p]), name
+    return reordered
+
+
+class TestOwnedSweep:
+    """backward sums into buffers it owns and forms weight gradients from
+    factor lists; its gradients must match the dense reference's."""
+
+    @staticmethod
+    def _model_step(kind, steps, monkeypatch):
         from sydlm.config import ModelConfig, TrainConfig
         from sydlm.models import build_model
         from sydlm.training import lm_loss, ranking_loss
 
+        # every weight of these small models has at least 4 rows, so each
+        # takes the factor path; a list flushes every 2 steps at B2
+        monkeypatch.setattr(ad, "FLUSH_ROWS", 4)
         cfg = ModelConfig(vocab_size=12, embedding_size=8, **kind)
         model = build_model(cfg, seed=1)
         rng = np.random.default_rng(0)
-        ids = rng.integers(0, 12, size=(7, 2))
+        ids = rng.integers(0, 12, size=(steps + 1, 2))
         with Tape() as tape:
             out = model.forward(ids[:-1], None, rng=rng, train_cfg=TrainConfig(model=cfg))
             d_w = out.d_syd if out.d_syd is not None else out.d_lm[0]
-            loss = (lm_loss(out.logits, ids[1:].reshape(-1), np.ones(12))
-                    + ranking_loss(d_w, rng.normal(size=12), np.zeros(12, dtype=np.int64)))
+            n = 2 * steps
+            loss = (lm_loss(out.logits, ids[1:].reshape(-1), np.ones(n))
+                    + ranking_loss(d_w, rng.normal(size=n), np.zeros(n, dtype=np.int64)))
             ref = dense_backward(tape, loss)
             backward(loss)
-        for name, p in model.params.items():
-            assert p.grad is not None, name
-            assert np.array_equal(p.grad, ref[p]), name
+        return model, tape, ref
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS, ids=lambda k: k["model"])
+    def test_model_step_matches_dense_reference(self, kind, monkeypatch):
+        model, tape, ref = self._model_step(kind, 6, monkeypatch)
+        assert all(p.grad is not None for p in model.params.values())
+        reordered = assert_matches_dense(model, tape, ref)  # the recurrent weights
+        assert any(not np.array_equal(model.params[name].grad, ref[model.params[name]])
+                   for name in reordered)
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS, ids=lambda k: k["model"])
+    def test_weights_read_once_are_bitwise(self, kind, monkeypatch):
+        # one step: every weight is read by one matmul, whose single factor
+        # flushes as exactly the reference's product
+        model, tape, ref = self._model_step(kind, 1, monkeypatch)
+        assert max(matmul_reads(tape).values()) == 1
+        assert assert_matches_dense(model, tape, ref) == []
 
     @pytest.mark.parametrize("slice_first", [True, False], ids=["slice-dense", "dense-slice"])
     def test_adjoint_shared_by_add_is_not_written(self, slice_first):
@@ -203,13 +251,14 @@ class TestOwnedSweep:
         assert np.allclose(a.grad, expected)
 
     @pytest.mark.parametrize("kind", MODEL_KINDS, ids=lambda k: k["model"])
-    def test_tied_step_without_embedding_dropout_matches_dense_reference(self, kind):
+    def test_tied_step_without_embedding_dropout_matches_dense_reference(self, kind, monkeypatch):
         # with no row dropout the gather reads the embedding parameter
         # itself, which the tied decoder also reads
         from sydlm.config import ModelConfig, TrainConfig
         from sydlm.models import build_model
         from sydlm.training import lm_loss, ranking_loss
 
+        monkeypatch.setattr(ad, "FLUSH_ROWS", 4)
         cfg = ModelConfig(vocab_size=12, embedding_size=8, tie_embeddings=True, **kind)
         model = build_model(cfg, seed=2)
         rng = np.random.default_rng(1)
@@ -224,8 +273,7 @@ class TestOwnedSweep:
                        for n in tape.nodes)
             ref = dense_backward(tape, loss)
             backward(loss)
-        for name, p in model.params.items():
-            assert np.array_equal(p.grad, ref[p]), name
+        assert "embedding" not in assert_matches_dense(model, tape, ref)
 
     def test_index_array_adjoint_is_summed_after_its_scatter(self):
         # x already holds a dense adjoint of 1.0 when the gather's two 1e-16
@@ -253,6 +301,97 @@ class TestOwnedSweep:
                 first = x.grad
                 first_copy = first.copy()
         assert np.array_equal(x.grad, refs[0] + refs[1])
+        assert np.array_equal(first, first_copy)
+
+
+class TestWeightFactors:
+    """matmul's adjoint of a weight with at least FLUSH_ROWS rows reaches the
+    sweep as factors; the sweep forms their product when a list is full,
+    when its tensor's node is swept, and at the leaves."""
+
+    @pytest.fixture(autouse=True)
+    def _three_rows(self, monkeypatch):
+        monkeypatch.setattr(ad, "FLUSH_ROWS", 3)
+
+    def test_only_a_weight_with_flush_rows_rows_is_factored(self):
+        rng = np.random.default_rng(12)
+        with Tape() as tape:
+            for rows in (2, 3):
+                w = Tensor(rng.normal(size=(rows, 4)), requires_grad=True)
+                ad.matmul(Tensor(rng.normal(size=(5, rows))), w)
+        small, large = (n.bwd(np.ones((5, 4)))[1] for n in tape.nodes)
+        assert type(small) is np.ndarray and type(large) is ad._Factors
+
+    @pytest.mark.parametrize("factors_first", [True, False], ids=["factors-dense", "dense-factors"])
+    def test_mixed_with_a_dense_adjoint(self, factors_first):
+        rng = np.random.default_rng(7)
+        w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        x, c, d = (Tensor(rng.normal(size=s)) for s in [(2, 3), (2, 4), (3, 4)])
+        with Tape() as tape:
+            if factors_first:  # the sweep meets the later term first
+                loss = ad.tsum(w * d) + ad.tsum(ad.matmul(x, w) * c)
+            else:
+                loss = ad.tsum(ad.matmul(x, w) * c) + ad.tsum(w * d)
+            ref = dense_backward(tape, loss)
+            backward(loss)
+        assert np.array_equal(w.grad, ref[w])
+        assert np.array_equal(w.grad, x.data.T @ c.data + d.data)
+
+    def test_flush_leaves_an_adjoint_shared_by_add(self):
+        # add hands one dy array to w and b; w's product must not be summed into it
+        rng = np.random.default_rng(11)
+        w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        b = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        x, c = Tensor(rng.normal(size=(5, 3))), Tensor(rng.normal(size=(3, 4)))
+        with Tape() as tape:
+            loss = ad.tsum(ad.matmul(x, w)) + ad.tsum((w + b) * c)
+            ref = dense_backward(tape, loss)
+            backward(loss)
+        assert np.array_equal(b.grad, c.data)
+        assert np.array_equal(w.grad, ref[w])
+
+    def test_list_flushed_part_way(self, monkeypatch):
+        flushed = []
+        stacked_rows = ad._stacked_rows
+        monkeypatch.setattr(ad, "_stacked_rows", lambda f: flushed.append(f[2]) or stacked_rows(f))
+        rng = np.random.default_rng(8)
+        w = Tensor(rng.normal(size=(3, 3)) * 0.5, requires_grad=True)
+        h = Tensor(rng.normal(size=(1, 3)))  # one row a step
+        with Tape() as tape:
+            for _ in range(7):
+                h = ad.tanh(ad.matmul(h, w))
+            loss = ad.tsum(h)
+            ref = dense_backward(tape, loss)
+            backward(loss)
+        assert flushed == [3, 3, 1]
+        assert np.linalg.norm(w.grad - ref[w]) <= 1e-12 * np.linalg.norm(ref[w])
+
+    def test_non_leaf_weight_flushed_before_its_node(self):
+        rng = np.random.default_rng(9)
+        w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        x, y, c = (Tensor(rng.normal(size=s)) for s in [(1, 3), (1, 3), (1, 4)])
+        with Tape() as tape:
+            v = w * 2.0  # both matmuls read v, and v's own node is swept after them
+            loss = ad.tsum(ad.matmul(x, v)) + ad.tsum(ad.matmul(y, v) * c)
+            ref = dense_backward(tape, loss)
+            backward(loss)
+        assert np.linalg.norm(w.grad - ref[w]) <= 1e-12 * np.linalg.norm(ref[w])
+        assert np.allclose(w.grad, 2.0 * (x.data.T @ np.ones((1, 4)) + y.data.T @ c.data))
+
+    def test_grad_sums_over_two_backward_calls(self):
+        rng = np.random.default_rng(10)
+        w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        x = Tensor(rng.normal(size=(2, 3)))
+        refs = []
+        for scale in (1.0, -3.0):
+            with Tape() as tape:
+                loss = ad.tsum(ad.matmul(x, w) * scale)
+                refs.append(dense_backward(tape, loss)[w])
+                backward(loss)
+            if scale == 1.0:
+                first, first_copy = w.grad, w.grad.copy()
+        assert np.array_equal(refs[0], x.data.T @ np.ones((2, 4)))
+        assert np.array_equal(w.grad, refs[0] + refs[1])
         assert np.array_equal(first, first_copy)
 
 

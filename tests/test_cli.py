@@ -714,6 +714,13 @@ class TestMalformedInputs:
                          "%s: maximum recursion depth" % src)
         assert not out.exists() and not (tmp_path / "deep.json.dist").exists()
 
+    def test_treebank_word_before_a_child_bracket(self, tmp_path, capsys):
+        src, out = tmp_path / "mixed.mrg", tmp_path / "mixed.json"
+        src.write_text("(S (NN a (X b)) (VB c))\n")
+        self._data_error(["preprocess", str(src), "--out", str(out)], capsys,
+                         "word 'a' before a child bracket at offset 9")
+        assert not out.exists()
+
     def test_checkpoint_header_nested_too_deeply(self, tmp_path, zero_eval, capsys):
         corpus_path, _ = zero_eval
         ckpt = tmp_path / "deep.bin"

@@ -10,6 +10,7 @@ from sydlm.evaluation import (
     labeled_spans,
     per_tag_accuracy,
     perplexity,
+    render_parallel,
     resolve_layer,
     sentence_distances,
     spans_of,
@@ -277,6 +278,19 @@ class TestDepthAndRatio:
             clean=False)[0]
         assert balanced.depth() == 3  # ceil(log2 8)
         assert tree.depth() >= 3
+
+
+class TestDeepTrees:
+    @pytest.mark.parametrize("chain", [left_chain, right_chain])
+    def test_report_and_render_of_a_two_thousand_leaf_chain(self, chain):
+        words = ["w%d" % i for i in range(2000)]
+        pred, gold = chain(words), chain(words)
+        pred.height = None  # accuracy_by_height fills heights it finds missing
+        report = structure_report([pred], [gold])
+        assert report["f1_micro"] == 100.0 and report["mean_depth"] == 1999.0
+        assert sum(cell["total"] for cell in report["height_accuracy"].values()) == 1998
+        rendered = render_parallel(words, [("pred", pred)])
+        assert rendered.count("(") == 1999
 
 
 class TestAccuracyByHeight:

@@ -6,7 +6,9 @@ from sydlm.trees import (
     Tree,
     TreebankError,
     binarize_right,
+    constituents,
     enumerate_binary_shapes,
+    fill_heights,
     leaf,
     left_chain,
     node,
@@ -18,6 +20,7 @@ from sydlm.trees import (
     right_chain,
 )
 from sydlm.distance import validate_heights
+from sydlm.evaluation import bracket_words
 
 from conftest import pcfg_treebank
 
@@ -68,6 +71,16 @@ class TestParseBracketed:
             with pytest.raises(TreebankError) as err:
                 parse_bracketed(text)
             assert str(err.value) == message
+
+    @pytest.mark.parametrize("clean", [True, False])
+    def test_word_before_a_child_bracket(self, clean):
+        # it used to be dropped: the words read as ['b', 'c']
+        with pytest.raises(TreebankError) as err:
+            parse_bracketed("(S (NN a (X b)) (VB c))", clean=clean)
+        assert str(err.value) == "word 'a' before a child bracket at offset 9"
+        # after a child, or beside another word, a word is a sibling leaf
+        assert parse_bracketed("(S (NN (X b) a) (VB c))")[0].tokens() == ["b", "a", "c"]
+        assert parse_bracketed("(S (NN a b (X c)))")[0].tokens() == ["a", "b", "c"]
 
     def test_ptb_empty_label_wrapper(self):
         text = "( (S (NP (DT the) (NN cat)) (VP (VBZ sleeps))) )"
@@ -248,3 +261,81 @@ class TestChains:
             shapes = enumerate_binary_shapes(n)
             assert len(shapes) == catalan
             assert len({t.shape() for t in shapes}) == catalan
+
+
+# The recursive walks the iterative ones replaced, kept as their reference.
+def constituents_recursive(tree):
+    out = []
+
+    def walk(n, start):
+        end = start + 1 if n.is_leaf else start
+        for ch in n.children:
+            end = walk(ch, end)
+        out.append((n, start, end))
+        return end
+
+    walk(tree, 0)
+    return out
+
+
+def iter_nodes_recursive(tree):
+    yield tree
+    for ch in tree.children:
+        yield from iter_nodes_recursive(ch)
+
+
+def depth_recursive(tree):
+    return 0 if tree.is_leaf else 1 + max(depth_recursive(ch) for ch in tree.children)
+
+
+def heights_recursive(tree):
+    """[(node, height)] in preorder, as the recursive fill_heights set them."""
+    out = []
+
+    def walk(n):
+        entry = [n, None]
+        out.append(entry)
+        entry[1] = max((walk(ch) for ch in n.children), default=0) + 1
+        return entry[1]
+
+    walk(tree)
+    return [tuple(e) for e in out]
+
+
+def bracket_words_recursive(tree):
+    if tree.is_leaf:
+        return tree.token or ""
+    return "(%s)" % " ".join(bracket_words_recursive(ch) for ch in tree.children)
+
+
+class TestIterativeWalks:
+    """The walks the structure report and --render reach are iterative: the
+    same outputs in the same order as the recursive ones, at any depth."""
+
+    TREES = (enumerate_binary_shapes(6) + [random_binary_tree(n, s) for n in range(1, 40) for s in range(3)]
+             + parse_bracketed("(S (NP (DT a) (NN b c)) (VP (V d)) (. .))", clean=False))
+
+    def test_same_outputs_in_the_same_order(self):
+        for tree in self.TREES:
+            assert [(id(n), s, e) for n, s, e in constituents(tree)] == \
+                [(id(n), s, e) for n, s, e in constituents_recursive(tree)]
+            assert [id(n) for n in tree.iter_nodes()] == [id(n) for n in iter_nodes_recursive(tree)]
+            assert tree.depth() == depth_recursive(tree)
+            assert bracket_words(tree) == bracket_words_recursive(tree)
+            expected = [(id(n), h) for n, h in heights_recursive(tree)]
+            for n in tree.iter_nodes():
+                n.height = None
+            assert fill_heights(tree) == expected[0][1]
+            assert [(id(n), n.height) for n in tree.iter_nodes()] == expected
+
+    @pytest.mark.parametrize("chain", [left_chain, right_chain])
+    def test_two_thousand_leaf_chains(self, chain):
+        words = ["w%d" % i for i in range(2000)]
+        tree = chain(words)
+        nodes = constituents(tree)
+        assert len(nodes) == 3999 and nodes[-1] == (tree, 0, 2000)
+        assert sum(1 for _ in tree.iter_nodes()) == 3999
+        assert tree.depth() == 1999
+        assert fill_heights(tree) == 2000 and validate_heights(tree)
+        text = bracket_words(tree)
+        assert text.count("(") == 1999 and text.replace("(", "").replace(")", "").split() == words
