@@ -428,14 +428,17 @@ def _stacked_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x * y if x.shape[-1] == 1 else x @ y
 
 
-def concat(tensors: Sequence, axis: int = 0) -> Tensor:
+def concat(tensors: Sequence, axis: int = 0, out: Optional[np.ndarray] = None) -> Tensor:
+    """With out (numpy's, float64), the result's data is out.  A piece may
+    lie in out at its own place already, and is rewritten with its own
+    values; out must not be written while the result is live (see getitem)."""
     ts = [as_tensor(t) for t in tensors]
     datas = [t.data for t in ts]
     try:
-        out = np.concatenate(datas, axis=axis)
+        out = np.concatenate(datas, axis=axis, out=out)
     except ValueError:
-        raise ShapeError("concat: incompatible shapes %s along axis %d"
-                         % ([t.shape for t in ts], axis))
+        raise ShapeError("concat: incompatible shapes %s along axis %d%s" % (
+            [t.shape for t in ts], axis, "" if out is None else " into out %s" % (out.shape,)))
     lead = (slice(None),) * (axis % out.ndim)
     ends = np.cumsum([d.shape[axis] for d in datas]).tolist()
     keys = [lead + (slice(end - d.shape[axis], end),) for d, end in zip(datas, ends)]
@@ -648,7 +651,8 @@ def cross_entropy_logits(logits, targets) -> Tensor:
     def bwd(dy):
         grad = z / zsum[:, None]
         grad[rows, tgt] -= 1.0
-        return (grad * dy[:, None],)
+        grad *= dy[:, None]
+        return (grad,)
 
     return _apply(out, (logits,), bwd)
 

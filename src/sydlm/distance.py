@@ -39,50 +39,64 @@ def tree_to_distances(tree: Tree) -> np.ndarray:
     return np.array(values, dtype=np.float64)
 
 
-def distances_to_tree_unbiased(d, leaves: list[str]) -> Tree:
-    """Top-down recovery: split each span at its maximal distance slot,
-    recurse on both sides.  Ties take the rightmost maximal slot, so flat
-    distances lean left rather than silently right-branching; heights are
-    those of the recovered tree, not the distances."""
+def _slot_values(d, leaves: list[str]) -> np.ndarray:
     values = np.asarray(d, dtype=np.float64)
     if len(values) != len(leaves) - 1:
         raise ValueError("need %d distances for %d leaves, got %d" % (len(leaves) - 1, len(leaves), len(values)))
+    if np.isnan(values).any():
+        raise ValueError("distances must not be NaN")
+    return values
 
-    def build(lo: int, hi: int) -> Tree:
-        if hi - lo == 1:
-            return leaf("X", leaves[lo])
-        # slot t sits between leaves t and t+1; rightmost argmax
-        span = values[lo : hi - 1]
-        slot = lo + (span.size - 1 - int(np.argmax(span[::-1])))
-        return node("X", [build(lo, slot + 1), build(slot + 1, hi)])
 
-    return build(0, len(leaves))
+def distances_to_tree_unbiased(d, leaves: list[str]) -> Tree:
+    """Top-down recovery: split each span at its maximal distance slot, then
+    both sides alike.  Ties take the rightmost maximal slot, so flat
+    distances lean left rather than silently right-branching; heights are
+    those of the recovered tree, not the distances.  Built in one pass as
+    the slots' Cartesian tree: the stack holds left parts with the distance
+    of the slot after each, strictly falling, and a slot takes every left
+    part whose slot is no higher."""
+    values = _slot_values(d, leaves)
+    stack: list[tuple[Tree, float]] = []
+    cur = leaf("X", leaves[0])
+    for i, v in enumerate(values.tolist()):
+        while stack and stack[-1][1] <= v:
+            cur = node("X", [stack.pop()[0], cur])
+        stack.append((cur, v))
+        cur = leaf("X", leaves[i + 1])
+    while stack:
+        cur = node("X", [stack.pop()[0], cur])
+    return cur
 
 
 def distances_to_tree_biased(d, leaves: list[str]) -> Tree:
     """Greedy build with a right-branching bias: the maximal-distance word
-    becomes the left sibling of the recursively built right span, so flat or
-    tied regions collapse into right-branching chains.
+    (the leftmost of ties) becomes the left sibling of the span after it,
+    and the span before it the left sibling of that pair, so flat or tied
+    regions collapse into right-branching chains.
 
     Word i carries the distance of the slot before it; the first word gets
-    -inf.
-    """
-    values = np.asarray(d, dtype=np.float64)
-    if len(values) != len(leaves) - 1:
-        raise ValueError("need %d distances for %d leaves, got %d" % (len(leaves) - 1, len(leaves), len(values)))
-    word_d = np.concatenate([[-math.inf], values])
+    -inf.  Built in one pass as the words' Cartesian tree: the stack holds
+    each word whose right part is open, with its left part, and a word
+    finishes every stacked word of lower distance."""
+    values = _slot_values(d, leaves)
 
-    def build(lo: int, hi: int) -> Tree:
-        if hi - lo == 1:
-            return leaf("X", leaves[lo])
-        pivot = lo + int(np.argmax(word_d[lo:hi]))
-        right = node("X", [leaf("X", leaves[pivot]), build(pivot + 1, hi)]) \
-            if pivot + 1 < hi else leaf("X", leaves[pivot])
-        if pivot == lo:
-            return right
-        return node("X", [build(lo, pivot), right])
+    def finish(left: Tree | None, word: int, right: Tree | None) -> Tree:
+        pair = leaf("X", leaves[word]) if right is None else node("X", [leaf("X", leaves[word]), right])
+        return pair if left is None else node("X", [left, pair])
 
-    return build(0, len(leaves))
+    stack: list[tuple[float, int, Tree | None]] = []
+    for word, v in enumerate([-math.inf] + values.tolist()):
+        cur = None
+        while stack and stack[-1][0] < v:
+            _, w, left = stack.pop()
+            cur = finish(left, w, cur)
+        stack.append((v, word, cur))
+    cur = None
+    while stack:
+        _, w, left = stack.pop()
+        cur = finish(left, w, cur)
+    return cur
 
 
 def validate_heights(tree: Tree) -> bool:

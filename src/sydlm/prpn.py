@@ -231,14 +231,16 @@ class PrpnLM(LanguageModel):
         top_states = []
         h_tilde = Tensor(np.zeros((batch, rh)))
         c_tilde = Tensor(np.zeros((batch, rh)))
+        mem_h, mem_c = np.empty((batch, t_len, rh)), np.empty((batch, t_len, rh))
 
         for t in range(t_len):
             if t > 0:
                 # the memory of steps 0..t-1 grows by the last step's row, so
-                # its concat has two parents however long it is
+                # its concat has two parents however long it is, and writes
+                # into a leading view of one buffer, where that memory lies
                 h_row, c_row = ad.reshape(h, (batch, 1, rh)), ad.reshape(c, (batch, 1, rh))
-                h_past = h_row if t == 1 else ad.concat([h_past, h_row], axis=1)  # (B, t, rh)
-                c_past = c_row if t == 1 else ad.concat([c_past, c_row], axis=1)
+                h_past = h_row if t == 1 else ad.concat([h_past, h_row], axis=1, out=mem_h[:, :t])  # (B, t, rh)
+                c_past = c_row if t == 1 else ad.concat([c_past, c_row], axis=1, out=mem_c[:, :t])
                 scores = ad.reshape(ad.matmul(h_past, queries[t]), (batch, t)) / math.sqrt(rh)
                 s = ad.reshape(gated_attention(gate_rows[t, :, :t], ad.softmax(scores)), (batch, 1, t))
                 h_tilde = ad.reshape(ad.matmul(s, h_past), (batch, rh))

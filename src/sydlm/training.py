@@ -10,6 +10,7 @@ drawn only within one sentence.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -38,6 +39,14 @@ def lm_loss(logits: Tensor, targets: np.ndarray, weights: np.ndarray) -> Tensor:
     return ad.tsum(ce * Tensor(w)) * (1.0 / total)
 
 
+@functools.cache
+def _upper_pairs(n: int) -> np.ndarray:
+    """np.triu_indices(n, k=1) as rows of one array, read-only: callers share it."""
+    pairs = np.array(np.triu_indices(n, k=1))
+    pairs.flags.writeable = False
+    return pairs
+
+
 def pair_indices(groups: np.ndarray):
     """Index pairs (i, j), i < j, of slots in the same group (sentence id);
     a slot of group -1 is in no pair."""
@@ -49,7 +58,7 @@ def pair_indices(groups: np.ndarray):
         idx = np.flatnonzero(groups == g)
         if idx.size < 2:
             continue
-        iu, ju = np.triu_indices(idx.size, k=1)
+        iu, ju = _upper_pairs(idx.size)
         ii_parts.append(idx[iu])
         jj_parts.append(idx[ju])
     if not ii_parts:

@@ -62,6 +62,14 @@ def primitive_cases(seed: int):
         w = t * dk2  # two matmuls read w: its factors are flushed before its own node is swept
         return ad.tsum(ad.matmul(m3k, w) * c32) + ad.tsum(ad.matmul(m2k, w) * t[:2])
 
+    def concat_into_buffer(t):
+        # as PRPN's read loop: the second concat's first piece already lies
+        # in place in its out buffer, and is read again after the rewrite
+        buf = np.empty((2, 6))
+        head = ad.concat([t, c23[:, :1]], axis=1, out=buf[:, :4])
+        full = ad.concat([head, c23[:, 1:]], axis=1, out=buf)
+        return ad.tsum(full * c26) + ad.tsum(head * c24)
+
     x23 = rng.normal(size=(2, 3))
     x_relu = _away_from(rng.normal(size=(2, 3)), [0.0], margin=0.1)
     x_ht = _away_from(rng.normal(size=(2, 3)) * 1.5, [-1.0, 1.0], margin=0.1)
@@ -93,6 +101,7 @@ def primitive_cases(seed: int):
         ("matmul_stack_tb", lambda t: ad.tsum(ad.matmul(s234, t, transpose_b=True) * c235),
          Tensor(s254.data.copy())),
         ("concat", lambda t: ad.tsum(ad.concat([t, c23], axis=1) * c26), Tensor(x23.copy())),
+        ("concat_into_buffer", concat_into_buffer, Tensor(x23.copy())),
         ("slice", lambda t: ad.tsum(t[:, 1:3] * Tensor(np.ones((2, 2)))), Tensor(x23.copy())),
         ("reshape", lambda t: ad.tsum(ad.reshape(t, (3, 2)) * Tensor(np.arange(6.0).reshape(3, 2))),
          Tensor(x23.copy())),

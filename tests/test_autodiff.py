@@ -92,6 +92,28 @@ class TestBackward:
         assert not np.shares_memory(picked.data, x.data)
         assert np.array_equal(picked.data, x.data[[0, 2, 0]])
 
+    def test_concat_into_a_buffer_that_holds_its_first_piece(self):
+        # as PRPN's read loop: each memory is a leading view of one buffer,
+        # and the last memory already lies in place there
+        rng = np.random.default_rng(3)
+        rows = [rng.normal(size=(2, 1, 3)) for _ in range(5)]
+        mix = rng.normal(size=(2, 5, 3))
+        runs = []
+        for into in (False, True):
+            xs = [Tensor(r.copy(), requires_grad=True) for r in rows]
+            buf = np.empty((2, 5, 3))
+            with Tape():
+                pasts, past = [], xs[0]
+                for t in range(1, 5):
+                    view = buf[:, : t + 1] if into else None
+                    past = ad.concat([past, xs[t]], axis=1, out=view)
+                    if into:
+                        assert past.data is view
+                    pasts.append(past)
+                backward(sum((ad.tsum(p * mix[:, : p.shape[1]]) for p in pasts), Tensor(0.0)))
+            runs.append(([p.data.tobytes() for p in pasts], [x.grad.tobytes() for x in xs]))
+        assert runs[0] == runs[1]
+
     def test_dropped_graph_is_freed_without_the_cycle_collector(self):
         from sydlm.config import ModelConfig
         from sydlm.onlstm import OnLstmLM
@@ -572,6 +594,12 @@ class TestShapeErrors:
     def test_add_incompatible(self):
         with pytest.raises(ShapeError, match="add"):
             ad.add(Tensor(np.ones((2, 3))), Tensor(np.ones((4,))))
+
+    def test_concat_out_of_the_wrong_shape(self):
+        pieces = [Tensor(np.ones((2, 3))), Tensor(np.ones((2, 1)))]
+        for out in (np.empty((2, 3)), np.empty((2, 4, 1))):
+            with pytest.raises(ShapeError, match=r"concat: .* into out \(2, "):
+                ad.concat(pieces, axis=1, out=out)
 
     def test_embedding_id_range(self):
         with pytest.raises(ShapeError, match="embedding"):

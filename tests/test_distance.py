@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,9 @@ from sydlm.trees import (
     Tree,
     binarize_right,
     enumerate_binary_shapes,
+    constituents,
     leaf,
+    node,
     parse_bracketed,
     random_binary_tree,
     render_bracketed,
@@ -118,6 +123,80 @@ class TestBiasedRecovery:
         unbiased = distances_to_tree_unbiased(flat, words)
         assert render_bracketed(biased) == "(X (X a) (X (X b) (X (X c) (X d))))"
         assert render_bracketed(unbiased) == "(X (X (X (X a) (X b)) (X c)) (X d))"
+
+
+def recursive_unbiased(values, leaves):
+    """The top-down reference: split each span at its rightmost maximal slot."""
+    def build(lo, hi):
+        if hi - lo == 1:
+            return leaf("X", leaves[lo])
+        span = values[lo : hi - 1]
+        slot = lo + (span.size - 1 - int(np.argmax(span[::-1])))
+        return node("X", [build(lo, slot + 1), build(slot + 1, hi)])
+
+    return build(0, len(leaves))
+
+
+def recursive_biased(values, leaves):
+    """The greedy reference: the leftmost maximal word pairs with the span
+    after it, and the span before it takes that pair as right sibling."""
+    word_d = np.concatenate([[-math.inf], values])
+
+    def build(lo, hi):
+        if hi - lo == 1:
+            return leaf("X", leaves[lo])
+        pivot = lo + int(np.argmax(word_d[lo:hi]))
+        right = node("X", [leaf("X", leaves[pivot]), build(pivot + 1, hi)]) \
+            if pivot + 1 < hi else leaf("X", leaves[pivot])
+        if pivot == lo:
+            return right
+        return node("X", [build(lo, pivot), right])
+
+    return build(0, len(leaves))
+
+
+def spans(tree):
+    """Every node's token, height and leaf span, children first: equal for
+    two trees exactly when they are equal with heights, and walked without
+    recursion."""
+    return [(n.label, n.token, n.height, s, e) for n, s, e in constituents(tree)]
+
+
+RECOVERIES = [(distances_to_tree_unbiased, recursive_unbiased),
+              (distances_to_tree_biased, recursive_biased)]
+
+
+@pytest.mark.parametrize("recover, reference", RECOVERIES, ids=["unbiased", "biased"])
+class TestRecoveryMatchesRecursiveReference:
+    def test_every_small_vector_with_ties(self, recover, reference):
+        for n in range(1, 9):
+            words = ["w%d" % i for i in range(n)]
+            for vals in itertools.product((0.0, 1.0, 2.0), repeat=n - 1):
+                vals = np.array(vals)
+                assert spans(recover(vals, words)) == spans(reference(vals, words)), vals
+
+    def test_random_vectors_up_to_300_words(self, recover, reference):
+        rng = np.random.default_rng(0)
+        for n in list(range(9, 40)) + [100, 299, 300]:
+            words = ["w%d" % i for i in range(n)]
+            for vals in (rng.normal(size=n - 1), rng.integers(0, 4, size=n - 1).astype(float)):
+                assert spans(recover(vals, words)) == spans(reference(vals, words)), n
+
+    def test_monotone_1199_distances_do_not_recurse(self, recover, reference):
+        n = 1200
+        words = ["w%d" % i for i in range(n)]
+        # falling distances branch right, rising ones left, under both rules
+        right = recover(np.arange(n - 1, 0, -1.0), words)
+        assert {(s, e) for _, s, e in constituents(right)} == \
+            {(i, n) for i in range(n)} | {(i, i + 1) for i in range(n)}
+        left = recover(np.arange(1.0, n), words)
+        assert {(s, e) for _, s, e in constituents(left)} == \
+            {(0, i) for i in range(1, n + 1)} | {(i, i + 1) for i in range(n)}
+        assert right.height == left.height == n and right.tokens() == left.tokens() == words
+
+    def test_nan_is_rejected(self, recover, reference):
+        with pytest.raises(ValueError, match="NaN"):
+            recover(np.array([1.0, math.nan]), list("abc"))
 
 
 class TestValidateHeights:

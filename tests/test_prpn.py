@@ -355,3 +355,24 @@ class TestReadLoop:
             return len(tape)
 
         assert nodes(64) / nodes(32) < 2.2
+
+    def test_tape_keeps_the_memory_in_one_buffer_per_window(self):
+        # the memories of steps 2..T-1 (the outputs of the read loop's memory
+        # concats) are views of one (B, T, rh) buffer for h and one for c,
+        # not one copy per step, which would hold O(T^2) values
+        t_len, batch = 20, 3
+        model = encoder_model(seed=16)
+        rh = model.read_hidden
+        inputs = np.random.default_rng(10).integers(0, 11, size=(t_len, batch))
+        with Tape() as tape:
+            model.forward(inputs)
+        roots = {}
+        for node in tape.nodes:
+            shape = node.out.shape
+            if len(shape) == 3 and shape[0] == batch and 2 <= shape[1] < t_len and shape[2] == rh:
+                root = node.out.data
+                while root.base is not None:
+                    root = root.base
+                roots[id(root)] = root
+        assert len(roots) >= 2
+        assert sum(a.nbytes for a in roots.values()) <= 2 * batch * t_len * rh * 8

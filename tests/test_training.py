@@ -95,6 +95,16 @@ class TestRankingLoss:
         assert len(ii2) == 1
         assert float(masked.data) > 0
 
+    def test_pairs_in_order_and_not_shared_between_calls(self):
+        groups = np.array([-1, 0, 0, 0, 1, 1, 1, -1, 2, 2, 3, 3, 3])
+        want = [(i, j) for i in range(13) for j in range(i + 1, 13)
+                if groups[i] >= 0 and groups[i] == groups[j]]
+        ii, jj = pair_indices(groups)
+        assert list(zip(ii.tolist(), jj.tolist())) == want
+        ii[:] = -5  # the sizes repeat, so a shared cached array would show this
+        again = pair_indices(groups)
+        assert list(zip(*(a.tolist() for a in again))) == want
+
     def test_boolean_mask_is_not_read_as_groups(self):
         # a mask would otherwise pair its True slots and, apart, its False ones
         mask = np.array([True, False, True, True])
