@@ -11,7 +11,7 @@ from .distance import (
     validate_heights,
 )
 from .models import build_model
-from .trees import Tree, binarize_right, parse_bracketed, prune_leaves, random_binary_tree, render_bracketed
+from .trees import Tree, binarize_right, parse_bracketed, random_binary_tree, render_bracketed
 
 __all__ = [
     "ModelConfig",
@@ -28,7 +28,6 @@ __all__ = [
     "Tree",
     "parse_bracketed",
     "render_bracketed",
-    "prune_leaves",
     "binarize_right",
     "random_binary_tree",
     "__version__",

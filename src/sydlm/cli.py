@@ -76,19 +76,22 @@ def _manifest(argv: list, seed: int, input_paths: list, config: dict) -> dict:
 # preprocess
 # ---------------------------------------------------------------------------
 
-def _load_rules(path: str | None, mode: str) -> PreprocessRules:
-    settings = {"mode": mode}
-    if path is None:
-        return PreprocessRules(**settings)
-    types = {f.name: f.type for f in dataclasses.fields(PreprocessRules)}
-    try:
-        for lineno, key, value in read_settings(Path(path).read_text()):
-            if key not in types:
-                raise ConfigError("line %d: unknown rule %r" % (lineno, key))
-            settings[key] = value.split() if key == "drop_tags" else _coerce(key, value, types[key])
-        return PreprocessRules(**settings)
-    except ValueError as exc:
-        raise ConfigError("%s: %s" % (path, exc)) from None
+def _load_rules(path: str | None, mode: str | None) -> PreprocessRules:
+    """The rules file's rules (the defaults without one); an explicit
+    ``--mode`` wins over the file's mode."""
+    rules = PreprocessRules()
+    if path is not None:
+        types = {f.name: f.type for f in dataclasses.fields(PreprocessRules)}
+        settings = {}
+        try:
+            for lineno, key, value in read_settings(Path(path).read_text()):
+                if key not in types:
+                    raise ConfigError("line %d: unknown rule %r" % (lineno, key))
+                settings[key] = value.split() if key == "drop_tags" else _coerce(key, value, types[key])
+            rules = PreprocessRules(**settings)
+        except ValueError as exc:
+            raise ConfigError("%s: %s" % (path, exc)) from None
+    return rules if mode is None else dataclasses.replace(rules, mode=mode)
 
 
 def cmd_preprocess(args, argv) -> int:
@@ -97,17 +100,13 @@ def cmd_preprocess(args, argv) -> int:
     for path in args.inputs:
         try:
             trees.extend(parse_bracketed(Path(path).read_text()))
-        except (OSError, TreebankError, RecursionError) as exc:
+        except (OSError, TreebankError) as exc:
             raise TreebankError("%s: %s" % (path, exc)) from None
     vocab = Corpus.load(args.vocab_from).vocab if args.vocab_from else None
-    manifest = _manifest(argv, 0, list(args.inputs), {
+    corpus = preprocess_corpus(trees, rules, vocab)
+    corpus.manifest = _manifest(argv, 0, list(args.inputs), {
         "rules": dict(dataclasses.asdict(rules), drop_tags=sorted(rules.drop_tags))})
-    try:  # the tree walks recurse, so a tree nested too deeply for them is bad data
-        corpus = preprocess_corpus(trees, rules, vocab)
-        corpus.manifest = manifest
-        corpus.save(args.out)
-    except RecursionError as exc:
-        raise TreebankError("%s: %s" % (", ".join(args.inputs), exc)) from None
+    corpus.save(args.out)
     dist_path = args.out + ".dist"
     with atomic_open(dist_path) as fh:
         for i in range(corpus.n_sentences):
@@ -275,7 +274,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("preprocess", help="treebank files -> corpus dump")
     p.add_argument("inputs", nargs="+", help="bracketed treebank files")
     p.add_argument("--out", required=True, help="corpus dump path")
-    p.add_argument("--mode", choices=["concat", "sepsent"], default="concat")
+    p.add_argument("--mode", choices=["concat", "sepsent"],
+                   help="sentence layout (wins over the rules file; default concat)")
     p.add_argument("--rules", help="key = value rules file")
     p.add_argument("--vocab-from", help="reuse the vocab of an existing corpus dump")
 

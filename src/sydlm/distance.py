@@ -22,21 +22,21 @@ def tree_to_distances(tree: Tree) -> np.ndarray:
     heights: slot t gets the height of the internal node whose subtrees
     meet between leaves t and t+1."""
     values: list[int] = []
-
-    def walk(node: Tree) -> None:
-        # in order: every slot of the left subtree, this node's, the right's
-        if node.is_leaf:
-            return
-        if len(node.children) != 2:
-            raise ValueError("tree_to_distances needs a binary tree")
-        if node.height is None:
-            raise ValueError("tree_to_distances needs heights (run binarize_right)")
-        walk(node.children[0])
+    parents: list[Tree] = []  # nodes whose left subtree is being walked, in order
+    node = tree
+    while True:
+        while node.children:
+            if len(node.children) != 2:
+                raise ValueError("tree_to_distances needs a binary tree")
+            if node.height is None:
+                raise ValueError("tree_to_distances needs heights (run binarize_right)")
+            parents.append(node)
+            node = node.children[0]
+        if not parents:
+            return np.array(values, dtype=np.float64)
+        node = parents.pop()
         values.append(node.height)
-        walk(node.children[1])
-
-    walk(tree)
-    return np.array(values, dtype=np.float64)
+        node = node.children[1]
 
 
 def _slot_values(d, leaves: list[str]) -> np.ndarray:

@@ -19,7 +19,7 @@ from . import autodiff as ad
 from .corpus import Corpus
 from .distance import distances_to_tree_biased, distances_to_tree_unbiased
 from .training import sentence_batches, validation_pass
-from .trees import Tree, constituents, fill_heights
+from .trees import Tree, constituents, fill_heights, fold
 
 DEFAULT_TAGS = ("ADJP", "NP", "VP", "PP")
 
@@ -243,22 +243,7 @@ def structure_report(pred_trees, gold_nary_trees, tags: Sequence[str] = DEFAULT_
 
 def bracket_words(tree: Tree) -> str:
     """Label-free bracketing over tokens, for side-by-side inspection."""
-    out = []
-    stack: list = [tree]  # trees still to write, and the strings that go between them
-    while stack:
-        item = stack.pop()
-        if type(item) is str:
-            out.append(item)
-        elif item.is_leaf:
-            out.append(item.token or "")
-        else:
-            out.append("(")
-            stack.append(")")
-            for ch in reversed(item.children[1:]):
-                stack.append(ch)
-                stack.append(" ")
-            stack.append(item.children[0])
-    return "".join(out)
+    return fold(tree, lambda node, parts: "(%s)" % " ".join(parts) if parts else node.token or "")
 
 
 def render_parallel(words: list, named_trees: list) -> str:

@@ -2,11 +2,11 @@
 
 A node is either a leaf (has a ``token``, no children) or an internal node
 (has >= 1 children, no token).  The parser tokenizes with one regular
-expression, and ``rebuild`` is the one tree copy: it drops nodes and maps
-labels and tokens, for the parser's cleaning and for leaf pruning alike.
-Binary trees are built with ``leaf`` and ``node``, which set heights as they
-go: leaves have height 1 and every parent has height max(children) + 1.
-``binarize_right`` turns any tree into such a strictly binary one.
+expression and cleans each node as it closes.  No tree walk recurses:
+``rebuild`` (the one tree copy), ``binarize_right`` and ``render_bracketed``
+are each one ``fold``, a bottom-up pass over an iterative postorder.  Binary
+trees are built with ``leaf`` and ``node``, which set heights as they go:
+leaves have height 1 and every parent has height max(children) + 1.
 """
 
 from __future__ import annotations
@@ -62,21 +62,11 @@ class Tree:
 
     def depth(self) -> int:
         """Maximum root-to-leaf edge count."""
-        deepest = 0
-        stack = [(self, 0)]
-        while stack:
-            node, d = stack.pop()
-            if node.children:
-                stack.extend((ch, d + 1) for ch in node.children)
-            elif d > deepest:
-                deepest = d
-        return deepest
+        return fold(self, lambda node, depths: max(depths) + 1 if depths else 0)
 
     def shape(self):
         """Nested-tuple skeleton, ignoring labels and tokens."""
-        if self.is_leaf:
-            return 0
-        return tuple(ch.shape() for ch in self.children)
+        return fold(self, lambda node, shapes: tuple(shapes) if shapes else 0)
 
     def __repr__(self) -> str:
         return "Tree(%s)" % render_bracketed(self)
@@ -126,6 +116,17 @@ def _postorder(tree: Tree) -> list[Tree]:
     return order
 
 
+def fold(tree: Tree, combine: Callable[[Tree, list], object]):
+    """``combine(node, results of its children)`` for every node, children
+    first, and the root's result.  The results wait on a stack until their
+    parent takes them, as the starts do in ``constituents``."""
+    results: list = []
+    for node in _postorder(tree):
+        cut = len(results) - len(node.children)
+        results[cut:] = [combine(node, results[cut:])]
+    return results[0]
+
+
 # ---------------------------------------------------------------------------
 # Bracketed notation
 # ---------------------------------------------------------------------------
@@ -151,12 +152,14 @@ def parse_bracketed(text: str, clean: bool = True) -> list[Tree]:
 
     With ``clean`` (the default), -NONE- empty elements are removed, label
     suffixes after the first "-" or "=" are stripped, and nodes left without
-    children by the removal are dropped recursively.  Raises TreebankError
-    with the character offset of the offending bracket on unbalanced input,
-    an empty node, or a word followed by a child bracket under one label.
+    children by the removal are dropped, each node as it closes.  Raises
+    TreebankError with the character offset of the offending bracket on
+    unbalanced input, an empty node, or a word followed by a child bracket
+    under one label; the checks see the text as written, so cleaning changes
+    no error.
     """
     trees: list[Tree] = []
-    stack: list[Tree] = []
+    stack: list[Tree] = []  # open nodes; a child cleaning dropped stays as None until its parent closes
     for match in _TOKEN.finditer(text):
         label, word = match.group(1, 0)
         if label is not None:
@@ -170,9 +173,15 @@ def parse_bracketed(text: str, clean: bool = True) -> list[Tree]:
             closed = stack.pop()
             if not closed.children and closed.token is None:
                 raise TreebankError("empty node '(%s)' at offset %d" % (closed.label, match.start()))
+            if clean:  # drop -NONE- and the nodes it empties; strip the label's suffix
+                kept = [ch for ch in closed.children if ch is not None]
+                if closed.label == "-NONE-" or closed.children and not kept:
+                    closed = None
+                else:
+                    closed.children, closed.label = kept, _clean_label(closed.label)
             if stack:
                 stack[-1].children.append(closed)
-            else:
+            elif closed is not None:
                 trees.append(closed)
         elif not stack:
             raise TreebankError("token %r outside brackets at offset %d" % (word, match.start()))
@@ -180,25 +189,21 @@ def parse_bracketed(text: str, clean: bool = True) -> list[Tree]:
             parent = stack[-1]
             if parent.children or parent.token is not None:
                 # multiple words under one label: treat extras as sibling leaves
+                name = _clean_label(parent.label) if clean else parent.label
                 if parent.token is not None:
-                    parent.children.append(Tree(label=parent.label, token=parent.token))
+                    parent.children.append(Tree(label=name, token=parent.token))
                     parent.token = None
-                parent.children.append(Tree(label=parent.label, token=word))
+                parent.children.append(Tree(label=name, token=word))
             else:
                 parent.token = word
     if stack:
         raise TreebankError("unbalanced '(' at offset %d (unclosed '%s')" % (len(text), stack[-1].label))
-    if not clean:
-        return trees
-    cleaned = (rebuild(tree, lambda n: n.label == "-NONE-", _clean_label) for tree in trees)
-    return [tree for tree in cleaned if tree is not None]
+    return trees
 
 
 def render_bracketed(tree: Tree) -> str:
     """Serialize a tree; inverse of parse_bracketed on cleaned trees."""
-    if tree.is_leaf:
-        return "(%s %s)" % (tree.label, tree.token)
-    return "(%s %s)" % (tree.label, " ".join(render_bracketed(c) for c in tree.children))
+    return fold(tree, lambda node, parts: "(%s %s)" % (node.label, " ".join(parts) if parts else node.token))
 
 
 # ---------------------------------------------------------------------------
@@ -216,25 +221,16 @@ def rebuild(tree: Tree, drop: Callable[[Tree], bool],
     without children is dropped too; unary chains are kept.  Returns None
     when nothing is left.
     """
-    def copy(old: Tree) -> Optional[Tree]:
+    def copy(old: Tree, children: list) -> Optional[Tree]:
         if drop(old):
             return None
         name = old.label if label is None else label(old.label)
         if not old.children:
             return Tree(label=name, token=old.token if token is None else token(old.token or ""))
-        children = []
-        for child in old.children:
-            kept = copy(child)
-            if kept is not None:
-                children.append(kept)
-        return Tree(label=name, children=children) if children else None
+        kept = [child for child in children if child is not None]
+        return Tree(label=name, children=kept) if kept else None
 
-    return copy(tree)
-
-
-def prune_leaves(tree: Tree, drop: Callable[[str, str], bool]) -> Optional[Tree]:
-    """Remove leaves where drop(tag, token) holds, and the nodes they empty."""
-    return rebuild(tree, lambda n: n.is_leaf and drop(n.label, n.token or ""))
+    return fold(tree, copy)
 
 
 def fill_heights(tree: Tree) -> int:
@@ -251,18 +247,17 @@ def binarize_right(tree: Tree) -> Tree:
     k > 2 children nest rightward: (X a b c) -> (X a (X' b c)).  Unary
     internal nodes collapse into their child, keeping the higher label.
     """
-    if tree.is_leaf:
-        return leaf(tree.label, tree.token)
-    if len(tree.children) == 1:
-        inner = binarize_right(tree.children[0])
-        inner.label = tree.label
-        return inner
-    children = [binarize_right(ch) for ch in tree.children]
-    while len(children) > 2:
-        rest = node(tree.label + "'", children[-2:])
-        children = children[:-2] + [rest]
-    # nest rightward: (c1, (c2, (c3, ...)))
-    return node(tree.label, children)
+    def binarize(old: Tree, children: list) -> Tree:
+        if not children:
+            return leaf(old.label, old.token)
+        if len(children) == 1:
+            children[0].label = old.label
+            return children[0]
+        while len(children) > 2:
+            children[-2:] = [node(old.label + "'", children[-2:])]
+        return node(old.label, children)
+
+    return fold(tree, binarize)
 
 
 def random_binary_tree(n_leaves: int, rng_seed: int) -> Tree:
@@ -271,14 +266,20 @@ def random_binary_tree(n_leaves: int, rng_seed: int) -> Tree:
     if n_leaves < 1:
         raise ValueError("random_binary_tree needs n_leaves >= 1")
     rng = random.Random(rng_seed)
-
-    def build(lo: int, hi: int) -> Tree:
-        if hi - lo == 1:
-            return leaf("X", "w%d" % lo)
-        split = rng.randint(lo + 1, hi - 1)
-        return node("X", [build(lo, split), build(split, hi)])
-
-    return build(0, n_leaves)
+    # split points are drawn in preorder, left span first; nodes are then
+    # built in reverse preorder, each taking its two subtrees off a stack
+    preorder = []
+    spans = [(0, n_leaves)]
+    while spans:
+        lo, hi = spans.pop()
+        split = rng.randint(lo + 1, hi - 1) if hi - lo > 1 else None
+        preorder.append((lo, split))
+        if split is not None:
+            spans += [(split, hi), (lo, split)]
+    built: list[Tree] = []
+    for lo, split in reversed(preorder):
+        built.append(leaf("X", "w%d" % lo) if split is None else node("X", [built.pop(), built.pop()]))
+    return built[0]
 
 
 def right_chain(tokens: list[str]) -> Tree:
@@ -303,7 +304,8 @@ def left_chain(tokens: list[str]) -> Tree:
 
 def enumerate_binary_shapes(n_leaves: int) -> list[Tree]:
     """All binary tree shapes over n_leaves leaves (Catalan(n-1) of them);
-    shapes share their subtrees."""
+    shapes share their subtrees.  It recurses n_leaves deep, which the
+    Catalan count keeps far below the recursion limit."""
 
     def build(lo: int, hi: int) -> list[Tree]:
         if hi - lo == 1:

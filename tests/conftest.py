@@ -1,11 +1,15 @@
-"""Shared fixtures: a small right-skewed PCFG for synthetic treebanks."""
+"""Shared fixtures: a small right-skewed PCFG for synthetic treebanks, and
+the recursive tree walks the iterative ones replaced, kept as references."""
 
+import contextlib
 import random
+import sys
 
+import numpy as np
 import pytest
 
 from sydlm.corpus import PreprocessRules, preprocess_corpus
-from sydlm.trees import Tree
+from sydlm.trees import Tree, leaf, node
 
 # expansion rules: nonterminal -> [(probability, rhs symbols)]
 RULES = {
@@ -99,3 +103,85 @@ def tiny_corpus():
 @pytest.fixture(scope="session")
 def tiny_corpus_sepsent():
     return pcfg_corpus(24, seed=11, mode="sepsent")
+
+
+# ---------------------------------------------------------------------------
+# Recursive references: one Python frame (or two) per tree level, so a caller
+# comparing deep trees raises the recursion limit around them
+# ---------------------------------------------------------------------------
+
+@contextlib.contextmanager
+def recursion_limit(limit: int):
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old, limit))
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def rebuild_recursive(tree, drop, label=None, token=None):
+    def copy(old):
+        if drop(old):
+            return None
+        name = old.label if label is None else label(old.label)
+        if not old.children:
+            return Tree(label=name, token=old.token if token is None else token(old.token or ""))
+        children = []
+        for child in old.children:
+            kept = copy(child)
+            if kept is not None:
+                children.append(kept)
+        return Tree(label=name, children=children) if children else None
+
+    return copy(tree)
+
+
+def binarize_right_recursive(tree):
+    if tree.is_leaf:
+        return leaf(tree.label, tree.token)
+    if len(tree.children) == 1:
+        inner = binarize_right_recursive(tree.children[0])
+        inner.label = tree.label
+        return inner
+    children = [binarize_right_recursive(ch) for ch in tree.children]
+    while len(children) > 2:
+        rest = node(tree.label + "'", children[-2:])
+        children = children[:-2] + [rest]
+    return node(tree.label, children)
+
+
+def render_bracketed_recursive(tree):
+    if tree.is_leaf:
+        return "(%s %s)" % (tree.label, tree.token)
+    return "(%s %s)" % (tree.label, " ".join(render_bracketed_recursive(c) for c in tree.children))
+
+
+def tree_to_distances_recursive(tree):
+    values = []
+
+    def walk(n):
+        if n.is_leaf:
+            return
+        if len(n.children) != 2:
+            raise ValueError("tree_to_distances needs a binary tree")
+        if n.height is None:
+            raise ValueError("tree_to_distances needs heights (run binarize_right)")
+        walk(n.children[0])
+        values.append(n.height)
+        walk(n.children[1])
+
+    walk(tree)
+    return np.array(values, dtype=np.float64)
+
+
+def random_binary_tree_recursive(n_leaves, rng_seed):
+    rng = random.Random(rng_seed)
+
+    def build(lo, hi):
+        if hi - lo == 1:
+            return leaf("X", "w%d" % lo)
+        split = rng.randint(lo + 1, hi - 1)
+        return node("X", [build(lo, split), build(split, hi)])
+
+    return build(0, n_leaves)

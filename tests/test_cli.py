@@ -9,9 +9,9 @@ from sydlm.cli import main
 from sydlm.config import ModelConfig, TrainConfig
 from sydlm.corpus import Corpus
 from sydlm.onlstm import OnLstmLM
-from sydlm.trees import render_bracketed
+from sydlm.trees import parse_bracketed, render_bracketed
 
-from conftest import pcfg_treebank
+from conftest import binarize_right_recursive, pcfg_treebank, recursion_limit, tree_to_distances_recursive
 
 TRAIN_OVERRIDES = [
     "--set", "epochs=2", "--set", "batch_size=2", "--set", "bptt_length=8",
@@ -91,6 +91,15 @@ class TestPreprocessCommand:
         err = capsys.readouterr().err
         assert err.startswith("data error: %s: %s " % (rules, rule.split()[0])) and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag,expected", [([], "sepsent"), (["--mode", "concat"], "concat")])
+    def test_mode_flag_wins_over_the_rules_file(self, tmp_path, treebank_file, capsys, flag, expected):
+        rules, out = tmp_path / "rules.txt", tmp_path / "c.json"
+        rules.write_text("mode = sepsent\n")
+        assert main(["preprocess", str(treebank_file), "--out", str(out), "--rules", str(rules)] + flag) == 0
+        assert capsys.readouterr().out.endswith("(%s mode)\n" % expected)
+        corpus = Corpus.load(str(out))
+        assert corpus.mode == expected and corpus.manifest["config"]["rules"]["mode"] == expected
 
     def test_vocab_reuse_across_splits(self, tmp_path, treebank_file):
         train_c = tmp_path / "train.json"
@@ -705,14 +714,34 @@ class TestMalformedInputs:
 
     @pytest.mark.parametrize("shape", ["(S %s)", "(S (NN a) %s)"])
     def test_treebank_nested_too_deeply(self, tmp_path, capsys, shape):
+        # no tree walk recurses, so nesting is not an error at any depth
         text = "(NN x)"
         for _ in range(600):
             text = shape % text
         src, out = tmp_path / "deep.mrg", tmp_path / "deep.json"
         src.write_text(text)
-        self._data_error(["preprocess", str(src), "--out", str(out)], capsys,
-                         "%s: maximum recursion depth" % src)
-        assert not out.exists() and not (tmp_path / "deep.json.dist").exists()
+        assert main(["preprocess", str(src), "--out", str(out)]) == 0
+        n, *values = (tmp_path / "deep.json.dist").read_text().split()
+        with recursion_limit(10_000):
+            expected = tree_to_distances_recursive(binarize_right_recursive(parse_bracketed(text)[0]))
+        assert int(n) == expected.size + 1 and np.array_equal(np.array(values, dtype=float), expected)
+
+    @pytest.mark.parametrize("text", [
+        "(S %s)" % " ".join("(NN w%d)" % i for i in range(5000)),
+        "(S (NN w) " * 5000 + "(NN x)" + ")" * 5000,
+        "(S " * 5000 + "(NN x)" + ")" * 5000,
+    ], ids=["flat-5000", "nested-5000", "unary-5000"])
+    def test_five_thousand_deep_treebank_preprocesses_and_evaluates(self, tmp_path, capsys, text):
+        src, corpus_path = tmp_path / "deep.mrg", tmp_path / "deep.json"
+        src.write_text(text)
+        assert main(["preprocess", str(src), "--out", str(corpus_path)]) == 0
+        ckpt = _zero_checkpoint(tmp_path, corpus_path)
+        for algo in ("unbiased", "biased"):
+            metrics = tmp_path / ("m_%s.json" % algo)
+            assert main(["eval", "--checkpoint", str(ckpt), "--corpus", str(corpus_path),
+                         "--out", str(metrics), "--algo", algo, "--render", "0"]) == 0
+            assert json.loads(metrics.read_text())["structure"]["n_sentences"] == 1
+        assert capsys.readouterr().err == ""
 
     def test_treebank_word_before_a_child_bracket(self, tmp_path, capsys):
         src, out = tmp_path / "mixed.mrg", tmp_path / "mixed.json"

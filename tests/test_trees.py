@@ -1,10 +1,18 @@
+import ast
+import random
 from collections import Counter
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import sydlm.distance
+import sydlm.evaluation
+import sydlm.trees
 from sydlm.trees import (
     Tree,
     TreebankError,
+    _clean_label,
     binarize_right,
     constituents,
     enumerate_binary_shapes,
@@ -13,16 +21,28 @@ from sydlm.trees import (
     left_chain,
     node,
     parse_bracketed,
-    prune_leaves,
     random_binary_tree,
     rebuild,
     render_bracketed,
     right_chain,
 )
-from sydlm.distance import validate_heights
+from sydlm.distance import (
+    distances_to_tree_biased,
+    distances_to_tree_unbiased,
+    tree_to_distances,
+    validate_heights,
+)
 from sydlm.evaluation import bracket_words
 
-from conftest import pcfg_treebank
+from conftest import (
+    binarize_right_recursive,
+    pcfg_treebank,
+    random_binary_tree_recursive,
+    rebuild_recursive,
+    recursion_limit,
+    render_bracketed_recursive,
+    tree_to_distances_recursive,
+)
 
 
 class TestParseBracketed:
@@ -98,6 +118,62 @@ class TestParseBracketed:
         assert tree.tokens() == ["a", "b", "c", "d", "e\u200bf"]
         assert [len(c.children) for c in tree.children] == [2, 2, 0]  # "(NN a b)" holds two leaves
 
+    @pytest.mark.parametrize("clean", [True, False])
+    def test_errors_name_the_text_as_written(self, clean):
+        # cleaning happens as each node closes, after the checks: the raw
+        # label and a word beside a -NONE- child are still reported
+        cases = [("(S (NP-SBJ))", "empty node '(NP-SBJ)' at offset 10"),
+                 ("(S (NP-SBJ a (-NONE- *)))", "word 'a' before a child bracket at offset 13"),
+                 ("(S (-NONE- *) (VP=2))", "empty node '(VP=2)' at offset 19")]
+        for text, message in cases:
+            with pytest.raises(TreebankError) as err:
+                parse_bracketed(text, clean=clean)
+            assert str(err.value) == message
+
+    def test_nodes_emptied_by_cleaning_are_dropped(self):
+        assert parse_bracketed("(S (NP (-NONE- *)))") == []
+        assert render_bracketed(parse_bracketed("(S (NP (-NONE- *)))", clean=False)[0]) == "(S (NP (-NONE- *)))"
+        cases = [("(S (NP (-NONE- *)) (VP-1 (VB go)))", "(S (VP (VB go)))"),
+                 # words after a dropped child are still sibling leaves, with the cleaned label
+                 ("(NP-SBJ (-NONE- *) a b)", "(NP (NP a) (NP b))"),
+                 ("(S (-NONE- a b) (NN c) (X (-NONE- d) (-NONE- e)))", "(S (NN c))")]
+        for text, rendered in cases:
+            assert [render_bracketed(t) for t in parse_bracketed(text)] == [rendered]
+
+    def test_cleaning_as_nodes_close_matches_cleaning_afterwards(self):
+        # the reference parses without cleaning, then drops -NONE- subtrees
+        # and strips labels in a second, recursive pass
+        def reference(text):
+            trees = parse_bracketed(text, clean=False)
+            kept = (rebuild_recursive(t, lambda n: n.label == "-NONE-", _clean_label) for t in trees)
+            return [render_bracketed_recursive(t) for t in kept if t is not None]
+
+        rng = random.Random(5)
+        labels = ["S", "NP-SBJ", "NP=2", "VP-TMP-1", "-NONE-", "-NONE-", "-LRB-", "", "X"]
+
+        def text_of(depth):
+            if depth > 4 or rng.random() < 0.3:
+                words = " ".join(rng.choice(["a", "*T*-1", "0", "b"]) for _ in range(rng.randint(1, 2)))
+                return "(%s %s)" % (rng.choice(labels), words)
+            parts = [text_of(depth + 1) for _ in range(rng.randint(1, 3))]
+            if rng.random() < 0.15:
+                parts.insert(rng.randrange(len(parts) + 1), rng.choice(["w", "v"]))
+            return "(%s %s)" % (rng.choice(labels), " ".join(parts))
+
+        for _ in range(3000):
+            text = " ".join(text_of(0) for _ in range(rng.randint(1, 2)))
+            if rng.random() < 0.2:  # damage: a bracket removed or a "()" added
+                pos = rng.randrange(len(text))
+                text = text[:pos] + text[pos + 1:] if text[pos] in "()" else text[:pos] + "()" + text[pos:]
+            try:
+                expected = reference(text)
+            except TreebankError as exc:
+                with pytest.raises(TreebankError) as err:
+                    parse_bracketed(text)
+                assert str(err.value) == str(exc)
+            else:
+                assert [render_bracketed(t) for t in parse_bracketed(text)] == expected, text
+
     def test_round_trip_on_cleaned_trees(self):
         for tree in pcfg_treebank(30, seed=3):
             text = render_bracketed(tree)
@@ -108,27 +184,26 @@ class TestParseBracketed:
 class TestPruneLeaves:
     def test_identity_when_never_drops(self):
         tree = parse_bracketed("(S (NP (DT the) (NN cat)) (VP (VBD sat)))")[0]
-        assert prune_leaves(tree, lambda tag, tok: False) == tree
+        assert rebuild(tree, lambda n: False) == tree
 
     def test_drops_punctuation_subtrees(self):
         tree = parse_bracketed("(S (NP (NN cat)) (. .))")[0]
-        pruned = prune_leaves(tree, lambda tag, tok: tag == ".")
+        pruned = rebuild(tree, lambda n: n.is_leaf and n.label == ".")
         assert render_bracketed(pruned) == "(S (NP (NN cat)))"
 
     def test_all_dropped_returns_none(self):
         tree = parse_bracketed("(S (. .))")[0]
-        assert prune_leaves(tree, lambda tag, tok: tag == ".") is None
+        assert rebuild(tree, lambda n: n.is_leaf and n.label == ".") is None
 
     def test_unary_chains_preserved(self):
         tree = parse_bracketed("(S (NP (NP (NN cat))) (, ,))")[0]
-        pruned = prune_leaves(tree, lambda tag, tok: tag == ",")
+        pruned = rebuild(tree, lambda n: n.is_leaf and n.label == ",")
         assert render_bracketed(pruned) == "(S (NP (NP (NN cat))))"
 
     def test_leaf_order_preserved_through_prune_and_binarize(self):
         for tree in pcfg_treebank(30, seed=5):
             words = tree.tokens()
-            drop = lambda tag, tok: tok.startswith("t")  # drops 'the', 'tree'
-            pruned = prune_leaves(tree, drop)
+            pruned = rebuild(tree, lambda n: n.is_leaf and n.token.startswith("t"))  # drops 'the', 'tree'
             expected = [w for w in words if not w.startswith("t")]
             if pruned is None:
                 assert expected == []
@@ -339,3 +414,144 @@ class TestIterativeWalks:
         assert fill_heights(tree) == 2000 and validate_heights(tree)
         text = bracket_words(tree)
         assert text.count("(") == 1999 and text.replace("(", "").replace(")", "").split() == words
+
+
+def deep_tree(rng, depth):
+    """A random n-ary tree ``depth`` levels deep: a spine whose nodes also
+    hold up to three small subtrees, in random places."""
+    tags, words = [".", ",", "NN", "DT", "CD"], ["The", "cat", "3.5", ",", "sat"]
+
+    def small():
+        if rng.random() < 0.6:
+            return Tree(label=rng.choice(tags), token=rng.choice(words))
+        return Tree(label=rng.choice(["NP", "PP"]), children=[small() for _ in range(rng.randint(1, 3))])
+
+    tree = small()
+    for _ in range(depth):
+        children = [small() for _ in range(rng.randint(0, 3))]
+        children.insert(rng.randint(0, len(children)), tree)
+        tree = Tree(label=rng.choice(["S", "NP", "VP", "PP"]), children=children)
+    return tree
+
+
+def signature(tree):
+    """Every node's label, token, height and leaf span, children first: equal
+    for two trees exactly when they are equal with heights, and taken
+    without recursion (``==`` on deep trees recurses inside CPython)."""
+    return [(n.label, n.token, n.height, s, e) for n, s, e in constituents(tree)]
+
+
+class TestWalksMatchRecursiveReferences:
+    """The folds and stacks give what the recursive walks gave, up to depth 300."""
+
+    TREES = [deep_tree(random.Random(seed), depth)
+             for seed, depth in enumerate([0, 1, 2, 3, 5, 8, 13, 40, 100, 200, 300, 300])]
+
+    def test_rebuild(self):
+        rules = [(lambda n: False, None, None),
+                 (lambda n: n.is_leaf and n.label in (".", ","), str.lower, str.upper),
+                 (lambda n: n.label == "PP", None, None),
+                 (lambda n: n.is_leaf, None, None)]
+        for tree in self.TREES:
+            for drop, label, token in rules:
+                kept = rebuild(tree, drop, label, token)
+                with recursion_limit(10_000):
+                    ref = rebuild_recursive(tree, drop, label, token)
+                    expected = None if ref is None else render_bracketed_recursive(ref)
+                assert (None if kept is None else render_bracketed(kept)) == expected
+
+    def test_render_and_binarize_right_and_tree_to_distances(self):
+        for tree in self.TREES:
+            binary = binarize_right(tree)
+            with recursion_limit(10_000):
+                text = render_bracketed_recursive(tree)
+                ref = binarize_right_recursive(tree)
+                ref_text, ref_distances = render_bracketed_recursive(ref), tree_to_distances_recursive(ref)
+            assert render_bracketed(tree) == text
+            assert render_bracketed(binary) == ref_text and signature(binary) == signature(ref)
+            assert np.array_equal(tree_to_distances(binary), ref_distances)
+
+    def test_tree_to_distances_rejects_what_the_recursive_walk_rejects(self):
+        unary = node("S", [Tree("A", children=[leaf("B", "b")], height=2), leaf("C", "c")])
+        ternary = Tree("S", children=[leaf("A", "a"), leaf("B", "b"), leaf("C", "c")])  # and no height
+        no_height = Tree("S", children=[leaf("A", "a"), Tree("B", children=[leaf("C", "c"), leaf("D", "d")])],
+                         height=3)
+        for tree, message in [(unary, "binary tree"), (ternary, "binary tree"), (no_height, "needs heights")]:
+            with pytest.raises(ValueError, match=message):
+                tree_to_distances_recursive(tree)
+            with pytest.raises(ValueError, match=message):
+                tree_to_distances(tree)
+
+    def test_random_binary_tree(self):
+        cases = [(n, seed) for n in range(1, 40) for seed in range(25)] + [(300, seed) for seed in range(10)]
+        for n, seed in cases:
+            assert signature(random_binary_tree(n, seed)) == signature(random_binary_tree_recursive(n, seed))
+
+
+class TestFiveThousandDeep:
+    """Every tree function on a flat 5000-word sentence, a 5000-deep
+    right-nested tree and a 5000-deep unary chain."""
+
+    N = 5000
+    INPUTS = {  # text, words, depth as parsed
+        "flat": ("(S %s)" % " ".join("(NN w%d)" % i for i in range(N)), N, 1),
+        "nested": ("(S (NN w) " * N + "(NN x)" + ")" * N, N + 1, N),
+        "unary": ("(S " * N + "(NN x)" + ")" * N, 1, N),
+    }
+
+    @pytest.mark.parametrize("name", INPUTS)
+    def test_every_walk(self, name):
+        text, n, depth = self.INPUTS[name]
+        for clean in (True, False):
+            (tree,) = parse_bracketed(text, clean=clean)
+            assert render_bracketed(tree) == text and repr(tree) == "Tree(%s)" % text
+            assert tree.n_leaves() == n and len(tree.tokens()) == n and tree.depth() == depth
+            assert isinstance(tree.shape(), tuple)
+            assert sum(1 for _ in tree.iter_nodes()) == len(constituents(tree))
+            assert render_bracketed(rebuild(tree, lambda node: False, str.lower)) == text.lower()
+            assert rebuild(tree, lambda node: node.is_leaf) is None
+            assert fill_heights(tree) == depth + 1 and validate_heights(tree)
+            binary = binarize_right(tree)
+            assert validate_heights(binary) and len(constituents(binary)) == 2 * n - 1
+            distances = tree_to_distances(binary)  # a right-branching chain
+            assert np.array_equal(distances, np.arange(n, 1, -1.0))
+            words = binary.tokens()
+            unbiased = distances_to_tree_unbiased(distances, words)
+            assert bracket_words(unbiased) == bracket_words(binary)
+            assert distances_to_tree_biased(distances, words).n_leaves() == n
+
+
+def self_calls(source):
+    """(qualified name, line) of every call in ``source`` that a function
+    makes to its own name, as a plain call or as a method of anything."""
+    found = []
+    todo = [(ast.parse(source), "")]
+    while todo:
+        parent, prefix = todo.pop()
+        for child in ast.iter_child_nodes(parent):
+            if isinstance(child, ast.FunctionDef):
+                for call in ast.walk(child):
+                    func = getattr(call, "func", None)
+                    if getattr(func, "id", getattr(func, "attr", None)) == child.name:
+                        found.append((prefix + child.name, call.lineno))
+                todo.append((child, prefix + child.name + "."))
+            else:
+                todo.append((child, prefix + child.name + "." if isinstance(child, ast.ClassDef) else prefix))
+    return sorted(found)
+
+
+class TestNoRecursion:
+    # enumerate_binary_shapes returns Catalan(n - 1) trees, so the n it can
+    # serve stays far below any recursion limit
+    EXEMPT = {"enumerate_binary_shapes.build"}
+
+    def test_the_check_sees_calls_and_methods(self):
+        source = "def f(n):\n    return f(n - 1)\n\nclass T:\n    def shape(self):\n        return [c.shape() for c in self.c]\n"
+        assert self_calls(source) == [("T.shape", 6), ("f", 2)]
+
+    @pytest.mark.parametrize("module", [sydlm.trees, sydlm.distance, sydlm.evaluation],
+                             ids=["trees", "distance", "evaluation"])
+    def test_no_tree_code_calls_itself(self, module):
+        calls = [(name, line) for name, line in self_calls(Path(module.__file__).read_text())
+                 if name not in self.EXEMPT]
+        assert calls == []
