@@ -8,7 +8,6 @@ from .distance import (
     distances_to_tree_biased,
     distances_to_tree_unbiased,
     tree_to_distances,
-    validate_heights,
 )
 from .models import build_model
 from .trees import Tree, binarize_right, parse_bracketed, random_binary_tree, render_bracketed
@@ -23,7 +22,6 @@ __all__ = [
     "tree_to_distances",
     "distances_to_tree_unbiased",
     "distances_to_tree_biased",
-    "validate_heights",
     "build_model",
     "Tree",
     "parse_bracketed",

@@ -19,7 +19,7 @@ from pathlib import Path
 from . import __version__
 from . import autodiff as ad
 from .atomic import atomic_open
-from .config import ConfigError, TrainConfig, _coerce, apply_setting, parse_config_text, read_settings
+from .config import ConfigError, TrainConfig, _coerce, apply_setting, read_settings
 from .corpus import Corpus, PreprocessRules, preprocess_corpus
 from .evaluation import (
     perplexity,
@@ -83,11 +83,14 @@ def _load_rules(path: str | None, mode: str | None) -> PreprocessRules:
     if path is not None:
         types = {f.name: f.type for f in dataclasses.fields(PreprocessRules)}
         settings = {}
+
+        def take(key: str, value: str) -> None:
+            if key not in types:
+                raise ConfigError("unknown rule %r" % key)
+            settings[key] = value.split() if key == "drop_tags" else _coerce(key, value, types[key])
+
+        read_settings(path, take)
         try:
-            for lineno, key, value in read_settings(Path(path).read_text()):
-                if key not in types:
-                    raise ConfigError("line %d: unknown rule %r" % (lineno, key))
-                settings[key] = value.split() if key == "drop_tags" else _coerce(key, value, types[key])
             rules = PreprocessRules(**settings)
         except ValueError as exc:
             raise ConfigError("%s: %s" % (path, exc)) from None
@@ -128,7 +131,7 @@ def cmd_train(args, argv) -> int:
     valid = Corpus.load(args.valid) if args.valid else None
     cfg = TrainConfig()
     if args.config:
-        cfg = parse_config_text(Path(args.config).read_text(), base=cfg)
+        read_settings(args.config, lambda key, value: apply_setting(cfg, key, value))
     for kv in args.set or []:
         if "=" not in kv:
             raise ConfigError("--set expects key=value, got %r" % kv)

@@ -6,7 +6,8 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from pathlib import Path
+from typing import Callable, Optional
 
 SUPERVISION_MODES = ("split-head", "one-set-of-trees", "vanilla-multitask", "none")
 TREE_SOURCES = ("gold", "random", "none")
@@ -198,25 +199,21 @@ def _coerce(name: str, text: str, typ: str) -> object:
     return text
 
 
-def read_settings(text: str):
-    """(line number, key, value) of each `key = value` line; # starts a
-    comment and blank lines are skipped."""
-    for lineno, raw in enumerate(text.splitlines(), 1):
+def read_settings(path: str, apply: Callable[[str, str], None]) -> None:
+    """``apply(key, value)`` for each `key = value` line of the file at
+    `path`; # starts a comment and blank lines are skipped.  An error a line
+    raises, in the line or in ``apply``, names the path and the line."""
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ConfigError("line %d: expected key = value, got %r" % (lineno, raw))
-        key, value = (part.strip() for part in line.split("=", 1))
-        yield lineno, key, value
-
-
-def parse_config_text(text: str, base: Optional[TrainConfig] = None) -> TrainConfig:
-    """Parse `key = value` lines (# comments) into a TrainConfig."""
-    cfg = base if base is not None else TrainConfig(model=ModelConfig())
-    for _lineno, key, value in read_settings(text):
-        apply_setting(cfg, key, value)
-    return cfg
+        try:
+            if "=" not in line:
+                raise ConfigError("expected key = value, got %r" % raw)
+            key, value = (part.strip() for part in line.split("=", 1))
+            apply(key, value)
+        except ValueError as exc:
+            raise ConfigError("%s: line %d: %s" % (path, lineno, exc)) from None
 
 
 def apply_setting(cfg: TrainConfig, key: str, value: str) -> None:

@@ -2,10 +2,11 @@
 
 An N-token sentence has N-1 slots between consecutive words; each slot
 carries a scalar distance.  Converting a binary tree to distances assigns
-every internal node's height to the slot where its left and right subtrees
-meet.  Recovery splits spans top-down at the largest distance (unbiased) or
-greedily attaches the pivot word to the right span (biased, which collapses
-flat regions into right-branching chains).
+every internal node's height, as ``constituents`` derives it, to the slot
+where its left and right subtrees meet.  Recovery splits spans top-down at
+the largest distance (unbiased) or greedily attaches the pivot word to the
+right span (biased, which collapses flat regions into right-branching
+chains).
 """
 
 from __future__ import annotations
@@ -14,29 +15,24 @@ import math
 
 import numpy as np
 
-from .trees import Tree, leaf, node
+from .trees import Tree, constituents
 
 
 def tree_to_distances(tree: Tree) -> np.ndarray:
-    """The N-1 slot distances (float64) of a binarized N-leaf tree with
-    heights: slot t gets the height of the internal node whose subtrees
-    meet between leaves t and t+1."""
-    values: list[int] = []
-    parents: list[Tree] = []  # nodes whose left subtree is being walked, in order
-    node = tree
-    while True:
-        while node.children:
+    """The N-1 slot distances (float64) of a binary N-leaf tree: slot t gets
+    the height of the internal node whose subtrees meet between leaves t
+    and t+1.  In postorder a parent comes right after its right child, so
+    its slot is the one before that child's first leaf."""
+    nodes = constituents(tree)
+    values = [0] * (nodes[-1][2] - 1)
+    right_start = 0  # the start of the node just passed: a parent's right child
+    for node, start, _end, height in nodes:
+        if node.children:
             if len(node.children) != 2:
                 raise ValueError("tree_to_distances needs a binary tree")
-            if node.height is None:
-                raise ValueError("tree_to_distances needs heights (run binarize_right)")
-            parents.append(node)
-            node = node.children[0]
-        if not parents:
-            return np.array(values, dtype=np.float64)
-        node = parents.pop()
-        values.append(node.height)
-        node = node.children[1]
+            values[right_start - 1] = height
+        right_start = start
+    return np.array(values, dtype=np.float64)
 
 
 def _slot_values(d, leaves: list[str]) -> np.ndarray:
@@ -51,21 +47,20 @@ def _slot_values(d, leaves: list[str]) -> np.ndarray:
 def distances_to_tree_unbiased(d, leaves: list[str]) -> Tree:
     """Top-down recovery: split each span at its maximal distance slot, then
     both sides alike.  Ties take the rightmost maximal slot, so flat
-    distances lean left rather than silently right-branching; heights are
-    those of the recovered tree, not the distances.  Built in one pass as
-    the slots' Cartesian tree: the stack holds left parts with the distance
-    of the slot after each, strictly falling, and a slot takes every left
-    part whose slot is no higher."""
+    distances lean left rather than silently right-branching.  Built in one
+    pass as the slots' Cartesian tree: the stack holds left parts with the
+    distance of the slot after each, strictly falling, and a slot takes
+    every left part whose slot is no higher."""
     values = _slot_values(d, leaves)
     stack: list[tuple[Tree, float]] = []
-    cur = leaf("X", leaves[0])
+    cur = Tree("X", token=leaves[0])
     for i, v in enumerate(values.tolist()):
         while stack and stack[-1][1] <= v:
-            cur = node("X", [stack.pop()[0], cur])
+            cur = Tree("X", [stack.pop()[0], cur])
         stack.append((cur, v))
-        cur = leaf("X", leaves[i + 1])
+        cur = Tree("X", token=leaves[i + 1])
     while stack:
-        cur = node("X", [stack.pop()[0], cur])
+        cur = Tree("X", [stack.pop()[0], cur])
     return cur
 
 
@@ -82,8 +77,9 @@ def distances_to_tree_biased(d, leaves: list[str]) -> Tree:
     values = _slot_values(d, leaves)
 
     def finish(left: Tree | None, word: int, right: Tree | None) -> Tree:
-        pair = leaf("X", leaves[word]) if right is None else node("X", [leaf("X", leaves[word]), right])
-        return pair if left is None else node("X", [left, pair])
+        word_leaf = Tree("X", token=leaves[word])
+        pair = word_leaf if right is None else Tree("X", [word_leaf, right])
+        return pair if left is None else Tree("X", [left, pair])
 
     stack: list[tuple[float, int, Tree | None]] = []
     for word, v in enumerate([-math.inf] + values.tolist()):
@@ -98,12 +94,3 @@ def distances_to_tree_biased(d, leaves: list[str]) -> Tree:
         cur = finish(left, w, cur)
     return cur
 
-
-def validate_heights(tree: Tree) -> bool:
-    """True iff heights satisfy the ultrametric contract: leaves are 1 and
-    every parent equals max(children) + 1 (hence strictly dominates both)."""
-    for node in tree.iter_nodes():
-        heights = [ch.height for ch in node.children]
-        if node.height is None or None in heights or node.height != max(heights, default=0) + 1:
-            return False
-    return True

@@ -19,7 +19,7 @@ from . import autodiff as ad
 from .corpus import Corpus
 from .distance import distances_to_tree_biased, distances_to_tree_unbiased
 from .training import sentence_batches, validation_pass
-from .trees import Tree, constituents, fill_heights, fold
+from .trees import Tree, constituents, write_bracketed
 
 DEFAULT_TAGS = ("ADJP", "NP", "VP", "PP")
 
@@ -123,13 +123,13 @@ def spans_of(tree: Tree, include_root: bool = False) -> set:
     """(start, end) half-open spans of internal nodes, single-word spans
     dropped; the whole-sentence span only with include_root."""
     nodes = constituents(tree)
-    whole = nodes[-1][1:]
-    return {(s, e) for _node, s, e in nodes if e - s >= 2 and (include_root or (s, e) != whole)}
+    whole = nodes[-1][1:3]
+    return {(s, e) for _node, s, e, _height in nodes if e - s >= 2 and (include_root or (s, e) != whole)}
 
 
 def labeled_spans(tree: Tree) -> list:
     """(label, start, end) for internal nodes of width >= 2, root included."""
-    return [(node.label, s, e) for node, s, e in constituents(tree) if e - s >= 2]
+    return [(node.label, s, e) for node, s, e, _height in constituents(tree) if e - s >= 2]
 
 
 def _f1(match: int, n_pred: int, n_gold: int) -> float:
@@ -205,13 +205,11 @@ def accuracy_by_height(pred_trees, gold_trees) -> dict:
     constituent."""
     buckets: dict[int, list] = {}
     for pred, gold in zip(pred_trees, gold_trees):
-        if pred.height is None:
-            fill_heights(pred)
         gspans = spans_of(gold, include_root=True)
-        for node, s, e in constituents(pred):
+        for node, s, e, height in constituents(pred):
             if node is not pred and not node.is_leaf:
-                correct, total = buckets.get(node.height, (0, 0))
-                buckets[node.height] = (correct + ((s, e) in gspans), total + 1)
+                correct, total = buckets.get(height, (0, 0))
+                buckets[height] = (correct + ((s, e) in gspans), total + 1)
     return {h: tuple(v) for h, v in sorted(buckets.items())}
 
 
@@ -243,7 +241,7 @@ def structure_report(pred_trees, gold_nary_trees, tags: Sequence[str] = DEFAULT_
 
 def bracket_words(tree: Tree) -> str:
     """Label-free bracketing over tokens, for side-by-side inspection."""
-    return fold(tree, lambda node, parts: "(%s)" % " ".join(parts) if parts else node.token or "")
+    return write_bracketed(tree, lambda node: "(", lambda leaf: leaf.token or "")
 
 
 def render_parallel(words: list, named_trees: list) -> str:

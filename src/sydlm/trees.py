@@ -3,10 +3,11 @@
 A node is either a leaf (has a ``token``, no children) or an internal node
 (has >= 1 children, no token).  The parser tokenizes with one regular
 expression and cleans each node as it closes.  No tree walk recurses:
-``rebuild`` (the one tree copy), ``binarize_right`` and ``render_bracketed``
-are each one ``fold``, a bottom-up pass over an iterative postorder.  Binary
-trees are built with ``leaf`` and ``node``, which set heights as they go:
-leaves have height 1 and every parent has height max(children) + 1.
+``rebuild`` (the one tree copy) and ``binarize_right`` are each one
+``fold``, a bottom-up pass over an iterative postorder, and
+``write_bracketed`` appends a tree's text to one list.  A node's height is
+not stored: ``constituents`` derives it, 1 at a leaf and max(children) + 1
+above.
 """
 
 from __future__ import annotations
@@ -26,9 +27,6 @@ class Tree:
     label: str
     children: list["Tree"] = field(default_factory=list)
     token: Optional[str] = None
-    # Set by leaf and node as binary trees are built, by fill_heights on
-    # parsed ones; ignored by equality.
-    height: Optional[int] = field(default=None, compare=False)
 
     @property
     def is_leaf(self) -> bool:
@@ -72,33 +70,28 @@ class Tree:
         return "Tree(%s)" % render_bracketed(self)
 
 
-def leaf(label: str, token: str) -> Tree:
-    return Tree(label=label, token=token, height=1)
-
-
-def node(label: str, children: list[Tree]) -> Tree:
-    """An internal node over children with heights; its own height is
-    max(children) + 1."""
-    return Tree(label=label, children=children, height=max(ch.height for ch in children) + 1)
-
-
-def constituents(tree: Tree) -> list[tuple[Tree, int, int]]:
-    """(node, start, end) for every node, leaves included, where [start, end)
-    are the leaf positions the node covers; children come before their
+def constituents(tree: Tree) -> list[tuple[Tree, int, int, int]]:
+    """(node, start, end, height) for every node, leaves included, where
+    [start, end) are the leaf positions the node covers and the height is 1
+    at a leaf and max(children) + 1 above; children come before their
     parent, so the root is last."""
     out = []
     starts: list[int] = []  # the start of every finished subtree not yet claimed by its parent
+    heights: list[int] = []  # and its height
     end = 0  # leaves seen so far: the end of the subtree just finished
     for node in _postorder(tree):
         k = len(node.children)
         if k:
             start = starts[-k]
-            del starts[-k:]
+            height = max(heights[-k:]) + 1
+            del starts[-k:], heights[-k:]
         else:
             start = end
             end += 1
+            height = 1
         starts.append(start)
-        out.append((node, start, end))
+        heights.append(height)
+        out.append((node, start, end, height))
     return out
 
 
@@ -201,9 +194,32 @@ def parse_bracketed(text: str, clean: bool = True) -> list[Tree]:
     return trees
 
 
+def write_bracketed(tree: Tree, opening: Callable[[Tree], str], leaf_text: Callable[[Tree], str]) -> str:
+    """A bracketing of ``tree``: each internal node as ``opening(node)``,
+    then its children separated by spaces, then ")"; each leaf as
+    ``leaf_text(leaf)``.  The pieces go to one list, joined once, so the
+    time is linear in the text at any depth."""
+    pieces = []
+    stack: list = [tree]  # nodes still to write, and the spaces and ")" between them
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            pieces.append(item)
+        elif item.children:
+            pieces.append(opening(item))
+            stack.append(")")
+            for child in reversed(item.children):
+                stack += (child, " ")
+            stack.pop()  # no space before the first child
+        else:
+            pieces.append(leaf_text(item))
+    return "".join(pieces)
+
+
 def render_bracketed(tree: Tree) -> str:
     """Serialize a tree; inverse of parse_bracketed on cleaned trees."""
-    return fold(tree, lambda node, parts: "(%s %s)" % (node.label, " ".join(parts) if parts else node.token))
+    return write_bracketed(tree, lambda node: "(%s " % node.label,
+                           lambda leaf: "(%s %s)" % (leaf.label, leaf.token))
 
 
 # ---------------------------------------------------------------------------
@@ -211,11 +227,9 @@ def render_bracketed(tree: Tree) -> str:
 # ---------------------------------------------------------------------------
 
 def rebuild(tree: Tree, drop: Callable[[Tree], bool],
-            label: Optional[Callable[[str], str]] = None,
             token: Optional[Callable[[str], str]] = None) -> Optional[Tree]:
     """Copy ``tree`` without the nodes where ``drop(node)`` holds, mapping
-    every label through ``label`` and every leaf token through ``token``
-    (unchanged when None).
+    every leaf token through ``token`` (unchanged when None).
 
     A dropped node takes its subtree with it, and an internal node left
     without children is dropped too; unary chains are kept.  Returns None
@@ -224,38 +238,29 @@ def rebuild(tree: Tree, drop: Callable[[Tree], bool],
     def copy(old: Tree, children: list) -> Optional[Tree]:
         if drop(old):
             return None
-        name = old.label if label is None else label(old.label)
         if not old.children:
-            return Tree(label=name, token=old.token if token is None else token(old.token or ""))
+            return Tree(label=old.label, token=old.token if token is None else token(old.token or ""))
         kept = [child for child in children if child is not None]
-        return Tree(label=name, children=kept) if kept else None
+        return Tree(label=old.label, children=kept) if kept else None
 
     return fold(tree, copy)
 
 
-def fill_heights(tree: Tree) -> int:
-    """Set heights bottom-up on a tree built without them (a parsed one):
-    leaf 1, parent max(children) + 1."""
-    for node in _postorder(tree):
-        node.height = max((ch.height for ch in node.children), default=0) + 1
-    return tree.height
-
-
 def binarize_right(tree: Tree) -> Tree:
-    """Right-branching binarization with sentinel nodes, heights set.
+    """Right-branching binarization with sentinel nodes.
 
     k > 2 children nest rightward: (X a b c) -> (X a (X' b c)).  Unary
     internal nodes collapse into their child, keeping the higher label.
     """
     def binarize(old: Tree, children: list) -> Tree:
         if not children:
-            return leaf(old.label, old.token)
+            return Tree(old.label, token=old.token)
         if len(children) == 1:
             children[0].label = old.label
             return children[0]
         while len(children) > 2:
-            children[-2:] = [node(old.label + "'", children[-2:])]
-        return node(old.label, children)
+            children[-2:] = [Tree(old.label + "'", children[-2:])]
+        return Tree(old.label, children)
 
     return fold(tree, binarize)
 
@@ -278,7 +283,7 @@ def random_binary_tree(n_leaves: int, rng_seed: int) -> Tree:
             spans += [(split, hi), (lo, split)]
     built: list[Tree] = []
     for lo, split in reversed(preorder):
-        built.append(leaf("X", "w%d" % lo) if split is None else node("X", [built.pop(), built.pop()]))
+        built.append(Tree("X", token="w%d" % lo) if split is None else Tree("X", [built.pop(), built.pop()]))
     return built[0]
 
 
@@ -286,9 +291,9 @@ def right_chain(tokens: list[str]) -> Tree:
     """Right-branching chain baseline: (a (b (c d)))."""
     if not tokens:
         raise ValueError("right_chain needs at least one token")
-    tree = leaf("X", tokens[-1])
+    tree = Tree("X", token=tokens[-1])
     for tok in reversed(tokens[:-1]):
-        tree = node("X", [leaf("X", tok), tree])
+        tree = Tree("X", [Tree("X", token=tok), tree])
     return tree
 
 
@@ -296,9 +301,9 @@ def left_chain(tokens: list[str]) -> Tree:
     """Left-branching chain baseline: (((a b) c) d)."""
     if not tokens:
         raise ValueError("left_chain needs at least one token")
-    tree = leaf("X", tokens[0])
+    tree = Tree("X", token=tokens[0])
     for tok in tokens[1:]:
-        tree = node("X", [tree, leaf("X", tok)])
+        tree = Tree("X", [tree, Tree("X", token=tok)])
     return tree
 
 
@@ -309,12 +314,12 @@ def enumerate_binary_shapes(n_leaves: int) -> list[Tree]:
 
     def build(lo: int, hi: int) -> list[Tree]:
         if hi - lo == 1:
-            return [leaf("X", "w%d" % lo)]
+            return [Tree("X", token="w%d" % lo)]
         shapes = []
         for split in range(lo + 1, hi):
             for lt in build(lo, split):
                 for rt in build(split, hi):
-                    shapes.append(node("X", [lt, rt]))
+                    shapes.append(Tree("X", [lt, rt]))
         return shapes
 
     return build(0, n_leaves)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from sydlm.corpus import PreprocessRules, preprocess_corpus
-from sydlm.trees import Tree, leaf, node
+from sydlm.trees import Tree
 
 # expansion rules: nonterminal -> [(probability, rhs symbols)]
 RULES = {
@@ -137,18 +137,34 @@ def rebuild_recursive(tree, drop, label=None, token=None):
     return copy(tree)
 
 
+def heights_recursive(tree):
+    """{id(node): height} for every node: 1 at a leaf, one more than the
+    highest child above."""
+    heights = {}
+
+    def walk(n):
+        height = 0
+        for ch in n.children:
+            height = max(height, walk(ch))
+        heights[id(n)] = height + 1
+        return height + 1
+
+    walk(tree)
+    return heights
+
+
 def binarize_right_recursive(tree):
     if tree.is_leaf:
-        return leaf(tree.label, tree.token)
+        return Tree(tree.label, token=tree.token)
     if len(tree.children) == 1:
         inner = binarize_right_recursive(tree.children[0])
         inner.label = tree.label
         return inner
     children = [binarize_right_recursive(ch) for ch in tree.children]
     while len(children) > 2:
-        rest = node(tree.label + "'", children[-2:])
+        rest = Tree(tree.label + "'", children[-2:])
         children = children[:-2] + [rest]
-    return node(tree.label, children)
+    return Tree(tree.label, children)
 
 
 def render_bracketed_recursive(tree):
@@ -159,16 +175,15 @@ def render_bracketed_recursive(tree):
 
 def tree_to_distances_recursive(tree):
     values = []
+    heights = heights_recursive(tree)
 
     def walk(n):
         if n.is_leaf:
             return
         if len(n.children) != 2:
             raise ValueError("tree_to_distances needs a binary tree")
-        if n.height is None:
-            raise ValueError("tree_to_distances needs heights (run binarize_right)")
         walk(n.children[0])
-        values.append(n.height)
+        values.append(heights[id(n)])
         walk(n.children[1])
 
     walk(tree)
@@ -180,8 +195,8 @@ def random_binary_tree_recursive(n_leaves, rng_seed):
 
     def build(lo, hi):
         if hi - lo == 1:
-            return leaf("X", "w%d" % lo)
+            return Tree("X", token="w%d" % lo)
         split = rng.randint(lo + 1, hi - 1)
-        return node("X", [build(lo, split), build(split, hi)])
+        return Tree("X", [build(lo, split), build(split, hi)])
 
     return build(0, n_leaves)

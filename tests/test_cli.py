@@ -289,8 +289,31 @@ class TestExitCodes:
         run = tmp_path / "run"
         assert main(["train", "--corpus", str(corpus), "--out", str(run)] + TRAIN_OVERRIDES
                     + [where, setting if where == "--set" else str(config)]) == 2
-        assert capsys.readouterr().err == "data error: %s expects %s\n" % (setting.split("=")[0], expects)
+        place = "" if where == "--set" else "%s: line 1: " % config
+        assert capsys.readouterr().err == "data error: %s%s expects %s\n" % (place, setting.split("=")[0], expects)
         assert not (run / "checkpoint.bin").exists()
+
+    @pytest.mark.parametrize("line,message", [
+        ("bogus = 1", "unknown config key 'bogus'"), ("epochs = x", "epochs expects an integer, got 'x'"),
+        ("epochs", "expected key = value, got 'epochs'"),
+    ], ids=["unknown-key", "bad-value", "no-equals"])
+    def test_config_file_errors_name_the_file_and_line(self, tmp_path, treebank_file, capsys, line, message):
+        corpus = tmp_path / "corpus.json"
+        main(["preprocess", str(treebank_file), "--out", str(corpus)])
+        config = tmp_path / "c.txt"
+        config.write_text("# a comment line\n\nseed = 3\n%s\n" % line)
+        capsys.readouterr()
+        assert main(["train", "--corpus", str(corpus), "--out", str(tmp_path / "run"), "--config", str(config)]) == 2
+        assert capsys.readouterr().err == "data error: %s: line 4: %s\n" % (config, message)
+
+    @pytest.mark.parametrize("line,message", [
+        ("lowercase = maybe", "lowercase expects a boolean, got 'maybe'"), ("bogus = 1", "unknown rule 'bogus'"),
+    ], ids=["bad-value", "unknown-key"])
+    def test_rules_file_errors_name_the_file_and_line(self, tmp_path, treebank_file, capsys, line, message):
+        rules = tmp_path / "r.txt"
+        rules.write_text("mode = concat\n%s\n" % line)
+        assert main(["preprocess", str(treebank_file), "--out", str(tmp_path / "c.json"), "--rules", str(rules)]) == 2
+        assert capsys.readouterr().err == "data error: %s: line 2: %s\n" % (rules, message)
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_numeric_failure_exit_code(self, tmp_path, treebank_file, capsys):

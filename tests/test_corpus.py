@@ -117,15 +117,6 @@ class TestPreprocess:
         assert np.array_equal(wrapped.gold_distances(0), plain.gold_distances(0))
         assert wrapped.gold_trees_nary[0].children == [plain.gold_trees_nary[0]]
 
-    def test_gold_trees_binarized_with_heights(self):
-        corpus = preprocess_corpus(pcfg_treebank(10, seed=23),
-                                   PreprocessRules(vocab_max_size=40, mode="concat"))
-        from sydlm.distance import validate_heights
-
-        for i, tree in enumerate(corpus.gold_trees_nary):
-            assert validate_heights(binarize_right(tree))
-            assert corpus.gold_distances(i).shape == (tree.n_leaves() - 1,)
-
     @pytest.mark.parametrize("mode", ["concat", "sepsent"])
     def test_gold_distances_are_right_binarized_heights(self, mode):
         corpus = pcfg_corpus(16, seed=5, mode=mode)

@@ -8,15 +8,12 @@ from sydlm.distance import (
     distances_to_tree_biased,
     distances_to_tree_unbiased,
     tree_to_distances,
-    validate_heights,
 )
 from sydlm.trees import (
     Tree,
     binarize_right,
     enumerate_binary_shapes,
     constituents,
-    leaf,
-    node,
     parse_bracketed,
     random_binary_tree,
     render_bracketed,
@@ -88,8 +85,9 @@ class TestUnbiasedRecovery:
                 assert distances_to_tree_unbiased(fn(vals), words).shape() == base.shape()
 
     def test_heights_recomputed(self):
+        # heights are those of the recovered tree ((a (b c)) d), not the distances
         tree = distances_to_tree_unbiased(np.array([7.5, 2.2, 9.0]), list("abcd"))
-        assert validate_heights(tree)
+        assert list(tree_to_distances(tree)) == [3.0, 2.0, 4.0]
 
 
 class TestBiasedRecovery:
@@ -129,10 +127,10 @@ def recursive_unbiased(values, leaves):
     """The top-down reference: split each span at its rightmost maximal slot."""
     def build(lo, hi):
         if hi - lo == 1:
-            return leaf("X", leaves[lo])
+            return Tree("X", token=leaves[lo])
         span = values[lo : hi - 1]
         slot = lo + (span.size - 1 - int(np.argmax(span[::-1])))
-        return node("X", [build(lo, slot + 1), build(slot + 1, hi)])
+        return Tree("X", [build(lo, slot + 1), build(slot + 1, hi)])
 
     return build(0, len(leaves))
 
@@ -144,22 +142,21 @@ def recursive_biased(values, leaves):
 
     def build(lo, hi):
         if hi - lo == 1:
-            return leaf("X", leaves[lo])
+            return Tree("X", token=leaves[lo])
         pivot = lo + int(np.argmax(word_d[lo:hi]))
-        right = node("X", [leaf("X", leaves[pivot]), build(pivot + 1, hi)]) \
-            if pivot + 1 < hi else leaf("X", leaves[pivot])
+        right = Tree("X", [Tree("X", token=leaves[pivot]), build(pivot + 1, hi)]) \
+            if pivot + 1 < hi else Tree("X", token=leaves[pivot])
         if pivot == lo:
             return right
-        return node("X", [build(lo, pivot), right])
+        return Tree("X", [build(lo, pivot), right])
 
     return build(0, len(leaves))
 
 
 def spans(tree):
     """Every node's token, height and leaf span, children first: equal for
-    two trees exactly when they are equal with heights, and walked without
-    recursion."""
-    return [(n.label, n.token, n.height, s, e) for n, s, e in constituents(tree)]
+    two trees exactly when they are equal, and walked without recursion."""
+    return [(n.label, n.token, h, s, e) for n, s, e, h in constituents(tree)]
 
 
 RECOVERIES = [(distances_to_tree_unbiased, recursive_unbiased),
@@ -187,35 +184,15 @@ class TestRecoveryMatchesRecursiveReference:
         words = ["w%d" % i for i in range(n)]
         # falling distances branch right, rising ones left, under both rules
         right = recover(np.arange(n - 1, 0, -1.0), words)
-        assert {(s, e) for _, s, e in constituents(right)} == \
+        assert {(s, e) for _, s, e, _h in constituents(right)} == \
             {(i, n) for i in range(n)} | {(i, i + 1) for i in range(n)}
         left = recover(np.arange(1.0, n), words)
-        assert {(s, e) for _, s, e in constituents(left)} == \
+        assert {(s, e) for _, s, e, _h in constituents(left)} == \
             {(0, i) for i in range(1, n + 1)} | {(i, i + 1) for i in range(n)}
-        assert right.height == left.height == n and right.tokens() == left.tokens() == words
+        assert constituents(right)[-1][3] == constituents(left)[-1][3] == n
+        assert right.tokens() == left.tokens() == words
 
     def test_nan_is_rejected(self, recover, reference):
         with pytest.raises(ValueError, match="NaN"):
             recover(np.array([1.0, math.nan]), list("abc"))
-
-
-class TestValidateHeights:
-    def test_binarize_output_valid(self):
-        tree = tree_of("(X (X a) (X b) (X c) (X d))")
-        assert validate_heights(tree)
-
-    def test_bad_parent_height(self):
-        tree = tree_of("(X (X a) (X b))")
-        tree.height = 1  # parent must exceed children
-        assert not validate_heights(tree)
-
-    def test_missing_height(self):
-        tree = Tree("X", children=[leaf("X", "a"), leaf("X", "b")])
-        assert not validate_heights(tree)
-
-    def test_single_leaf(self):
-        assert validate_heights(leaf("X", "a"))
-        bad = leaf("X", "a")
-        bad.height = 2
-        assert not validate_heights(bad)
 

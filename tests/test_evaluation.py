@@ -22,7 +22,6 @@ from sydlm.training import bptt_batches
 from sydlm.trees import (
     Tree,
     binarize_right,
-    leaf,
     left_chain,
     parse_bracketed,
     random_binary_tree,
@@ -100,7 +99,7 @@ def enumerate_nary(n, labels=("NP", "VP", "PP", "ADJP")):
 
     def build(lo, hi, depth):
         if hi - lo == 1:
-            return [leaf("W", "w%d" % lo)]
+            return [Tree("W", token="w%d" % lo)]
         out = []
         for parts in compositions(hi - lo):
             offsets = np.cumsum([0] + parts[:-1]) + lo
@@ -285,7 +284,6 @@ class TestDeepTrees:
     def test_report_and_render_of_a_two_thousand_leaf_chain(self, chain):
         words = ["w%d" % i for i in range(2000)]
         pred, gold = chain(words), chain(words)
-        pred.height = None  # accuracy_by_height fills heights it finds missing
         report = structure_report([pred], [gold])
         assert report["f1_micro"] == 100.0 and report["mean_depth"] == 1999.0
         assert sum(cell["total"] for cell in report["height_accuracy"].values()) == 1998
@@ -309,6 +307,12 @@ class TestAccuracyByHeight:
             [pred], [gold])
         assert hist[2] == (1, 2)   # (4,6) wrong, (0,2) right
         assert hist[3] == (2, 2)   # (0,3) and (3,6) both right
+
+    def test_buckets_are_heights_not_widths(self):
+        # a parsed tree: its heights come from constituents, 1 at a leaf
+        balanced = parse_bracketed(
+            "(X (X (X (X a) (X b)) (X (X c) (X d))) (X (X (X e) (X f)) (X (X g) (X h))))", clean=False)[0]
+        assert accuracy_by_height([balanced], [balanced]) == {2: (4, 4), 3: (2, 2)}
 
     def test_two_word_sentence_contributes_nothing(self):
         tree = parse_bracketed("(X (X a) (X b))", clean=False)[0]

@@ -1,5 +1,6 @@
 import ast
 import random
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -16,10 +17,8 @@ from sydlm.trees import (
     binarize_right,
     constituents,
     enumerate_binary_shapes,
-    fill_heights,
-    leaf,
+    fold,
     left_chain,
-    node,
     parse_bracketed,
     random_binary_tree,
     rebuild,
@@ -30,12 +29,12 @@ from sydlm.distance import (
     distances_to_tree_biased,
     distances_to_tree_unbiased,
     tree_to_distances,
-    validate_heights,
 )
 from sydlm.evaluation import bracket_words
 
 from conftest import (
     binarize_right_recursive,
+    heights_recursive,
     pcfg_treebank,
     random_binary_tree_recursive,
     rebuild_recursive,
@@ -223,13 +222,8 @@ class TestRebuild:
 
     def test_maps_labels_and_tokens(self):
         tree = parse_bracketed(self.TREE)[0]
-        kept = rebuild(tree, lambda n: n.label == "." and n.is_leaf, str.lower, str.upper)
-        assert render_bracketed(kept) == "(s (np (dt THE) (nn CAT)) (vp (vbz SLEEPS) (pp (in ON) (nn MATS))))"
-
-    def test_drop_sees_the_node_before_its_label_is_mapped(self):
-        tree = parse_bracketed("(S (NP (NN a)) (VP (VB b)))", clean=False)[0]
-        kept = rebuild(tree, lambda n: n.label == "NP", label=lambda label: "NP")
-        assert render_bracketed(kept) == "(NP (NP (NP b)))"
+        kept = rebuild(tree, lambda n: n.label == "." and n.is_leaf, str.upper)
+        assert render_bracketed(kept) == "(S (NP (DT THE) (NN CAT)) (VP (VBZ SLEEPS) (PP (IN ON) (NN MATS))))"
 
     def test_nodes_emptied_by_drops_go_too(self):
         tree = parse_bracketed(self.TREE)[0]
@@ -244,14 +238,14 @@ class TestRebuild:
 
 class TestBinarizeRight:
     def test_ternary_nests_rightward_with_sentinel(self):
-        tree = Tree("X", children=[leaf("A", "a"), leaf("B", "b"), leaf("C", "c")])
+        tree = Tree("X", children=[Tree("A", token="a"), Tree("B", token="b"), Tree("C", token="c")])
         binary = binarize_right(tree)
         assert render_bracketed(binary) == "(X (A a) (X' (B b) (C c)))"
-        assert [n.height for n in binary.iter_nodes() if not n.is_leaf] == [3, 2]
-        assert all(l.height == 1 for l in binary.leaves())
+        assert [(n.label, h) for n, _, _, h in constituents(binary)] == \
+            [("A", 1), ("B", 1), ("C", 1), ("X'", 2), ("X", 3)]
 
     def test_four_children(self):
-        tree = Tree("X", children=[leaf("W", t) for t in "abcd"])
+        tree = Tree("X", children=[Tree("W", token=t) for t in "abcd"])
         binary = binarize_right(tree)
         assert render_bracketed(binary) == "(X (W a) (X' (W b) (X' (W c) (W d))))"
 
@@ -259,12 +253,12 @@ class TestBinarizeRight:
         tree = parse_bracketed("(S (NP (DT the) (NN cat)) (VP (VBD sat) (RB down)))")[0]
         binary = binarize_right(tree)
         assert binary.shape() == tree.shape()
-        assert binary.height == 3
+        assert constituents(binary)[-1][3] == 3
 
     def test_single_leaf(self):
         tree = parse_bracketed("(NN cat)")[0]
         binary = binarize_right(tree)
-        assert binary.is_leaf and binary.height == 1
+        assert binary.is_leaf and constituents(binary) == [(binary, 0, 1, 1)]
 
     def test_unary_collapse_keeps_top_label(self):
         tree = parse_bracketed("(S (NP (NN cat)) (VP (VBD sat)))")[0]
@@ -274,7 +268,8 @@ class TestBinarizeRight:
 
     def test_height_invariant_on_random_trees(self):
         for tree in pcfg_treebank(40, seed=7):
-            assert validate_heights(binarize_right(tree))
+            binary = binarize_right(tree)
+            assert row_heights(binary) == heights_recursive(binary)
 
 
 class TestRandomBinaryTree:
@@ -302,23 +297,8 @@ class TestRandomBinaryTree:
 
     def test_heights_follow_shape(self):
         for i in range(20):
-            assert validate_heights(random_binary_tree(1 + i % 9, i))
-
-
-class TestNode:
-    def test_height_is_one_above_the_highest_child(self):
-        low, high = leaf("X", "a"), node("X", [leaf("X", "b"), leaf("X", "c")])
-        assert node("X", [low, high]).height == 3
-        assert node("X", [high, low]).height == 3
-
-    @pytest.mark.parametrize("build", [lambda: right_chain(list("abcde")), lambda: left_chain(list("abcde")),
-                                       lambda: random_binary_tree(9, 3),
-                                       lambda: binarize_right(parse_bracketed("(S (A a) (B b) (C c) (D d))")[0])])
-    def test_binary_builders_set_heights(self, build):
-        assert validate_heights(build())
-
-    def test_enumerated_shapes_carry_heights(self):
-        assert all(validate_heights(shape) for shape in enumerate_binary_shapes(5))
+            tree = random_binary_tree(1 + i % 9, i)
+            assert row_heights(tree) == heights_recursive(tree)
 
 
 class TestChains:
@@ -363,24 +343,25 @@ def depth_recursive(tree):
     return 0 if tree.is_leaf else 1 + max(depth_recursive(ch) for ch in tree.children)
 
 
-def heights_recursive(tree):
-    """[(node, height)] in preorder, as the recursive fill_heights set them."""
-    out = []
-
-    def walk(n):
-        entry = [n, None]
-        out.append(entry)
-        entry[1] = max((walk(ch) for ch in n.children), default=0) + 1
-        return entry[1]
-
-    walk(tree)
-    return [tuple(e) for e in out]
-
-
 def bracket_words_recursive(tree):
     if tree.is_leaf:
         return tree.token or ""
     return "(%s)" % " ".join(bracket_words_recursive(ch) for ch in tree.children)
+
+
+# The bracket writers as folds, kept as their reference: each step copies its
+# children's strings, so a chain costs time quadratic in its depth.
+def render_bracketed_fold(tree):
+    return fold(tree, lambda node, parts: "(%s %s)" % (node.label, " ".join(parts) if parts else node.token))
+
+
+def bracket_words_fold(tree):
+    return fold(tree, lambda node, parts: "(%s)" % " ".join(parts) if parts else node.token or "")
+
+
+def row_heights(tree):
+    """{id(node): height} as ``constituents`` derives them."""
+    return {id(n): h for n, _s, _e, h in constituents(tree)}
 
 
 class TestIterativeWalks:
@@ -392,28 +373,38 @@ class TestIterativeWalks:
 
     def test_same_outputs_in_the_same_order(self):
         for tree in self.TREES:
-            assert [(id(n), s, e) for n, s, e in constituents(tree)] == \
+            assert [(id(n), s, e) for n, s, e, _h in constituents(tree)] == \
                 [(id(n), s, e) for n, s, e in constituents_recursive(tree)]
+            assert row_heights(tree) == heights_recursive(tree)
             assert [id(n) for n in tree.iter_nodes()] == [id(n) for n in iter_nodes_recursive(tree)]
             assert tree.depth() == depth_recursive(tree)
-            assert bracket_words(tree) == bracket_words_recursive(tree)
-            expected = [(id(n), h) for n, h in heights_recursive(tree)]
-            for n in tree.iter_nodes():
-                n.height = None
-            assert fill_heights(tree) == expected[0][1]
-            assert [(id(n), n.height) for n in tree.iter_nodes()] == expected
+            assert bracket_words(tree) == bracket_words_recursive(tree) == bracket_words_fold(tree)
+            assert render_bracketed(tree) == render_bracketed_recursive(tree) == render_bracketed_fold(tree)
 
     @pytest.mark.parametrize("chain", [left_chain, right_chain])
     def test_two_thousand_leaf_chains(self, chain):
         words = ["w%d" % i for i in range(2000)]
         tree = chain(words)
         nodes = constituents(tree)
-        assert len(nodes) == 3999 and nodes[-1] == (tree, 0, 2000)
+        assert len(nodes) == 3999 and nodes[-1] == (tree, 0, 2000, 2000)
         assert sum(1 for _ in tree.iter_nodes()) == 3999
         assert tree.depth() == 1999
-        assert fill_heights(tree) == 2000 and validate_heights(tree)
+        with recursion_limit(10_000):
+            assert row_heights(tree) == heights_recursive(tree)
         text = bracket_words(tree)
         assert text.count("(") == 1999 and text.replace("(", "").replace(")", "").split() == words
+
+    def test_a_hundred_thousand_word_chain_is_written_in_linear_time(self):
+        # the fold versions take tens of seconds here: every level copies
+        # the text below it
+        words = ["w%d" % i for i in range(100_000)]
+        tree = right_chain(words)
+        began = time.perf_counter()
+        rendered, bracketed = render_bracketed(tree), bracket_words(tree)
+        assert time.perf_counter() - began < 5.0
+        inner = words[1:-1]
+        assert rendered == "(X (X w0) " + "".join("(X (X %s) " % w for w in inner) + "(X w99999)" + ")" * 99_999
+        assert bracketed == "(w0 " + "".join("(%s " % w for w in inner) + "w99999" + ")" * 99_999
 
 
 def deep_tree(rng, depth):
@@ -436,9 +427,9 @@ def deep_tree(rng, depth):
 
 def signature(tree):
     """Every node's label, token, height and leaf span, children first: equal
-    for two trees exactly when they are equal with heights, and taken
-    without recursion (``==`` on deep trees recurses inside CPython)."""
-    return [(n.label, n.token, n.height, s, e) for n, s, e in constituents(tree)]
+    for two trees exactly when they are equal, and taken without recursion
+    (``==`` on deep trees recurses inside CPython)."""
+    return [(n.label, n.token, h, s, e) for n, s, e, h in constituents(tree)]
 
 
 class TestWalksMatchRecursiveReferences:
@@ -448,15 +439,15 @@ class TestWalksMatchRecursiveReferences:
              for seed, depth in enumerate([0, 1, 2, 3, 5, 8, 13, 40, 100, 200, 300, 300])]
 
     def test_rebuild(self):
-        rules = [(lambda n: False, None, None),
-                 (lambda n: n.is_leaf and n.label in (".", ","), str.lower, str.upper),
-                 (lambda n: n.label == "PP", None, None),
-                 (lambda n: n.is_leaf, None, None)]
+        rules = [(lambda n: False, None),
+                 (lambda n: n.is_leaf and n.label in (".", ","), str.upper),
+                 (lambda n: n.label == "PP", None),
+                 (lambda n: n.is_leaf, None)]
         for tree in self.TREES:
-            for drop, label, token in rules:
-                kept = rebuild(tree, drop, label, token)
+            for drop, token in rules:
+                kept = rebuild(tree, drop, token)
                 with recursion_limit(10_000):
-                    ref = rebuild_recursive(tree, drop, label, token)
+                    ref = rebuild_recursive(tree, drop, token=token)
                     expected = None if ref is None else render_bracketed_recursive(ref)
                 assert (None if kept is None else render_bracketed(kept)) == expected
 
@@ -467,20 +458,34 @@ class TestWalksMatchRecursiveReferences:
                 text = render_bracketed_recursive(tree)
                 ref = binarize_right_recursive(tree)
                 ref_text, ref_distances = render_bracketed_recursive(ref), tree_to_distances_recursive(ref)
-            assert render_bracketed(tree) == text
+            assert render_bracketed(tree) == text == render_bracketed_fold(tree)
+            assert bracket_words(tree) == bracket_words_fold(tree)
             assert render_bracketed(binary) == ref_text and signature(binary) == signature(ref)
             assert np.array_equal(tree_to_distances(binary), ref_distances)
 
+    def test_constituents_heights(self):
+        for tree in self.TREES:
+            for t in (tree, binarize_right(tree)):
+                with recursion_limit(10_000):
+                    expected = heights_recursive(t)
+                assert row_heights(t) == expected
+
     def test_tree_to_distances_rejects_what_the_recursive_walk_rejects(self):
-        unary = node("S", [Tree("A", children=[leaf("B", "b")], height=2), leaf("C", "c")])
-        ternary = Tree("S", children=[leaf("A", "a"), leaf("B", "b"), leaf("C", "c")])  # and no height
-        no_height = Tree("S", children=[leaf("A", "a"), Tree("B", children=[leaf("C", "c"), leaf("D", "d")])],
-                         height=3)
-        for tree, message in [(unary, "binary tree"), (ternary, "binary tree"), (no_height, "needs heights")]:
-            with pytest.raises(ValueError, match=message):
+        unary = Tree("S", [Tree("A", [Tree("B", token="b")]), Tree("C", token="c")])
+        ternary = Tree("S", [Tree("A", token="a"), Tree("B", token="b"), Tree("C", token="c")])
+        for tree in (unary, ternary):
+            with pytest.raises(ValueError, match="binary tree"):
                 tree_to_distances_recursive(tree)
-            with pytest.raises(ValueError, match=message):
+            with pytest.raises(ValueError, match="binary tree"):
                 tree_to_distances(tree)
+
+    def test_parsed_binary_trees_get_their_distances(self):
+        texts = ["(S (A a) (B (C c) (D d)))"] + [render_bracketed(random_binary_tree(n, n)) for n in range(1, 40)]
+        for text in texts:
+            (tree,) = parse_bracketed(text, clean=False)
+            expected = tree_to_distances(binarize_right(tree))
+            assert np.array_equal(tree_to_distances(tree), expected)
+            assert np.array_equal(tree_to_distances_recursive(tree), expected)
 
     def test_random_binary_tree(self):
         cases = [(n, seed) for n in range(1, 40) for seed in range(25)] + [(300, seed) for seed in range(10)]
@@ -504,20 +509,23 @@ class TestFiveThousandDeep:
         text, n, depth = self.INPUTS[name]
         for clean in (True, False):
             (tree,) = parse_bracketed(text, clean=clean)
-            assert render_bracketed(tree) == text and repr(tree) == "Tree(%s)" % text
+            assert render_bracketed(tree) == text == render_bracketed_fold(tree)
+            assert repr(tree) == "Tree(%s)" % text
             assert tree.n_leaves() == n and len(tree.tokens()) == n and tree.depth() == depth
             assert isinstance(tree.shape(), tuple)
             assert sum(1 for _ in tree.iter_nodes()) == len(constituents(tree))
-            assert render_bracketed(rebuild(tree, lambda node: False, str.lower)) == text.lower()
+            assert render_bracketed(rebuild(tree, lambda node: False, str.upper)) == text.upper()
             assert rebuild(tree, lambda node: node.is_leaf) is None
-            assert fill_heights(tree) == depth + 1 and validate_heights(tree)
             binary = binarize_right(tree)
-            assert validate_heights(binary) and len(constituents(binary)) == 2 * n - 1
+            with recursion_limit(20_000):
+                expected, binary_expected = heights_recursive(tree), heights_recursive(binary)
+            assert row_heights(tree) == expected and constituents(tree)[-1][3] == depth + 1
+            assert row_heights(binary) == binary_expected and len(constituents(binary)) == 2 * n - 1
             distances = tree_to_distances(binary)  # a right-branching chain
             assert np.array_equal(distances, np.arange(n, 1, -1.0))
             words = binary.tokens()
             unbiased = distances_to_tree_unbiased(distances, words)
-            assert bracket_words(unbiased) == bracket_words(binary)
+            assert bracket_words(unbiased) == bracket_words(binary) == bracket_words_fold(binary)
             assert distances_to_tree_biased(distances, words).n_leaves() == n
 
 
