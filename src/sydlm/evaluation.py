@@ -122,14 +122,21 @@ def induce_trees(
 def spans_of(tree: Tree, include_root: bool = False) -> set:
     """(start, end) half-open spans of internal nodes, single-word spans
     dropped; the whole-sentence span only with include_root."""
-    nodes = constituents(tree)
-    whole = nodes[-1][1:3]
-    return {(s, e) for _node, s, e, _height in nodes if e - s >= 2 and (include_root or (s, e) != whole)}
+    return _spans(constituents(tree), include_root)
 
 
 def labeled_spans(tree: Tree) -> list:
     """(label, start, end) for internal nodes of width >= 2, root included."""
     return [(node.label, s, e) for node, s, e, _height in constituents(tree) if e - s >= 2]
+
+
+# The metrics below read each tree's `constituents` rows; structure_report
+# walks every tree once and hands the same rows to all three.
+
+def _spans(rows: list, include_root: bool = False) -> set:
+    """spans_of, from a tree's constituents rows (the root's is last)."""
+    whole = rows[-1][1:3]
+    return {(s, e) for _node, s, e, _height in rows if e - s >= 2 and (include_root or (s, e) != whole)}
 
 
 def _f1(match: int, n_pred: int, n_gold: int) -> float:
@@ -149,12 +156,16 @@ def unlabeled_f1(pred_trees: Sequence[Tree], gold_trees: Sequence[Tree]):
     counts over the corpus.  Both follow _f1's rule."""
     if len(pred_trees) != len(gold_trees):
         raise ValueError("pred and gold lists differ in length")
+    return _unlabeled_f1(_rows(pred_trees), _rows(gold_trees))
+
+
+def _unlabeled_f1(pred_rows: list, gold_rows: list):
     counts = []
-    for i, (pred, gold) in enumerate(zip(pred_trees, gold_trees)):
-        if pred.n_leaves() != gold.n_leaves():
-            raise ValueError("sentence %d: pred has %d leaves, gold %d"
-                             % (i, pred.n_leaves(), gold.n_leaves()))
-        sp, sg = spans_of(pred), spans_of(gold)
+    for i, (pred, gold) in enumerate(zip(pred_rows, gold_rows)):
+        n_pred, n_gold = pred[-1][2], gold[-1][2]  # the root's end: the leaf count
+        if n_pred != n_gold:
+            raise ValueError("sentence %d: pred has %d leaves, gold %d" % (i, n_pred, n_gold))
+        sp, sg = _spans(pred), _spans(gold)
         counts.append((len(sp & sg), len(sp), len(sg)))
     micro = _f1(*([sum(col) for col in zip(*counts)] or [0, 0, 0]))
     macro = float(np.mean([_f1(*c) for c in counts])) if counts else 100.0
@@ -164,15 +175,19 @@ def unlabeled_f1(pred_trees: Sequence[Tree], gold_trees: Sequence[Tree]):
 def per_tag_accuracy(pred_trees, gold_nary_trees, tags: Sequence[str] = DEFAULT_TAGS) -> dict:
     """Fraction (0-100) of gold constituents of each tag whose span occurs
     in the prediction; whole-sentence spans kept on both sides."""
+    return _per_tag_accuracy(_rows(pred_trees), _rows(gold_nary_trees), tags)
+
+
+def _per_tag_accuracy(pred_rows: list, gold_rows: list, tags: Sequence[str]) -> dict:
     found = {t: 0 for t in tags}
     total = {t: 0 for t in tags}
-    for pred, gold in zip(pred_trees, gold_nary_trees):
-        pspans = spans_of(pred, include_root=True)
-        for label, s, e in labeled_spans(gold):
-            if label in total:
-                total[label] += 1
+    for pred, gold in zip(pred_rows, gold_rows):
+        pspans = _spans(pred, include_root=True)
+        for node, s, e, _height in gold:
+            if e - s >= 2 and node.label in total:
+                total[node.label] += 1
                 if (s, e) in pspans:
-                    found[label] += 1
+                    found[node.label] += 1
     return {t: (100.0 * found[t] / total[t] if total[t] else None) for t in tags}
 
 
@@ -203,14 +218,22 @@ def accuracy_by_height(pred_trees, gold_trees) -> dict:
     """height -> (correct, total) over predicted internal nodes, the
     whole-sentence node excluded; a node is correct when its span is a gold
     constituent."""
+    return _accuracy_by_height(_rows(pred_trees), _rows(gold_trees))
+
+
+def _accuracy_by_height(pred_rows: list, gold_rows: list) -> dict:
     buckets: dict[int, list] = {}
-    for pred, gold in zip(pred_trees, gold_trees):
-        gspans = spans_of(gold, include_root=True)
-        for node, s, e, height in constituents(pred):
-            if node is not pred and not node.is_leaf:
+    for pred, gold in zip(pred_rows, gold_rows):
+        gspans = _spans(gold, include_root=True)
+        for node, s, e, height in pred[:-1]:  # the root's row is last
+            if not node.is_leaf:
                 correct, total = buckets.get(height, (0, 0))
                 buckets[height] = (correct + ((s, e) in gspans), total + 1)
     return {h: tuple(v) for h, v in sorted(buckets.items())}
+
+
+def _rows(trees) -> list:
+    return [constituents(tree) for tree in trees]
 
 
 # ---------------------------------------------------------------------------
@@ -221,20 +244,21 @@ def structure_report(pred_trees, gold_nary_trees, tags: Sequence[str] = DEFAULT_
     """The structure metrics as written to metrics.json, over the sentences
     that have a gold tree (None marks one that has not).  height_accuracy
     maps each predicted-constituent height, as a string and in ascending
-    order, to its {"correct", "total", "accuracy"} cell."""
+    order, to its {"correct", "total", "accuracy"} cell.  Each tree is
+    walked by `constituents` once."""
     pairs = [(p, g) for p, g in zip(pred_trees, gold_nary_trees) if g is not None]
     preds = [p for p, _ in pairs]
-    golds = [g for _, g in pairs]
-    micro, macro = unlabeled_f1(preds, golds)
+    pred_rows, gold_rows = _rows(preds), _rows(g for _, g in pairs)
+    micro, macro = _unlabeled_f1(pred_rows, gold_rows)
     mean_depth, ratio = depth_and_ratio(preds)
     return {
         "f1_micro": micro,
         "f1_macro": macro,
-        "per_tag": per_tag_accuracy(preds, golds, tags),
+        "per_tag": _per_tag_accuracy(pred_rows, gold_rows, tags),
         "mean_depth": mean_depth,
         "left_right_ratio": ratio,
         "height_accuracy": {str(h): {"correct": c, "total": t, "accuracy": 100.0 * c / t}
-                            for h, (c, t) in accuracy_by_height(preds, golds).items()},
+                            for h, (c, t) in _accuracy_by_height(pred_rows, gold_rows).items()},
         "n_sentences": len(preds),
     }
 

@@ -98,8 +98,21 @@ class LanguageModel:
             tops = tops * out_mask
         flat = ad.reshape(tops, (t_len * batch, width))
         if self.w_out is None:
-            return ad.matmul(flat, self.embedding, transpose_b=True) + self.b_out
-        return ad.matmul(flat, self.w_out) + self.b_out
+            return affine(flat, self.embedding, self.b_out, transpose_b=True)
+        return affine(flat, self.w_out, self.b_out)
+
+
+def sum_into(p: Tensor, q) -> Tensor:
+    """p + q, written into p's array: p must be a fresh product that nothing
+    else reads (the rule in autodiff's docstring), so the tape keeps one
+    array for the product and the sum."""
+    return ad.add(p, q, out=p.data)
+
+
+def affine(x: Tensor, w: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
+    """x @ w + b (w transposed with transpose_b), the sum in the product's
+    array."""
+    return sum_into(ad.matmul(x, w, transpose_b), b)
 
 
 def window(steps: list) -> Tensor:
@@ -114,7 +127,7 @@ def lstm_gates(x: Tensor, h: Tensor, weight: Tensor, bias: Tensor, hidden: int):
     plus bias, then the forget, input and output gates and the candidate
     from its first 4*hidden columns.  Returns (f, i, o, candidate, pre);
     any columns of the preactivation `pre` past 4*hidden are the caller's."""
-    pre = ad.matmul(ad.concat([x, h], axis=1), weight) + bias
+    pre = affine(ad.concat([x, h], axis=1), weight, bias)
     return (ad.sigmoid(pre[:, 0:hidden]),
             ad.sigmoid(pre[:, hidden : 2 * hidden]),
             ad.sigmoid(pre[:, 2 * hidden : 3 * hidden]),
@@ -126,7 +139,7 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor) -> Tensor:
     """Distance head: ReLU hidden layer, then one scalar per row of x, shaped
     x.shape[:-1].  No output bias: distances are read only through their
     differences, where it would cancel and so never train."""
-    return ad.reshape(ad.matmul(ad.relu(ad.matmul(x, w1) + b1), w2), x.shape[:-1])
+    return ad.reshape(ad.matmul(ad.relu(affine(x, w1, b1)), w2), x.shape[:-1])
 
 
 def build_model(config: ModelConfig, seed: int) -> LanguageModel:

@@ -25,7 +25,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .config import ModelConfig, TrainConfig
-from .models import ForwardOut, LanguageModel, feed_forward, locked_mask, lstm_gates, window
+from .models import ForwardOut, LanguageModel, affine, feed_forward, locked_mask, lstm_gates, sum_into, window
 
 
 @dataclass
@@ -45,7 +45,7 @@ def extract_distance(master_forget: Tensor) -> Tensor:
 def syd_head(hf_pre: Tensor, w_s: Tensor, b_s: Tensor) -> Tensor:
     """Split head: the supervised distance from a second master forget gate
     over the language model's master-forget preactivation."""
-    return extract_distance(ad.cumax(ad.matmul(hf_pre, w_s) + b_s))
+    return extract_distance(ad.cumax(affine(hf_pre, w_s, b_s)))
 
 
 def onlstm_step(
@@ -75,9 +75,9 @@ def onlstm_step(
         f_mx, i_mx = f_m, i_m
 
     omega = f_mx * i_mx
-    f_hat = f * omega + (f_mx - omega)
-    i_hat = i * omega + (i_mx - omega)
-    c = f_hat * c_prev + i_hat * c_hat
+    f_hat = sum_into(f * omega, f_mx - omega)
+    i_hat = sum_into(i * omega, i_mx - omega)
+    c = sum_into(f_hat * c_prev, i_hat * c_hat)
     h = o * ad.tanh(c)
     return StepOutput(h=h, c=c, master_forget=f_m, hf_pre=hf_pre)
 

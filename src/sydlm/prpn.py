@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .config import ModelConfig, TrainConfig
-from .models import ForwardOut, LanguageModel, feed_forward, lstm_gates, window
+from .models import ForwardOut, LanguageModel, affine, feed_forward, lstm_gates, sum_into, window
 
 
 def relatedness_alpha(d_t, d_j, tau: float):
@@ -27,7 +27,7 @@ def relatedness_alpha(d_t, d_j, tau: float):
     distances, saturating once the gap exceeds 1/tau."""
     if tau <= 0:
         raise ValueError("temperature must be positive")
-    return (ad.hardtanh((ad.as_tensor(d_t) - d_j) * tau) + 1.0) * 0.5
+    return sum_into(ad.hardtanh((ad.as_tensor(d_t) - d_j) * tau), 1.0) * 0.5
 
 
 def parsing_gates(alphas) -> Tensor:
@@ -92,7 +92,7 @@ def prpn_distances(embeddings, pad_emb, w_c, b_c, w_d, b_d, lookback: int) -> Te
     pad = ad.broadcast_to(ad.reshape(pad_emb, (lookback, 1, e_dim)), (lookback, batch, e_dim))
     padded = ad.concat([pad, embeddings], axis=0)
     hidden = ad.relu(ad.causal_conv1d(padded, w_c, b_c, lookback + 1))
-    d = ad.relu(ad.matmul(hidden, w_d) + b_d)
+    d = ad.relu(affine(hidden, w_d, b_d))
     return ad.reshape(d, (t_len, batch))
 
 
@@ -100,7 +100,7 @@ def lstm_cell(x, h, c, weight, bias, hidden: int):
     """One plain LSTM step; weight is the fused (in+hidden, 4*hidden) gate
     matrix in the order forget, input, output, candidate.  Returns (h, c)."""
     f, i, o, g, _ = lstm_gates(x, h, weight, bias, hidden)
-    c = f * c + i * g
+    c = sum_into(f * c, i * g)
     return o * ad.tanh(c), c
 
 
@@ -227,7 +227,7 @@ class PrpnLM(LanguageModel):
 
         # read-outs of the whole window, sliced at each step
         gate_rows = window_gates(d_all, cfg.prpn_temperature)  # (T, B, T)
-        queries = ad.reshape(ad.matmul(x_all, self.w_q) + self.b_q, (t_len, batch, rh, 1))
+        queries = ad.reshape(affine(x_all, self.w_q, self.b_q), (t_len, batch, rh, 1))
         top_states = []
         h_tilde = Tensor(np.zeros((batch, rh)))
         c_tilde = Tensor(np.zeros((batch, rh)))

@@ -394,6 +394,29 @@ class TestStructureReportAndStreams:
             assert set(cell) == {"correct", "total", "accuracy"}
             assert cell["accuracy"] == 100.0 * cell["correct"] / cell["total"]
 
+    def test_report_walks_each_tree_once(self, monkeypatch):
+        import sydlm.evaluation as evaluation
+
+        gold = pcfg_treebank(30, seed=5)
+        pred = [random_binary_tree(g.n_leaves(), seed) for seed, g in enumerate(gold)]
+        gold[3] = None  # a sentence without a gold tree is left out
+        kept = [(p, g) for p, g in zip(pred, gold) if g is not None]
+        preds, golds = [p for p, _ in kept], [g for _, g in kept]
+        # the report as the three public metrics compute it, each walking every tree
+        micro, macro = unlabeled_f1(preds, golds)
+        expected = {"f1_micro": micro, "f1_macro": macro, "per_tag": per_tag_accuracy(preds, golds),
+                    "height_accuracy": accuracy_by_height(preds, golds)}
+        walked = []
+        constituents = evaluation.constituents
+        monkeypatch.setattr(evaluation, "constituents",
+                            lambda tree: walked.append(tree) or constituents(tree))
+        report = structure_report(pred, gold)
+        assert sorted(map(id, walked)) == sorted(map(id, preds + golds))
+        assert {k: report[k] for k in ("f1_micro", "f1_macro", "per_tag")} == {
+            k: expected[k] for k in ("f1_micro", "f1_macro", "per_tag")}
+        assert {int(h): (c["correct"], c["total"]) for h, c in report["height_accuracy"].items()} \
+            == expected["height_accuracy"]
+
     def test_syd_stream_absent_without_supervision(self, tiny_corpus):
         cfg = ModelConfig(vocab_size=len(tiny_corpus.vocab), model="onlstm-syd", n_layers=1,
                           embedding_size=6, hidden_size=6, supervision_layer=1,
