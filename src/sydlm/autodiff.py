@@ -51,9 +51,24 @@ and ``add``'s own ``bwd`` reads no values.  Node counts, values and
 gradients are those of the plain ``p + q``.  ``models.affine`` and the cell
 sums of both LSTM families use it.
 
-Tape graphs are acyclic: the tape holds its nodes, a node holds its output
-and parents, and no tensor points back to a node, so reference counting
-frees a graph as soon as its tape is dropped
+The tape keeps only what backward reads.  A tensor's ``tracked`` is its
+key in the graph: None for an untracked tensor, the tensor itself for a
+leaf (``requires_grad``), and otherwise the node that made it.  A node holds
+its output's shape, its parents' keys and its ``bwd``, and no array, and
+``backward`` keys its adjoints by node.  So a primitive's ``bwd`` must
+capture every array it reads, because the tape holds nothing else, and no
+array it does not read: an output array lives only while model code holds
+its tensor or a ``bwd`` captured it.  ``sigmoid``, ``tanh``, ``relu``, ``softmax`` and ``div``
+capture their own outputs, ``matmul`` its operands, and ``mul`` an operand
+only when the other is tracked; ``tsum``, ``repeat_last`` and ``div``'s
+numerator keep only a shape.
+
+A leaf's reference to itself is the graph's only cycle.  The tape holds its
+nodes, a tensor points to its node, and a node points to its parents' keys
+and its ``bwd``, never to a tensor a node made.  Leaves are parameters that
+live as long as their model, and ``grad_check`` restores the key it found
+(None for a plain tensor).  So reference counting frees a graph as soon as
+its tape and its output tensors are dropped
 (``test_dropped_graph_is_freed_without_the_cycle_collector``).  An open
 tape therefore pauses the cyclic garbage collector, which would otherwise
 keep re-walking the thousands of objects a step holds, and its close
@@ -108,10 +123,13 @@ FLUSH_ROWS = 140
 
 
 class _Node:
-    __slots__ = ("out", "parents", "bwd")
+    """One primitive application: its output's shape, its parents' keys
+    (``Tensor.tracked``) and its ``bwd``.  It holds no array."""
 
-    def __init__(self, out, parents, bwd):
-        self.out = out
+    __slots__ = ("shape", "parents", "bwd")
+
+    def __init__(self, shape, parents, bwd):
+        self.shape = shape
         self.parents = parents
         self.bwd = bwd
 
@@ -150,16 +168,23 @@ def active_tape() -> Optional[Tape]:
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "tracked", "grad", "name")
+    """An array and its key in the graph, ``tracked``: None for an untracked
+    tensor, the tensor itself for a leaf, and otherwise the node that made
+    it.  A leaf's reference to itself is the graph's only cycle."""
+
+    __slots__ = ("data", "tracked", "grad", "name")
 
     def __init__(self, data, requires_grad: bool = False, name: Optional[str] = None):
         if type(data) is not np.ndarray or data.dtype is not _FLOAT64:
             data = np.asarray(data, dtype=np.float64)
         self.data = data
-        self.requires_grad = requires_grad
-        self.tracked = requires_grad
+        self.tracked = self if requires_grad else None
         self.grad: Optional[np.ndarray] = None
         self.name = name
+
+    @property
+    def requires_grad(self) -> bool:
+        return self.tracked is self
 
     @property
     def shape(self) -> tuple:
@@ -202,13 +227,15 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _apply(out_data: np.ndarray, parents: tuple, bwd: Callable) -> Tensor:
+def _apply(out_data: np.ndarray, keys: Sequence, bwd: Callable) -> Tensor:
+    """Wrap out_data; on a tape, record a node if any parent key is tracked.
+    keys are the parents' ``tracked`` values, in bwd's order."""
     out = Tensor(out_data)
     if _TAPE_STACK:
-        for p in parents:
-            if p.tracked:
-                out.tracked = True
-                _TAPE_STACK[-1].nodes.append(_Node(out, parents, bwd))
+        for k in keys:
+            if k is not None:
+                node = out.tracked = _Node(out_data.shape, keys, bwd)
+                _TAPE_STACK[-1].nodes.append(node)
                 break
     return out
 
@@ -216,40 +243,40 @@ def _apply(out_data: np.ndarray, parents: tuple, bwd: Callable) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(param) for every requires_grad leaf reached.
 
-    Adjoints of a tensor used several times sum.  Sweeping a node takes its
-    output's adjoint out of the map, so the requires_grad tensors left in it
-    are the leaves; each adjoint is added to its leaf's ``.grad``.  Sums
-    follow the ownership rule in the module docstring, and factor lists are
-    flushed as it says.
+    The adjoint map is keyed by ``tracked``: a node for a tensor a node
+    made, the tensor itself for a leaf.  Adjoints of a key used several
+    times sum.  Sweeping a node takes its adjoint out of the map, so the
+    keys left in it are the leaves; each adjoint is added to its leaf's
+    ``.grad``.  Sums follow the ownership rule in the module docstring, and
+    factor lists are flushed as it says.
     """
     tape = active_tape()
     if tape is None:
         raise RuntimeError("backward called with no active tape")
     if loss.data.size != 1:
         raise ShapeError("backward: loss must be scalar, got shape %s" % (loss.shape,))
-    grads: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
-    owned: set[Tensor] = set()
-    factors: dict[Tensor, list] = {}  # tensor -> [lefts, rights, row count]
-    inner: set[Tensor] = set()  # the tensors in factors that a node made
+    grads: dict = {loss.tracked: np.ones_like(loss.data)}
+    owned: set = set()
+    factors: dict = {}  # key -> [lefts, rights, row count]
+    inner: set = set()  # the keys in factors that are nodes
     pop, get, ndarray = grads.pop, grads.get, np.ndarray
     for node in reversed(tape.nodes):
-        out = node.out
-        if inner and out in inner:
-            inner.discard(out)
-            _flush(grads, owned, out, factors.pop(out))
-        dy = pop(out, None)
+        if inner and node in inner:
+            inner.discard(node)
+            _flush(grads, owned, node, factors.pop(node))
+        dy = pop(node, None)
         if dy is None:
             continue
-        owned.discard(out)
+        owned.discard(node)
         for parent, dp in zip(node.parents, node.bwd(dy)):
-            if dp is None or not parent.tracked:
+            if dp is None or parent is None:
                 continue
             if type(dp) is not ndarray:  # factors, a getitem's (key, dy), or a numpy scalar
                 if type(dp) is _Factors:
                     f = factors.get(parent)
                     if f is None:
                         f = factors[parent] = [[], [], 0]
-                        if not parent.requires_grad:
+                        if type(parent) is _Node:
                             inner.add(parent)
                     f[0].append(dp.left)
                     f[1].append(dp.right)
@@ -264,12 +291,12 @@ def backward(loss: Tensor) -> None:
                     if _basic(key):
                         acc = get(parent)
                         if parent not in owned:
-                            acc = np.zeros_like(parent.data) if acc is None else np.array(acc)
+                            acc = np.zeros(parent.shape) if acc is None else np.array(acc)
                             grads[parent] = acc
                             owned.add(parent)
                         acc[key] += d
                         continue
-                    dp = np.zeros_like(parent.data)  # an index array: scatter, then sum densely
+                    dp = np.zeros(parent.shape)  # an index array: scatter, then sum densely
                     np.add.at(dp, key, d)
             acc = get(parent)
             if acc is None:
@@ -279,30 +306,30 @@ def backward(loss: Tensor) -> None:
             else:
                 grads[parent] = np.asarray(acc + dp)  # a 0-d sum is a numpy scalar
                 owned.add(parent)
-    for tensor, f in factors.items():  # the leaves
-        if tensor.requires_grad:
-            _flush(grads, owned, tensor, f)
-    for tensor, g in grads.items():
-        if not tensor.requires_grad:
+    for key, f in factors.items():  # the leaves
+        if type(key) is Tensor:
+            _flush(grads, owned, key, f)
+    for key, g in grads.items():
+        if type(key) is not Tensor:
             continue
         g = np.asarray(g, dtype=np.float64)
-        if g.shape != tensor.data.shape:
-            raise ShapeError("gradient shape %s != tensor shape %s" % (g.shape, tensor.data.shape))
-        tensor.grad = g if tensor.grad is None else tensor.grad + g
+        if g.shape != key.data.shape:
+            raise ShapeError("gradient shape %s != tensor shape %s" % (g.shape, key.data.shape))
+        key.grad = g if key.grad is None else key.grad + g
 
 
-def _flush(grads: dict, owned: set, tensor: Tensor, f: list) -> None:
-    """Sum the product of tensor's factor list into its adjoint."""
+def _flush(grads: dict, owned: set, key, f: list) -> None:
+    """Sum the product of key's factor list into its adjoint."""
     p = _stacked_rows(f)  # a new array, so the sweep owns it
-    acc = grads.get(tensor)
+    acc = grads.get(key)
     if acc is None:
-        grads[tensor] = p
-    elif tensor in owned:
+        grads[key] = p
+    elif key in owned:
         acc += p
     else:
         p += acc  # the same bits as acc + p
-        grads[tensor] = p
-    owned.add(tensor)
+        grads[key] = p
+    owned.add(key)
 
 
 def _stacked_rows(f: list) -> np.ndarray:
@@ -361,7 +388,7 @@ def add(a, b, out: Optional[np.ndarray] = None) -> Tensor:
         except ValueError:
             raise ShapeError("add: shapes %s and %s do not broadcast into out %s"
                              % (a.shape, b.shape, out.shape))
-    return _apply(data, (a, b),
+    return _apply(data, (ta, tb),
                   lambda dy: (_unbroadcast(dy, sa) if ta else None,
                               _unbroadcast(dy, sb) if tb else None))
 
@@ -370,7 +397,7 @@ def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     sa, sb = a.data.shape, b.data.shape
     ta, tb = a.tracked, b.tracked
-    return _apply(_broadcasting("sub", np.subtract, a, b), (a, b),
+    return _apply(_broadcasting("sub", np.subtract, a, b), (ta, tb),
                   lambda dy: (_unbroadcast(dy, sa) if ta else None,
                               _unbroadcast(-dy, sb) if tb else None))
 
@@ -381,21 +408,25 @@ def neg(a) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
+    """a * b.  bwd keeps an operand's values only while the other operand
+    is tracked, since only the other's adjoint reads them."""
     a, b = as_tensor(a), as_tensor(b)
-    ad, bd = a.data, b.data
     ta, tb = a.tracked, b.tracked
-    return _apply(_broadcasting("mul", np.multiply, a, b), (a, b),
-                  lambda dy: (_unbroadcast(dy * bd, ad.shape) if ta else None,
-                              _unbroadcast(dy * ad, bd.shape) if tb else None))
+    sa, sb = a.data.shape, b.data.shape
+    ad = a.data if tb else None  # read by b's adjoint only
+    bd = b.data if ta else None
+    return _apply(_broadcasting("mul", np.multiply, a, b), (ta, tb),
+                  lambda dy: (_unbroadcast(dy * bd, sa) if ta else None,
+                              _unbroadcast(dy * ad, sb) if tb else None))
 
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    ad, bd = a.data, b.data
+    sa, bd = a.data.shape, b.data
     ta, tb = a.tracked, b.tracked
     out = _broadcasting("div", np.divide, a, b)
-    return _apply(out, (a, b),
-                  lambda dy: (_unbroadcast(dy / bd, ad.shape) if ta else None,
+    return _apply(out, (ta, tb),
+                  lambda dy: (_unbroadcast(dy / bd, sa) if ta else None,
                               _unbroadcast(-dy * out / bd, bd.shape) if tb else None))
 
 
@@ -439,7 +470,7 @@ def matmul(a, b, transpose_b: bool = False) -> Tensor:
             return da, a2.T @ dy2
         return da, _Factors(a2, dy2)  # the sweep forms a2.T @ dy2
 
-    return _apply(out, (a, b), bwd)
+    return _apply(out, (a.tracked, b.tracked), bwd)
 
 
 def _stacked_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -466,13 +497,13 @@ def concat(tensors: Sequence, axis: int = 0, out: Optional[np.ndarray] = None) -
     def bwd(dy):
         return tuple(dy[key] for key in keys)
 
-    return _apply(out, tuple(ts), bwd)
+    return _apply(out, [t.tracked for t in ts], bwd)
 
 
 def getitem(a, key) -> Tensor:
     """a[key]: a view of a's data for a basic key, a copy for an index-array
     key.  The view is safe because nothing writes a tensor's data in place
-    while a tape holds it: the SGD step runs after the step's tape is
+    while a graph may read it: the SGD step runs after the step's tape is
     dropped, and grad_check perturbs x only after its taped pass."""
     a = as_tensor(a)
     out = a.data[key]
@@ -480,13 +511,13 @@ def getitem(a, key) -> Tensor:
     def bwd(dy):
         return ((key, dy),)  # backward adds dy into the parent's adjoint at key
 
-    return _apply(out, (a,), bwd)
+    return _apply(out, (a.tracked,), bwd)
 
 
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
     old = a.data.shape
-    return _apply(a.data.reshape(shape), (a,), lambda dy: (dy.reshape(old),))
+    return _apply(a.data.reshape(shape), (a.tracked,), lambda dy: (dy.reshape(old),))
 
 
 def broadcast_to(a, shape) -> Tensor:
@@ -496,19 +527,19 @@ def broadcast_to(a, shape) -> Tensor:
         out = np.broadcast_to(a.data, shape).copy()
     except ValueError:
         raise ShapeError("broadcast_to: cannot broadcast %s to %s" % (a.shape, shape))
-    return _apply(out, (a,), lambda dy: (_unbroadcast(dy, old),))
+    return _apply(out, (a.tracked,), lambda dy: (_unbroadcast(dy, old),))
 
 
 def repeat_last(a, k: int) -> Tensor:
     """Repeat each entry of the last axis k times consecutively."""
     a = as_tensor(a)
-    ad = a.data
-    out = np.repeat(ad, k, axis=-1)
+    old = a.data.shape
+    out = np.repeat(a.data, k, axis=-1)
 
     def bwd(dy):
-        return (dy.reshape(ad.shape + (k,)).sum(axis=-1),)
+        return (dy.reshape(old + (k,)).sum(axis=-1),)
 
-    return _apply(out, (a,), bwd)
+    return _apply(out, (a.tracked,), bwd)
 
 
 def take(a, indices) -> Tensor:
@@ -523,20 +554,19 @@ def take(a, indices) -> Tensor:
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
     out = 1.0 / (1.0 + np.exp(-a.data))
-    return _apply(out, (a,), lambda dy: (dy * out * (1.0 - out),))
+    return _apply(out, (a.tracked,), lambda dy: (dy * out * (1.0 - out),))
 
 
 def tanh(a) -> Tensor:
     a = as_tensor(a)
     out = np.tanh(a.data)
-    return _apply(out, (a,), lambda dy: (dy * (1.0 - out * out),))
+    return _apply(out, (a.tracked,), lambda dy: (dy * (1.0 - out * out),))
 
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
-    ad = a.data
-    out = np.maximum(ad, 0.0)
-    return _apply(out, (a,), lambda dy: (dy * (ad > 0.0),))
+    out = np.maximum(a.data, 0.0)
+    return _apply(out, (a.tracked,), lambda dy: (dy * (out > 0.0),))  # out > 0 exactly where a > 0
 
 
 def hardtanh(a) -> Tensor:
@@ -544,7 +574,7 @@ def hardtanh(a) -> Tensor:
     a = as_tensor(a)
     ad = a.data
     out = np.clip(ad, -1.0, 1.0)
-    return _apply(out, (a,), lambda dy: (dy * ((ad > -1.0) & (ad < 1.0)),))
+    return _apply(out, (a.tracked,), lambda dy: (dy * ((ad > -1.0) & (ad < 1.0)),))
 
 
 def softmax(a) -> Tensor:
@@ -558,7 +588,7 @@ def softmax(a) -> Tensor:
         inner = (dy * out).sum(axis=-1, keepdims=True)
         return ((dy - inner) * out,)
 
-    return _apply(out, (a,), bwd)
+    return _apply(out, (a.tracked,), bwd)
 
 
 def cumsum(a) -> Tensor:
@@ -569,7 +599,7 @@ def cumsum(a) -> Tensor:
     def bwd(dy):
         return (dy[..., ::-1].cumsum(axis=-1)[..., ::-1],)
 
-    return _apply(out, (a,), bwd)
+    return _apply(out, (a.tracked,), bwd)
 
 
 def cumax(a) -> Tensor:
@@ -579,14 +609,14 @@ def cumax(a) -> Tensor:
 
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
-    ad = a.data
-    out = ad.sum(axis=axis, keepdims=keepdims)
+    old = a.data.shape
+    out = a.data.sum(axis=axis, keepdims=keepdims)
 
     def bwd(dy):
         d = dy if axis is None or keepdims else np.expand_dims(dy, axis)
-        return (np.broadcast_to(d, ad.shape).copy(),)
+        return (np.broadcast_to(d, old).copy(),)
 
-    return _apply(out, (a,), bwd)
+    return _apply(out, (a.tracked,), bwd)
 
 
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -649,7 +679,7 @@ def causal_conv1d(x, weight, bias, window: int) -> Tensor:
         db = dy_flat.sum(axis=0)
         return dx, dw, db
 
-    return _apply(out, (x, weight, bias), bwd)
+    return _apply(out, (x.tracked, weight.tracked, bias.tracked), bwd)
 
 
 def cross_entropy_logits(logits, targets) -> Tensor:
@@ -674,7 +704,7 @@ def cross_entropy_logits(logits, targets) -> Tensor:
         grad *= dy[:, None]
         return (grad,)
 
-    return _apply(out, (logits,), bwd)
+    return _apply(out, (logits.tracked,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -683,11 +713,12 @@ def cross_entropy_logits(logits, targets) -> Tensor:
 
 def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5) -> float:
     """Max relative error between the analytic gradient of scalar f at x and
-    central finite differences with step eps."""
+    central finite differences with step eps.  x is a leaf for the taped
+    pass; its key is then restored (None for a plain tensor)."""
     if eps <= 0:
         raise ValueError("grad_check: eps must be positive")
-    was = x.requires_grad
-    x.requires_grad = x.tracked = True
+    was = x.tracked
+    x.tracked = x
     x.grad = None
     with Tape():
         y = f(x)
@@ -696,7 +727,7 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5) -> f
         backward(y)
     analytic = np.zeros_like(x.data) if x.grad is None else x.grad.copy()
     x.grad = None
-    x.requires_grad = x.tracked = was
+    x.tracked = was
 
     numeric = np.zeros_like(x.data)
     flat = x.data.reshape(-1)

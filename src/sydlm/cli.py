@@ -102,8 +102,8 @@ def cmd_preprocess(args, argv) -> int:
     trees = []
     for path in args.inputs:
         try:
-            trees.extend(parse_bracketed(Path(path).read_text()))
-        except (OSError, TreebankError) as exc:
+            trees.extend(parse_bracketed(Path(path).read_text(encoding="utf-8")))
+        except (OSError, TreebankError, UnicodeDecodeError) as exc:
             raise TreebankError("%s: %s" % (path, exc)) from None
     vocab = Corpus.load(args.vocab_from).vocab if args.vocab_from else None
     corpus = preprocess_corpus(trees, rules, vocab)

@@ -202,8 +202,13 @@ def _coerce(name: str, text: str, typ: str) -> object:
 def read_settings(path: str, apply: Callable[[str, str], None]) -> None:
     """``apply(key, value)`` for each `key = value` line of the file at
     `path`; # starts a comment and blank lines are skipped.  An error a line
-    raises, in the line or in ``apply``, names the path and the line."""
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    raises, in the line or in ``apply``, names the path and the line, and
+    a file that is not UTF-8 names the path."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError("%s: %s" % (path, exc)) from None
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

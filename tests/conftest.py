@@ -1,5 +1,6 @@
-"""Shared fixtures: a small right-skewed PCFG for synthetic treebanks, and
-the recursive tree walks the iterative ones replaced, kept as references."""
+"""Shared fixtures: a small right-skewed PCFG for synthetic treebanks, the
+recursive tree walks the iterative ones replaced, kept as references, and
+the arrays a tape's backward closures hold."""
 
 import contextlib
 import random
@@ -200,3 +201,30 @@ def random_binary_tree_recursive(n_leaves, rng_seed):
         return Tree("X", [build(lo, split), build(split, hi)])
 
     return build(0, n_leaves)
+
+
+def bwd_arrays(tape) -> list:
+    """(kind, array) for each distinct array the tape's ``bwd`` closures
+    hold, found through their cells and the tuples and lists in them, in
+    tape order.  The kind is the first part of the ``bwd``'s qualname.
+    Under the engine's rule these are all the arrays the tape keeps."""
+    seen, found = set(), []
+    for node in tape.nodes:
+        kind = node.bwd.__qualname__.split(".", 1)[0]
+        stack = [cell.cell_contents for cell in node.bwd.__closure__ or ()]
+        while stack:
+            v = stack.pop()
+            if type(v) is np.ndarray:
+                if id(v) not in seen:
+                    seen.add(id(v))
+                    found.append((kind, v))
+            elif type(v) in (tuple, list):
+                stack.extend(v)
+    return found
+
+
+def root(a: np.ndarray) -> np.ndarray:
+    """The array that owns a view's memory."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a

@@ -1,4 +1,5 @@
 import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from sydlm.autodiff import (
     save_checkpoint,
 )
 
+from conftest import bwd_arrays
 from gradcases import primitive_cases
 
 
@@ -82,7 +84,8 @@ class TestBackward:
     def test_no_tape_means_no_recording(self):
         x = Tensor(np.ones(2), requires_grad=True)
         y = x * 2.0
-        assert y.tracked is False
+        assert x.tracked is x and x.requires_grad
+        assert y.tracked is None and not y.requires_grad
 
     def test_getitem_views_a_basic_key_and_copies_an_index_array(self):
         x = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
@@ -149,23 +152,23 @@ def dense_backward(tape, loss):
     a getitem's (key, dy) becomes a zero array of its parent's shape, and
     matmul's weight factors are multiplied out at once, one product per
     read.  Returns {leaf: gradient} without touching .grad."""
-    grads = {loss: np.ones_like(loss.data)}
+    grads = {loss.tracked: np.ones_like(loss.data)}
     for node in reversed(tape.nodes):
-        dy = grads.pop(node.out, None)
+        dy = grads.pop(node, None)
         if dy is None:
             continue
         for parent, dp in zip(node.parents, node.bwd(dy)):
-            if dp is None or not parent.tracked:
+            if dp is None or parent is None:
                 continue
             if type(dp) is ad._Factors:
                 dp = dp.left.T @ dp.right
             elif type(dp) is tuple:
                 key, d = dp
-                dp = np.zeros_like(parent.data)
+                dp = np.zeros(parent.shape)
                 np.add.at(dp, key, d)
             acc = grads.get(parent)
             grads[parent] = dp if acc is None else acc + dp
-    return {t: g for t, g in grads.items() if t.requires_grad}
+    return {t: g for t, g in grads.items() if type(t) is Tensor}
 
 
 # taped steps of the models, as in tests/test_perfbench_tracer.py
@@ -326,6 +329,79 @@ class TestOwnedSweep:
         assert np.array_equal(first, first_copy)
 
 
+class TestTapeKeepsWhatBackwardReads:
+    def test_forward_frees_an_array_no_bwd_reads(self, monkeypatch):
+        # each step's gate preactivation (an affine result) is only sliced
+        # for sigmoid and tanh, which read their own outputs, so it dies
+        # inside the forward; the forget gate, which sigmoid's bwd reads,
+        # lives until the tape goes
+        from sydlm import onlstm
+        from sydlm.config import ModelConfig, TrainConfig
+        from sydlm.models import build_model
+        from sydlm.training import lm_loss, ranking_loss
+
+        made = []  # per layer and step: (preactivation, forget gate)
+        gates = onlstm.lstm_gates
+
+        def recording(*args):
+            f, i, o, c_hat, pre = gates(*args)
+            made.append((weakref.ref(pre.data), weakref.ref(f.data)))
+            return f, i, o, c_hat, pre
+
+        monkeypatch.setattr(onlstm, "lstm_gates", recording)
+        cfg = ModelConfig(vocab_size=12, embedding_size=8, **MODEL_KINDS[0])
+        assert cfg.supervision_mode == "split-head" and cfg.chunk_factor == 2
+        model = build_model(cfg, seed=1)
+        rng = np.random.default_rng(0)
+        steps = 6
+        ids = rng.integers(0, 12, size=(steps + 1, 2))
+        with Tape() as tape:
+            out = model.forward(ids[:-1], None, rng=rng, train_cfg=TrainConfig(model=cfg))
+            assert len(made) == cfg.n_layers * steps
+            assert all(pre() is None for pre, _ in made)
+            assert all(f() is not None for _, f in made)
+            n = 2 * steps
+            loss = (lm_loss(out.logits, ids[1:].reshape(-1), np.ones(n))
+                    + ranking_loss(out.d_syd, rng.normal(size=n), np.zeros(n, dtype=np.int64)))
+            ref = dense_backward(tape, loss)
+            backward(loss)
+        assert ref.keys() == set(model.params.values())
+        for name, p in model.params.items():
+            assert p.grad.tobytes() == ref[p].tobytes(), name
+
+
+class TestClosuresHoldOnlyWhatTheyRead:
+    @staticmethod
+    def held(f, *tensors):
+        with Tape() as tape:
+            out = f(*tensors)
+        return out, [a for _, a in bwd_arrays(tape)]
+
+    def test_a_product_keeps_only_the_tracked_operands_partner(self):
+        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        mask = Tensor(np.array([[0.0, 2.0, 2.0]]))
+        _, held = self.held(lambda a, b: a * b, x, mask)
+        assert len(held) == 1 and held[0] is mask.data
+        y = Tensor(np.ones((2, 3)), requires_grad=True)
+        _, held = self.held(lambda a, b: a * b, x, y)
+        assert {id(a) for a in held} == {id(x.data), id(y.data)}
+
+    @pytest.mark.parametrize("f", [lambda a: ad.tsum(a, axis=1), lambda a: ad.repeat_last(a, 2),
+                                   lambda a: ad.reshape(a, (3, 2))],
+                             ids=["tsum", "repeat_last", "reshape"])
+    def test_shape_only_adjoints_keep_no_array(self, f):
+        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        assert self.held(f, x)[1] == []
+
+    def test_relu_and_div_keep_their_outputs_not_their_inputs(self):
+        x = Tensor(np.linspace(-1.0, 1.0, 6), requires_grad=True)
+        y = Tensor(np.full(6, 2.0), requires_grad=True)
+        out, held = self.held(ad.relu, x)
+        assert len(held) == 1 and held[0] is out.data
+        out, held = self.held(ad.div, x, y)
+        assert {id(a) for a in held} == {id(out.data), id(y.data)}
+
+
 class TestWeightFactors:
     """matmul's adjoint of a weight with at least FLUSH_ROWS rows reaches the
     sweep as factors; the sweep forms their product when a list is full,
@@ -462,7 +538,7 @@ class TestSharedAdjoints:
     def test_grad_cases_record_exactly_the_own_adjoint_kinds(self):
         seen = set()
         for _name, f, x in primitive_cases(0):
-            x.requires_grad = x.tracked = True
+            x.tracked = x
             with Tape() as tape:
                 f(x)
             seen |= self.kinds(tape)

@@ -315,6 +315,31 @@ class TestExitCodes:
         assert main(["preprocess", str(treebank_file), "--out", str(tmp_path / "c.json"), "--rules", str(rules)]) == 2
         assert capsys.readouterr().err == "data error: %s: line 2: %s\n" % (rules, message)
 
+    NOT_UTF8 = b"\xff\xfe mode = concat\n"
+
+    def test_config_file_not_utf8_names_the_file(self, tmp_path, treebank_file, capsys):
+        corpus = tmp_path / "corpus.json"
+        main(["preprocess", str(treebank_file), "--out", str(corpus)])
+        config = tmp_path / "c.txt"
+        config.write_bytes(self.NOT_UTF8)
+        capsys.readouterr()
+        assert main(["train", "--corpus", str(corpus), "--out", str(tmp_path / "run"), "--config", str(config)]) == 2
+        assert capsys.readouterr().err.startswith("data error: %s: 'utf-8' codec can't decode byte 0xff" % config)
+
+    def test_rules_file_not_utf8_names_the_file(self, tmp_path, treebank_file, capsys):
+        rules = tmp_path / "r.txt"
+        rules.write_bytes(self.NOT_UTF8)
+        assert main(["preprocess", str(treebank_file), "--out", str(tmp_path / "c.json"), "--rules", str(rules)]) == 2
+        assert capsys.readouterr().err.startswith("data error: %s: 'utf-8' codec can't decode byte 0xff" % rules)
+
+    def test_treebank_not_utf8_names_the_file(self, tmp_path, treebank_file, capsys):
+        bad = tmp_path / "bad.mrg"
+        bad.write_bytes(b"(S (NN \xff))\n")
+        out = tmp_path / "c.json"
+        assert main(["preprocess", str(treebank_file), str(bad), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("data error: %s: 'utf-8' codec can't decode byte 0xff" % bad)
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_numeric_failure_exit_code(self, tmp_path, treebank_file, capsys):
         corpus = tmp_path / "corpus.json"

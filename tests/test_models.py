@@ -126,56 +126,65 @@ def node_kind(node) -> str:
     return node.bwd.__qualname__.split(".", 1)[0]
 
 
-def sums_into_products(nodes) -> list:
+def sums_into_products(nodes, outs) -> list:
     """(kind of the product, whether the sum shares its array) for every add
     node whose first operand a matmul, mul or hardtanh node made and no
-    other node reads."""
-    made = {id(n.out): node_kind(n) for n in nodes}
-    reads = Counter(id(p) for n in nodes for p in n.parents)
+    other node reads.  outs maps each node to its output array."""
+    made = {n: node_kind(n) for n in nodes}
+    reads = Counter(p for n in nodes for p in n.parents)
     sums = []
     for n in nodes:
         p = n.parents[0]
-        if node_kind(n) == "add" and made.get(id(p)) in PRODUCT_KINDS and reads[id(p)] == 1:
-            sums.append((made[id(p)], np.shares_memory(n.out.data, p.data)))
+        if node_kind(n) == "add" and made.get(p) in PRODUCT_KINDS and reads[p] == 1:
+            sums.append((made[p], np.shares_memory(outs[n], outs[p])))
     return sums
 
 
-def taped_step(kind):
+def taped_step(kind, monkeypatch):
     """One taped training step (dropout on, LM loss plus a ranking term) of
-    a small model: the model, its forward output, the loss and the forward's
-    tape nodes."""
+    a small model: the model, its forward output, the loss, the forward's
+    tape nodes and {node: output array}.  A node holds no array, so the
+    outputs are recorded as `autodiff._apply` makes them."""
     cfg = ModelConfig(vocab_size=12, embedding_size=8, **SUM_KINDS[kind])
     model = build_model(cfg, seed=1)
     rng = np.random.default_rng(0)
     ids = rng.integers(0, 12, size=(T_LEN + 1, 2))
     n = 2 * T_LEN
-    with ad.Tape() as tape:
+    outs, apply = {}, ad._apply
+
+    def recording(out_data, keys, bwd):
+        out = apply(out_data, keys, bwd)
+        outs[out.tracked] = out_data
+        return out
+
+    with monkeypatch.context() as patch, ad.Tape() as tape:
+        patch.setattr(ad, "_apply", recording)
         out = model.forward(ids[:-1], None, rng=rng, train_cfg=TrainConfig(model=cfg))
         nodes = list(tape.nodes)
         d_w = out.d_syd if out.d_syd is not None else out.d_lm[0]
         loss = (lm_loss(out.logits, ids[1:].reshape(-1), np.ones(n))
                 + ranking_loss(d_w, rng.normal(size=n), np.zeros(n, dtype=np.int64)))
         ad.backward(loss)
-    return model, out, loss, nodes
+    return model, out, loss, nodes, outs
 
 
 class TestSumsIntoProducts:
     @pytest.mark.parametrize("kind", list(SUM_KINDS))
-    def test_every_affine_map_and_cell_sum_writes_into_its_product(self, kind):
-        sums = sums_into_products(taped_step(kind)[3])
+    def test_every_affine_map_and_cell_sum_writes_into_its_product(self, kind, monkeypatch):
+        sums = sums_into_products(*taped_step(kind, monkeypatch)[3:])
         assert Counter(k for k, _ in sums) == WRITTEN_SUMS[kind]
         assert all(shared for _, shared in sums)
 
     @pytest.mark.parametrize("kind", list(SUM_KINDS))
     def test_values_and_gradients_bitwise_equal_to_plain_sums(self, kind, monkeypatch):
-        into = taped_step(kind)
+        into = taped_step(kind, monkeypatch)
         for module in (models, onlstm, prpn):
             monkeypatch.setattr(module, "sum_into", plain_sum)
-        plain = taped_step(kind)
-        assert not any(shared for _, shared in sums_into_products(plain[3]))
+        plain = taped_step(kind, monkeypatch)
+        assert not any(shared for _, shared in sums_into_products(*plain[3:]))
         assert [node_kind(n) for n in into[3]] == [node_kind(n) for n in plain[3]]
 
-        def arrays(model, out, loss, _nodes):
+        def arrays(model, out, loss, _nodes, _outs):
             streams = [out.logits, *out.d_lm] + ([out.d_syd] if out.d_syd is not None else [])
             return [t.data for t in streams] + [loss.data] + [p.grad for p in model.params.values()]
 

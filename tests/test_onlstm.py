@@ -12,6 +12,8 @@ from sydlm.onlstm import OnLstmLM, extract_distance, onlstm_layer, onlstm_step, 
 from sydlm.training import bptt_batches, lm_loss
 from sydlm.trees import parse_bracketed
 
+from conftest import bwd_arrays, root
+
 
 def make_step_inputs(hidden, chunk, in_dim=5, batch=2, seed=0, bias_override=None):
     rng = np.random.default_rng(seed)
@@ -335,13 +337,18 @@ class TestFusedGateParameters:
         assert np.array_equal(model.params["W_s"].data, rng.uniform(-scale, scale, size=(4 // chunk, 4 // chunk)))
 
     def test_taped_forward_copies_no_gate_matrix(self):
-        # the step multiplies by the stored matrix: no node rebuilds it
+        # the step multiplies by the stored matrix: no node rebuilds it, and
+        # every gate-matrix-shaped array the backward closures hold is the
+        # stored one
         model = OnLstmLM(small_config(), seed=3)
-        shapes = {model.params["layer%d.W" % layer].shape for layer in range(2)}
+        weights = [model.params["layer%d.W" % layer].data for layer in range(2)]
+        shapes = {w.shape for w in weights}
         with Tape() as tape:
             model.forward(np.ones((4, 3), dtype=np.int64))
         assert len(tape) > 0
-        assert not [n for n in tape.nodes if n.out.shape in shapes]
+        assert not [n for n in tape.nodes if n.shape in shapes]
+        held = [a for _, a in bwd_arrays(tape) if a.shape in shapes]
+        assert held and all(any(root(a) is w for w in weights) for a in held)
 
 
 class TestToyOverfit:

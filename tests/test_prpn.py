@@ -12,6 +12,8 @@ from sydlm.prpn import (PrpnLM, gated_attention, lstm_cell, parsing_gates, prpn_
                         relatedness_alpha, window_gates)
 from sydlm.training import _pair_agreement, lm_loss, ranking_loss
 
+from conftest import bwd_arrays, root
+
 
 class TestRelatednessAlpha:
     def test_equal_distances_give_half(self):
@@ -358,21 +360,16 @@ class TestReadLoop:
 
     def test_tape_keeps_the_memory_in_one_buffer_per_window(self):
         # the memories of steps 2..T-1 (the outputs of the read loop's memory
-        # concats) are views of one (B, T, rh) buffer for h and one for c,
-        # not one copy per step, which would hold O(T^2) values
+        # concats), as the reads' backward closures hold them, are views of
+        # one (B, T, rh) buffer for h and one for c, not one copy per step,
+        # which would hold O(T^2) values
         t_len, batch = 20, 3
         model = encoder_model(seed=16)
         rh = model.read_hidden
         inputs = np.random.default_rng(10).integers(0, 11, size=(t_len, batch))
         with Tape() as tape:
             model.forward(inputs)
-        roots = {}
-        for node in tape.nodes:
-            shape = node.out.shape
-            if len(shape) == 3 and shape[0] == batch and 2 <= shape[1] < t_len and shape[2] == rh:
-                root = node.out.data
-                while root.base is not None:
-                    root = root.base
-                roots[id(root)] = root
+        roots = {id(root(a)): root(a) for _, a in bwd_arrays(tape)
+                 if a.ndim == 3 and a.shape[0] == batch and 2 <= a.shape[1] < t_len and a.shape[2] == rh}
         assert len(roots) >= 2
         assert sum(a.nbytes for a in roots.values()) <= 2 * batch * t_len * rh * 8
