@@ -42,15 +42,6 @@ Holding ``a2`` and ``dy2`` is safe because nothing writes either while the
 sweep runs: ``a2`` is forward data, and ``dy2`` is a view of an adjoint
 already handed to a ``bwd``.
 
-A sum may overwrite its first operand.  ``add(p, q, out=p.data)`` writes
-p + q into p's array, so the tape keeps one array where it kept two.  This
-is safe when three conditions hold: p was made by a node whose ``bwd`` does
-not read its own output (``matmul``, ``mul``, ``add``, ``sub``, or
-``hardtanh``, whose ``bwd`` reads only its input); p has no other consumer;
-and ``add``'s own ``bwd`` reads no values.  Node counts, values and
-gradients are those of the plain ``p + q``.  ``models.affine`` and the cell
-sums of both LSTM families use it.
-
 The tape keeps only what backward reads.  A tensor's ``tracked`` is its
 key in the graph: None for an untracked tensor, the tensor itself for a
 leaf (``requires_grad``), and otherwise the node that made it.  A node holds
@@ -373,22 +364,11 @@ def _broadcasting(name: str, op, a: Tensor, b: Tensor) -> np.ndarray:
         raise ShapeError("%s: shapes %s and %s do not broadcast" % (name, a.shape, b.shape))
 
 
-def add(a, b, out: Optional[np.ndarray] = None) -> Tensor:
-    """a + b.  With out (numpy's, float64), the result's data is out.  out
-    may be a's own array when a is a fresh product that nothing else reads
-    (the rule in the module docstring); this backward reads no values."""
+def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     sa, sb = a.data.shape, b.data.shape
     ta, tb = a.tracked, b.tracked
-    if out is None:
-        data = _broadcasting("add", np.add, a, b)
-    else:
-        try:
-            data = np.add(a.data, b.data, out=out)
-        except ValueError:
-            raise ShapeError("add: shapes %s and %s do not broadcast into out %s"
-                             % (a.shape, b.shape, out.shape))
-    return _apply(data, (ta, tb),
+    return _apply(_broadcasting("add", np.add, a, b), (ta, tb),
                   lambda dy: (_unbroadcast(dy, sa) if ta else None,
                               _unbroadcast(dy, sb) if tb else None))
 

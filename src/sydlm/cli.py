@@ -126,6 +126,14 @@ def cmd_preprocess(args, argv) -> int:
 # train
 # ---------------------------------------------------------------------------
 
+def _build_model(cfg: TrainConfig, where: str = ""):
+    """The configured model; one too large to allocate is a data error."""
+    try:
+        return build_model(cfg.model, cfg.seed)
+    except MemoryError as exc:
+        raise ConfigError("%smodel too large to allocate: %s" % (where, exc)) from None
+
+
 def cmd_train(args, argv) -> int:
     corpus = Corpus.load(args.corpus)
     valid = Corpus.load(args.valid) if args.valid else None
@@ -140,7 +148,7 @@ def cmd_train(args, argv) -> int:
     cfg.model.vocab_size = len(corpus.vocab)
     cfg.validate()
 
-    model = build_model(cfg.model, cfg.seed)
+    model = _build_model(cfg)
     log, best = train(model, corpus, cfg, valid)
 
     outdir = Path(args.out)
@@ -176,7 +184,7 @@ def _load_model(checkpoint: str):
     if not isinstance(header, dict) or not isinstance(header.get("config"), dict):
         raise ConfigError("%s: checkpoint header has no config object" % checkpoint)
     cfg = TrainConfig.from_dict(header["config"])
-    model = build_model(cfg.model, cfg.seed)
+    model = _build_model(cfg, "%s: " % checkpoint)
     for name, tensor in model.params.items():
         if name not in arrays:
             raise ConfigError("checkpoint is missing parameter %r" % name)

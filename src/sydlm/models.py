@@ -102,17 +102,9 @@ class LanguageModel:
         return affine(flat, self.w_out, self.b_out)
 
 
-def sum_into(p: Tensor, q) -> Tensor:
-    """p + q, written into p's array: p must be a fresh product that nothing
-    else reads (the rule in autodiff's docstring), so the tape keeps one
-    array for the product and the sum."""
-    return ad.add(p, q, out=p.data)
-
-
 def affine(x: Tensor, w: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
-    """x @ w + b (w transposed with transpose_b), the sum in the product's
-    array."""
-    return sum_into(ad.matmul(x, w, transpose_b), b)
+    """x @ w + b, with w transposed under transpose_b."""
+    return ad.matmul(x, w, transpose_b) + b
 
 
 def window(steps: list) -> Tensor:

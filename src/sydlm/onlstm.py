@@ -25,7 +25,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .config import ModelConfig, TrainConfig
-from .models import ForwardOut, LanguageModel, affine, feed_forward, locked_mask, lstm_gates, sum_into, window
+from .models import ForwardOut, LanguageModel, affine, feed_forward, locked_mask, lstm_gates, window
 
 
 @dataclass
@@ -75,9 +75,9 @@ def onlstm_step(
         f_mx, i_mx = f_m, i_m
 
     omega = f_mx * i_mx
-    f_hat = sum_into(f * omega, f_mx - omega)
-    i_hat = sum_into(i * omega, i_mx - omega)
-    c = sum_into(f_hat * c_prev, i_hat * c_hat)
+    f_hat = f * omega + (f_mx - omega)
+    i_hat = i * omega + (i_mx - omega)
+    c = f_hat * c_prev + i_hat * c_hat
     h = o * ad.tanh(c)
     return StepOutput(h=h, c=c, master_forget=f_m, hf_pre=hf_pre)
 

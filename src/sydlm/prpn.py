@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .config import ModelConfig, TrainConfig
-from .models import ForwardOut, LanguageModel, affine, feed_forward, lstm_gates, sum_into, window
+from .models import ForwardOut, LanguageModel, affine, feed_forward, lstm_gates, window
 
 
 def relatedness_alpha(d_t, d_j, tau: float):
@@ -27,7 +27,7 @@ def relatedness_alpha(d_t, d_j, tau: float):
     distances, saturating once the gap exceeds 1/tau."""
     if tau <= 0:
         raise ValueError("temperature must be positive")
-    return sum_into(ad.hardtanh((ad.as_tensor(d_t) - d_j) * tau), 1.0) * 0.5
+    return (ad.hardtanh((ad.as_tensor(d_t) - d_j) * tau) + 1.0) * 0.5
 
 
 def parsing_gates(alphas) -> Tensor:
@@ -100,7 +100,7 @@ def lstm_cell(x, h, c, weight, bias, hidden: int):
     """One plain LSTM step; weight is the fused (in+hidden, 4*hidden) gate
     matrix in the order forget, input, output, candidate.  Returns (h, c)."""
     f, i, o, g, _ = lstm_gates(x, h, weight, bias, hidden)
-    c = sum_into(f * c, i * g)
+    c = f * c + i * g
     return o * ad.tanh(c), c
 
 

@@ -70,12 +70,6 @@ def primitive_cases(seed: int):
         full = ad.concat([head, c23[:, 1:]], axis=1, out=buf)
         return ad.tsum(full * c26) + ad.tsum(head * c24)
 
-    def add_into_product(t):
-        # as models.sum_into: the sum, with a broadcast bias, written into
-        # its first operand, a fresh product that nothing else reads
-        p = t * b
-        return ad.tsum(ad.add(p, np.arange(3.0), out=p.data) * a)
-
     x23 = rng.normal(size=(2, 3))
     x_relu = _away_from(rng.normal(size=(2, 3)), [0.0], margin=0.1)
     x_ht = _away_from(rng.normal(size=(2, 3)) * 1.5, [-1.0, 1.0], margin=0.1)
@@ -85,7 +79,6 @@ def primitive_cases(seed: int):
 
     return [
         ("add", lambda t: ad.tsum((t + c23) * a), Tensor(x23.copy())),
-        ("add_into_product", add_into_product, Tensor(x23.copy())),
         ("sub", lambda t: ad.tsum((t - c23) * a), Tensor(x23.copy())),
         ("neg", lambda t: ad.tsum(-t * a), Tensor(x23.copy())),
         ("mul", lambda t: ad.tsum(t * b), Tensor(x23.copy())),

@@ -687,6 +687,26 @@ class TestMalformedInputs:
         self._data_error(["eval", "--checkpoint", str(ckpt), "--corpus", str(corpus_path)],
                          capsys, "object")
 
+    # a petabyte first gate matrix, refused at once; the embedding before it
+    # is small (the top layer's width is the embedding size)
+    HUGE = {"n_layers": 2, "supervision_layer": 1, "hidden_size": 10**7, "embedding_size": 1}
+
+    def test_checkpoint_of_a_model_too_large_to_allocate(self, tmp_path, zero_eval, capsys):
+        corpus_path, _ = zero_eval
+        ckpt = tmp_path / "huge.bin"
+        ad.save_checkpoint(str(ckpt), {}, header={"config": {"model": dict(self.HUGE, vocab_size=4)}})
+        self._data_error(["eval", "--checkpoint", str(ckpt), "--corpus", str(corpus_path)],
+                         capsys, "%s: model too large to allocate" % ckpt)
+
+    def test_training_a_model_too_large_to_allocate(self, tmp_path, zero_eval, capsys):
+        corpus_path, _ = zero_eval
+        run = tmp_path / "run"
+        sizes = [arg for kv in self.HUGE.items() for arg in ("--set", "%s=%d" % kv)]
+        self._data_error(["train", "--corpus", str(corpus_path), "--out", str(run)]
+                         + TRAIN_OVERRIDES + sizes,
+                         capsys, "data error: model too large to allocate")
+        assert not run.exists()
+
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_corpus_dump_that_is_not_an_object(self, tmp_path, zero_eval, capsys, command):
         _, ckpt = zero_eval

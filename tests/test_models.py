@@ -1,21 +1,20 @@
 """The shared model shell: parameter names and their creation order are the
 checkpoint layout, so they are frozen here for every model kind,
 supervision mode and decoder tying; the decoder reads a (T, B, H) window,
-and the distance head maps rows to one scalar each.  Every affine map and
-cell sum writes its sum into its product's array, with the values and
-gradients of the plain sums."""
+and the distance head maps rows to one scalar each.  No product that only
+a sum reads outlives the forward."""
 
+import weakref
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from sydlm import autodiff as ad
-from sydlm import build_model, models, onlstm, prpn
+from sydlm import build_model
 from sydlm.autodiff import Tensor, grad_check
 from sydlm.config import ModelConfig, TrainConfig
 from sydlm.models import feed_forward
-from sydlm.training import lm_loss, ranking_loss
 
 ONLSTM_LAYERS = ["layer0.W", "layer0.b", "layer1.W", "layer1.b"]
 ONLSTM_HEADS = {
@@ -94,12 +93,6 @@ def test_feed_forward_head_is_bias_free_with_exact_gradients(lead):
         assert grad_check(loss, tensor) < 1e-4, name
 
 
-def plain_sum(p, q):
-    """The reference for models.sum_into: p + q in a new array, so every
-    affine map is plain `matmul(...) + bias` and every cell sum `p * q + r`."""
-    return p + q
-
-
 T_LEN = 4
 SUM_KINDS = {
     "onlstm-syd": dict(model="onlstm-syd", n_layers=2, hidden_size=8, chunk_factor=2,
@@ -112,7 +105,7 @@ SUM_KINDS = {
 # sums by the kind of node that made the product: the affine maps (matmul),
 # the cell sums (mul) and relatedness_alpha's hardtanh(...) + 1 per window
 PRODUCT_KINDS = ("matmul", "mul", "hardtanh")
-WRITTEN_SUMS = {
+SUMS_OF_PRODUCTS = {
     # per layer and step: the gates and three cell sums; the decoder and the split head
     "onlstm-syd": {"matmul": 2 * T_LEN + 2, "mul": 3 * 2 * T_LEN},
     # per step: two encoder LSTMs and the reading cell; two distance heads, the queries, the decoder
@@ -126,67 +119,34 @@ def node_kind(node) -> str:
     return node.bwd.__qualname__.split(".", 1)[0]
 
 
-def sums_into_products(nodes, outs) -> list:
-    """(kind of the product, whether the sum shares its array) for every add
-    node whose first operand a matmul, mul or hardtanh node made and no
-    other node reads.  outs maps each node to its output array."""
-    made = {n: node_kind(n) for n in nodes}
-    reads = Counter(p for n in nodes for p in n.parents)
-    sums = []
-    for n in nodes:
-        p = n.parents[0]
-        if node_kind(n) == "add" and made.get(p) in PRODUCT_KINDS and reads[p] == 1:
-            sums.append((made[p], np.shares_memory(outs[n], outs[p])))
-    return sums
-
-
-def taped_step(kind, monkeypatch):
-    """One taped training step (dropout on, LM loss plus a ranking term) of
-    a small model: the model, its forward output, the loss, the forward's
-    tape nodes and {node: output array}.  A node holds no array, so the
-    outputs are recorded as `autodiff._apply` makes them."""
+@pytest.mark.parametrize("kind", list(SUM_KINDS))
+def test_no_product_outlives_its_sum(kind, monkeypatch):
+    # add's bwd reads no values, and matmul's, mul's and hardtanh's do not
+    # read their own outputs, so a product that only a sum reads is dead
+    # once the forward returns: the tape keeps neither array.  A node holds
+    # no array, so each output is watched as `autodiff._apply` makes it.
     cfg = ModelConfig(vocab_size=12, embedding_size=8, **SUM_KINDS[kind])
     model = build_model(cfg, seed=1)
     rng = np.random.default_rng(0)
-    ids = rng.integers(0, 12, size=(T_LEN + 1, 2))
-    n = 2 * T_LEN
+    ids = rng.integers(0, 12, size=(T_LEN, 2))
     outs, apply = {}, ad._apply
 
-    def recording(out_data, keys, bwd):
+    def watching(out_data, keys, bwd):
         out = apply(out_data, keys, bwd)
-        outs[out.tracked] = out_data
+        if out.tracked is not None:
+            outs[out.tracked] = weakref.ref(out.data)
         return out
 
-    with monkeypatch.context() as patch, ad.Tape() as tape:
-        patch.setattr(ad, "_apply", recording)
-        out = model.forward(ids[:-1], None, rng=rng, train_cfg=TrainConfig(model=cfg))
+    monkeypatch.setattr(ad, "_apply", watching)
+    with ad.Tape() as tape:
+        out = model.forward(ids, None, rng=rng, train_cfg=TrainConfig(model=cfg))
         nodes = list(tape.nodes)
-        d_w = out.d_syd if out.d_syd is not None else out.d_lm[0]
-        loss = (lm_loss(out.logits, ids[1:].reshape(-1), np.ones(n))
-                + ranking_loss(d_w, rng.normal(size=n), np.zeros(n, dtype=np.int64)))
-        ad.backward(loss)
-    return model, out, loss, nodes, outs
-
-
-class TestSumsIntoProducts:
-    @pytest.mark.parametrize("kind", list(SUM_KINDS))
-    def test_every_affine_map_and_cell_sum_writes_into_its_product(self, kind, monkeypatch):
-        sums = sums_into_products(*taped_step(kind, monkeypatch)[3:])
-        assert Counter(k for k, _ in sums) == WRITTEN_SUMS[kind]
-        assert all(shared for _, shared in sums)
-
-    @pytest.mark.parametrize("kind", list(SUM_KINDS))
-    def test_values_and_gradients_bitwise_equal_to_plain_sums(self, kind, monkeypatch):
-        into = taped_step(kind, monkeypatch)
-        for module in (models, onlstm, prpn):
-            monkeypatch.setattr(module, "sum_into", plain_sum)
-        plain = taped_step(kind, monkeypatch)
-        assert not any(shared for _, shared in sums_into_products(*plain[3:]))
-        assert [node_kind(n) for n in into[3]] == [node_kind(n) for n in plain[3]]
-
-        def arrays(model, out, loss, _nodes, _outs):
-            streams = [out.logits, *out.d_lm] + ([out.d_syd] if out.d_syd is not None else [])
-            return [t.data for t in streams] + [loss.data] + [p.grad for p in model.params.values()]
-
-        for a, b in zip(arrays(*into), arrays(*plain), strict=True):
-            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    # out holds the forward's outputs, the logits among them, during the check
+    assert out.logits.shape == (2 * T_LEN, 12)
+    made = {n: node_kind(n) for n in nodes}
+    reads = Counter(p for n in nodes for p in n.parents)
+    products = [n.parents[0] for n in nodes
+                if made[n] == "add" and made.get(n.parents[0]) in PRODUCT_KINDS
+                and reads[n.parents[0]] == 1]
+    assert Counter(made[p] for p in products) == SUMS_OF_PRODUCTS[kind]
+    assert all(outs[p]() is None for p in products)
