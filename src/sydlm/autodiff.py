@@ -52,7 +52,10 @@ array it does not read: an output array lives only while model code holds
 its tensor or a ``bwd`` captured it.  ``sigmoid``, ``tanh``, ``relu``, ``softmax`` and ``div``
 capture their own outputs, ``matmul`` its operands, and ``mul`` an operand
 only when the other is tracked; ``tsum``, ``repeat_last`` and ``div``'s
-numerator keep only a shape.
+numerator keep only a shape.  The sweep releases each node's ``bwd`` once
+it has run it, or passed the node with no adjoint, so the arrays a closure
+holds are freed as the sweep goes, and a swept tape holds no array.  A tape
+is therefore swept once: sweeping it again raises RuntimeError.
 
 A leaf's reference to itself is the graph's only cycle.  The tape holds its
 nodes, a tensor points to its node, and a node points to its parents' keys
@@ -115,7 +118,8 @@ FLUSH_ROWS = 140
 
 class _Node:
     """One primitive application: its output's shape, its parents' keys
-    (``Tensor.tracked``) and its ``bwd``.  It holds no array."""
+    (``Tensor.tracked``) and its ``bwd`` (None once swept).  It holds no
+    array."""
 
     __slots__ = ("shape", "parents", "bwd")
 
@@ -239,7 +243,9 @@ def backward(loss: Tensor) -> None:
     times sum.  Sweeping a node takes its adjoint out of the map, so the
     keys left in it are the leaves; each adjoint is added to its leaf's
     ``.grad``.  Sums follow the ownership rule in the module docstring, and
-    factor lists are flushed as it says.
+    factor lists are flushed as it says.  Each node's ``bwd`` is released
+    once swept, so a tape can be swept once; a second sweep raises
+    RuntimeError.
     """
     tape = active_tape()
     if tape is None:
@@ -252,6 +258,9 @@ def backward(loss: Tensor) -> None:
     inner: set = set()  # the keys in factors that are nodes
     pop, get, ndarray = grads.pop, grads.get, np.ndarray
     for node in reversed(tape.nodes):
+        bwd, node.bwd = node.bwd, None  # frees what the closure holds once swept
+        if bwd is None:
+            raise RuntimeError("backward: this tape was already swept")
         if inner and node in inner:
             inner.discard(node)
             _flush(grads, owned, node, factors.pop(node))
@@ -259,7 +268,7 @@ def backward(loss: Tensor) -> None:
         if dy is None:
             continue
         owned.discard(node)
-        for parent, dp in zip(node.parents, node.bwd(dy)):
+        for parent, dp in zip(node.parents, bwd(dy)):
             if dp is None or parent is None:
                 continue
             if type(dp) is not ndarray:  # factors, a getitem's (key, dy), or a numpy scalar
@@ -672,7 +681,8 @@ def cross_entropy_logits(logits, targets) -> Tensor:
     if tgt.size and (tgt.min() < 0 or tgt.max() >= ld.shape[1]):
         raise ShapeError("cross_entropy_logits: target id out of range [0, %d)" % ld.shape[1])
     m = ld.max(axis=-1, keepdims=True)
-    z = np.exp(ld - m)
+    z = np.subtract(ld, m)
+    np.exp(z, out=z)  # in place: one (N, V) array, the one bwd keeps
     zsum = z.sum(axis=-1)
     lse = m[:, 0] + np.log(zsum)
     rows = np.arange(ld.shape[0])

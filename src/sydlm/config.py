@@ -53,6 +53,11 @@ class ModelConfig:
             if not 1 <= self.supervision_layer <= self.n_layers:
                 raise ConfigError("supervision_layer %d outside 1..%d"
                                   % (self.supervision_layer, self.n_layers))
+            if self.n_layers == 1 and self.tie_embeddings and self.hidden_size != self.embedding_size:
+                # layer_hidden gives the only layer the embedding size
+                raise ConfigError("hidden_size %d is unused: a one-layer ON-LSTM with a tied decoder "
+                                  "has embedding_size %d units; set them equal or untie the decoder "
+                                  "(tie_embeddings=false)" % (self.hidden_size, self.embedding_size))
             for layer in range(self.n_layers):
                 hidden = self.layer_hidden(layer)
                 if hidden % self.chunk_factor != 0:

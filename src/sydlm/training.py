@@ -345,15 +345,16 @@ def train(model, corpus: Corpus, config: TrainConfig, valid_corpus: Optional[Cor
                 loss = joint_loss(l_lm, l_syd, config.alpha)
                 if not np.isfinite(loss.data):
                     raise ad.NumericError("non-finite loss at epoch %d step %d" % (epoch, step))
+                state = out.state
+                del out  # no bwd reads the logits, so they die before the sweep
                 ad.backward(loss)
-            state = out.state
             lm_sum += float(l_lm.data)
             lm_n += 1
             if l_syd is not None:
                 syd_sum += float(l_syd.data)
                 syd_n += 1
             # the step's graph must not stay reachable during the next forward
-            del out, l_lm, l_syd, loss
+            del l_lm, l_syd, loss
             try:
                 coef = _global_clip(params, config.clip_norm)
             except ad.NumericError as exc:

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -189,12 +190,12 @@ def matmul_reads(tape) -> dict:
     return reads
 
 
-def assert_matches_dense(model, tape, ref):
-    """A weight that several matmuls read sums their products in one stacked
-    GEMM, in another order than the reference: within 1e-12 norm-relative.
-    Every other gradient is the reference's (np.array_equal: only the sign
-    of a zero may differ).  Returns the names compared within tolerance."""
-    reads = matmul_reads(tape)
+def assert_matches_dense(model, reads, ref):
+    """A weight that several matmuls read (``reads``, from ``matmul_reads``
+    before the sweep) sums their products in one stacked GEMM, in another
+    order than the reference: within 1e-12 norm-relative.  Every other
+    gradient is the reference's (np.array_equal: only the sign of a zero
+    may differ).  Returns the names compared within tolerance."""
     reordered = []
     for name, p in model.params.items():
         if p not in ref:
@@ -231,14 +232,15 @@ class TestOwnedSweep:
             loss = (lm_loss(out.logits, ids[1:].reshape(-1), np.ones(n))
                     + ranking_loss(d_w, rng.normal(size=n), np.zeros(n, dtype=np.int64)))
             ref = dense_backward(tape, loss)
+            reads = matmul_reads(tape)
             backward(loss)
-        return model, tape, ref
+        return model, reads, ref
 
     @pytest.mark.parametrize("kind", MODEL_KINDS, ids=lambda k: k["model"])
     def test_model_step_matches_dense_reference(self, kind, monkeypatch):
-        model, tape, ref = self._model_step(kind, 6, monkeypatch)
+        model, reads, ref = self._model_step(kind, 6, monkeypatch)
         assert all(p.grad is not None for p in model.params.values())
-        reordered = assert_matches_dense(model, tape, ref)  # the recurrent weights
+        reordered = assert_matches_dense(model, reads, ref)  # the recurrent weights
         assert any(not np.array_equal(model.params[name].grad, ref[model.params[name]])
                    for name in reordered)
 
@@ -246,9 +248,9 @@ class TestOwnedSweep:
     def test_weights_read_once_are_bitwise(self, kind, monkeypatch):
         # one step: every weight is read by one matmul, whose single factor
         # flushes as exactly the reference's product
-        model, tape, ref = self._model_step(kind, 1, monkeypatch)
-        assert max(matmul_reads(tape).values()) == 1
-        assert assert_matches_dense(model, tape, ref) == []
+        model, reads, ref = self._model_step(kind, 1, monkeypatch)
+        assert max(reads.values()) == 1
+        assert assert_matches_dense(model, reads, ref) == []
 
     @pytest.mark.parametrize("slice_first", [True, False], ids=["slice-dense", "dense-slice"])
     def test_adjoint_shared_by_add_is_not_written(self, slice_first):
@@ -297,8 +299,9 @@ class TestOwnedSweep:
             assert any(n.parents[0] is model.embedding and n.bwd.__qualname__.startswith("getitem.")
                        for n in tape.nodes)
             ref = dense_backward(tape, loss)
+            reads = matmul_reads(tape)
             backward(loss)
-        assert "embedding" not in assert_matches_dense(model, tape, ref)
+        assert "embedding" not in assert_matches_dense(model, reads, ref)
 
     def test_index_array_adjoint_is_summed_after_its_scatter(self):
         # x already holds a dense adjoint of 1.0 when the gather's two 1e-16
@@ -368,6 +371,78 @@ class TestTapeKeepsWhatBackwardReads:
         assert ref.keys() == set(model.params.values())
         for name, p in model.params.items():
             assert p.grad.tobytes() == ref[p].tobytes(), name
+
+
+def closure_value(fn, name: str):
+    """The value fn's closure holds under the free variable name."""
+    return fn.__closure__[fn.__code__.co_freevars.index(name)].cell_contents
+
+
+class TestSweepReleasesClosures:
+    """backward lets go of each node's bwd once it has swept the node, so the
+    arrays a closure holds are freed during the sweep, and a tape is swept
+    once."""
+
+    def test_swept_tape_holds_no_closure(self):
+        from sydlm.config import ModelConfig, TrainConfig
+        from sydlm.models import build_model
+        from sydlm.training import lm_loss, ranking_loss
+
+        cfg = ModelConfig(vocab_size=12, embedding_size=8, **MODEL_KINDS[0])
+        model = build_model(cfg, seed=1)
+        rng = np.random.default_rng(0)
+        ids = rng.integers(0, 12, size=(7, 2))
+        with Tape() as tape:
+            out = model.forward(ids[:-1], None, rng=rng, train_cfg=TrainConfig(model=cfg))
+            loss = (lm_loss(out.logits, ids[1:].reshape(-1), np.ones(12))
+                    + ranking_loss(out.d_syd, rng.normal(size=12), np.zeros(12, dtype=np.int64)))
+            (ce,) = [n for n in tape.nodes if n.bwd.__qualname__.startswith("cross_entropy_logits.")]
+            z = weakref.ref(closure_value(ce.bwd, "z"))
+            assert z().shape == out.logits.shape
+            backward(loss)
+            assert z() is None  # freed by the sweep, not by closing the tape
+            assert all(n.bwd is None for n in tape.nodes)
+        assert len(tape) > 100
+
+    def test_second_sweep_raises_and_adds_nothing(self):
+        x = Tensor(np.arange(3.0), requires_grad=True)
+        with Tape():
+            loss = ad.tsum(x * x)
+            backward(loss)
+            first = x.grad.copy()
+            with pytest.raises(RuntimeError, match="already swept"):
+                backward(loss)
+        assert np.array_equal(x.grad, first)
+
+    def test_cross_entropy_makes_one_vocabulary_sized_array(self):
+        # the exponent is taken in place: above its output, the forward
+        # allocates one (N, V) array (the one bwd keeps) and O(N) vectors
+        n, v = 700, 5000
+        rng = np.random.default_rng(7)
+        logits = Tensor(rng.normal(scale=3.0, size=(n, v)), requires_grad=True)
+        tgt = rng.integers(0, v, size=n)
+        dy = rng.normal(size=n)
+        tracemalloc.start()
+        try:
+            with Tape():
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                y = ad.cross_entropy_logits(logits, tgt)
+                made = tracemalloc.get_traced_memory()[1] - before
+                (grad,) = y.tracked.bwd(dy)
+        finally:
+            tracemalloc.stop()
+        assert made <= logits.data.nbytes + 16 * y.data.nbytes
+        # the two-array formula the in-place one replaced gives the same bits
+        ld, rows = logits.data, np.arange(n)
+        m = ld.max(axis=-1, keepdims=True)
+        z = np.exp(ld - m)
+        zsum = z.sum(axis=-1)
+        ref_grad = z / zsum[:, None]
+        ref_grad[rows, tgt] -= 1.0
+        ref_grad *= dy[:, None]
+        assert y.data.tobytes() == (m[:, 0] + np.log(zsum) - ld[rows, tgt]).tobytes()
+        assert grad.tobytes() == ref_grad.tobytes()
 
 
 class TestClosuresHoldOnlyWhatTheyRead:

@@ -707,6 +707,15 @@ class TestMalformedInputs:
                          capsys, "data error: model too large to allocate")
         assert not run.exists()
 
+    def test_one_layer_tied_onlstm_with_an_unused_hidden_size(self, tmp_path, zero_eval, capsys):
+        # the only layer would get embedding_size units, so hidden_size would go unused
+        corpus_path, _ = zero_eval
+        run = tmp_path / "run"
+        self._data_error(["train", "--corpus", str(corpus_path), "--out", str(run)] + TRAIN_OVERRIDES
+                         + ["--set", "hidden_size=10000000", "--set", "embedding_size=1"],
+                         capsys, "hidden_size 10000000 is unused")
+        assert not run.exists()
+
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_corpus_dump_that_is_not_an_object(self, tmp_path, zero_eval, capsys, command):
         _, ckpt = zero_eval

@@ -1,4 +1,6 @@
+import dataclasses
 import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -407,6 +409,31 @@ class TestTrain:
         assert len(live) > 2
         assert live[1:] == [live[0]] * (len(live) - 1)
 
+    @pytest.mark.parametrize("family", [
+        dict(model="onlstm-syd"), dict(model="prpn-syd", prpn_ff_hidden=8),
+    ], ids=lambda f: f["model"])
+    def test_logits_die_before_the_sweep(self, tiny_corpus, monkeypatch, family):
+        # no bwd reads the logits, so train drops the forward's output first
+        cfg = train_config(tiny_corpus, epochs=1, dropout_output=0.2)
+        cfg.model = dataclasses.replace(cfg.model, **family)
+        model = build_model(cfg.model, seed=cfg.seed)
+        logits, dead_at_sweep = [], []
+        forward, sweep = type(model).forward, ad.backward
+
+        def keeping_a_weakref(self, *args, **kwargs):
+            out = forward(self, *args, **kwargs)
+            logits[:] = [weakref.ref(out.logits.data)]
+            return out
+
+        def checked(loss):
+            dead_at_sweep.append(logits[0]() is None)
+            return sweep(loss)
+
+        monkeypatch.setattr(type(model), "forward", keeping_a_weakref)
+        monkeypatch.setattr(ad, "backward", checked)
+        train(model, tiny_corpus, cfg)
+        assert len(dead_at_sweep) > 1 and all(dead_at_sweep)
+
     def test_validation_pass_gives_both_views(self, tiny_corpus):
         cfg = train_config(tiny_corpus)
         model = OnLstmLM(cfg.model, seed=4)
@@ -436,6 +463,16 @@ class TestTrain:
         cfg = train_config(tiny_corpus, **settings)  # three epochs
         with pytest.raises(ConfigError, match=needle):
             cfg.validate()
+
+    def test_one_layer_tied_onlstm_rejects_an_unused_hidden_size(self):
+        # the only layer of a tied one-layer ON-LSTM has embedding_size units
+        cfg = ModelConfig(vocab_size=5, n_layers=1, supervision_layer=1, hidden_size=12,
+                          embedding_size=8)
+        with pytest.raises(ConfigError, match="hidden_size 12 .* embedding_size 8 .* untie"):
+            cfg.validate()
+        for ok in (dict(hidden_size=8), dict(tie_embeddings=False), dict(n_layers=2),
+                   dict(model="prpn-syd")):
+            dataclasses.replace(cfg, **ok).validate()
 
     def test_infinite_clip_norm_means_no_clipping(self, tiny_corpus):
         # lr, alpha and prpn_temperature must be finite; clip_norm need not be

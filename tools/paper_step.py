@@ -4,13 +4,16 @@ Runs K taped steps (forward, LM loss, backward) of ON-LSTM-SYD or PRPN-SYD
 in this process, with BLAS on one thread, and prints one JSON line per step:
 forward and backward seconds, the process's peak RSS so far, the tape's
 node count, and the bytes the tape keeps, in total and by primitive kind.
-A node holds no array, so what the tape keeps is the distinct arrays its
-``bwd`` closures hold: those in the closures' cells, found through tuples
-and lists.  The kind is the first part of the ``bwd.__qualname__``, as
-perfbench/tracer.py counts backward time.  An array is counted once, at
-the first node whose closure holds it: a view counts through its ``.base``.
-Arrays of parameters are not counted, and keys (nodes and leaf tensors)
-are not walked.
+As in ``training.train``, the forward's output is dropped before the
+sweep; ``backward_s`` times the sweep alone.  A node holds no array, so
+what the tape keeps is the distinct arrays its ``bwd`` closures hold: those
+in the closures' cells, found through tuples and lists.  They are counted,
+with the nodes, at the end of the forward: the sweep releases each
+closure, so a swept tape holds none.  The kind is the first part of the
+``bwd.__qualname__``, as perfbench/tracer.py counts backward time.  An
+array is counted once, at the first node whose closure holds it: a view
+counts through its ``.base``.  Arrays of parameters are not counted, and
+keys (nodes and leaf tensors) are not walked.
 
     python tools/paper_step.py --shape paper --chunk 1 --repeat 2
     python tools/paper_step.py --shape mid --src DIR    # another checkout's src/
@@ -105,20 +108,22 @@ def main() -> int:
             out = model.forward(ids[:-1], None, rng=rng, train_cfg=train_cfg)
             loss = lm_loss(out.logits, ids[1:].reshape(-1), np.ones(args.bptt * BATCH))
             t1 = time.perf_counter()
-            ad.backward(loss)
-            t2 = time.perf_counter()
             by_kind = tape_bytes(tape, params)
             nodes = len(tape)
+            del out  # as training.train does: no bwd reads the logits
+            t2 = time.perf_counter()
+            ad.backward(loss)
+            t3 = time.perf_counter()
         mb = 1024.0 * 1024.0
         print(json.dumps({
             "model": args.model, "shape": args.shape, "chunk": args.chunk, "bptt": args.bptt,
             "step": step,
-            "forward_s": t1 - t0, "backward_s": t2 - t1,
+            "forward_s": t1 - t0, "backward_s": t3 - t2,
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
             "tape_nodes": nodes, "tape_mb": sum(by_kind.values()) / mb,
             "tape_mb_by_kind": {k: v / mb for k, v in sorted(by_kind.items(), key=lambda kv: -kv[1])},
         }), flush=True)
-        del out, loss, tape  # free this step's graph before the next forward
+        del loss, tape  # free this step's graph before the next forward
     return 0
 
 
