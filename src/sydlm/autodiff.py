@@ -5,8 +5,8 @@ Ops executed inside a ``with Tape():`` block are recorded in creation order
 adjoints into every parameter reached.  Outside a tape, ops just compute
 values, which is the evaluation path.  The primitive set is closed: exactly
 the operations the models in this package need, with exact analytic
-adjoints (the gathers ``take`` and ``embedding`` share ``getitem``'s), plus
-a finite-difference checking harness.
+adjoints (``take`` and ``embedding`` are ``getitem``s, ``causal_conv1d`` a
+sum of shifted ``matmul``s), plus a finite-difference checking harness.
 
 The sweep owns its adjoint buffers and writes into no other array.  A
 tensor's first adjoint is kept as its consumer's ``bwd`` returned it, with
@@ -21,26 +21,24 @@ scattered whole into a new zero array (``np.add.at``) and summed as a dense
 adjoint.  Once a node's output adjoint is handed to its ``bwd``, the sweep
 writes to it no more.
 
-A weight adjoint may arrive as factors.  ``matmul``'s 2-D ``bwd`` (without
-``transpose_b``) returns the adjoint of a weight with at least
+A leaf weight's adjoint may arrive as factors.  ``matmul``'s 2-D ``bwd``
+(without ``transpose_b``) returns the adjoint of a leaf weight with at least
 ``FLUSH_ROWS`` rows as ``_Factors``: the left rows ``a2`` and the right rows
-``dy2`` whose product ``a2.T @ dy2`` it is.  The sweep appends them to a
-list per tensor and forms the product of the stacked rows,
+``dy2`` whose product ``a2.T @ dy2`` it is; any other weight, a non-leaf or
+a small one, gets its product.  The sweep appends the factors to a list per
+leaf and forms the product of the stacked rows,
 ``concatenate(lefts).T @ concatenate(rights)``, as one GEMM: a recurrent
 weight read once per step gets one tall product in place of T rank-B ones,
 each summed into a buffer as large as the weight (Appleyard, Kočiský &
-Blunsom 2016, arXiv 1604.01946).  The product is a new array, so the sweep
-owns it, and it is summed like any dense adjoint.  A list is flushed when
-it holds ``FLUSH_ROWS`` rows, which bounds the memory the held rows keep
-alive, when its tensor's own node is swept, and at the leaves before
-``.grad`` is written.  A weight with fewer rows keeps its per-step product:
-that product is small and cheap, and a full list would hold more memory
-than it.  A list of one factor flushes as ``left.T @ right``, exactly
-``matmul``'s own product, so a weight that one matmul reads gets the same
-bits; only a large weight read several times sums in another order.
-Holding ``a2`` and ``dy2`` is safe because nothing writes either while the
-sweep runs: ``a2`` is forward data, and ``dy2`` is a view of an adjoint
-already handed to a ``bwd``.
+Blunsom 2016, arXiv 1604.01946).  The product, a new array the sweep owns,
+is summed like any dense adjoint.  A list is flushed when it holds
+``FLUSH_ROWS`` rows, which bounds the memory the held rows keep alive, and
+at the end of the sweep.  A list of one factor flushes as
+``left.T @ right``, exactly ``matmul``'s own product, so a weight that one
+matmul reads gets the same bits; only a large weight read several times sums
+in another order.  Holding ``a2`` and ``dy2`` is safe because nothing writes
+either while the sweep runs: ``a2`` is forward data, and ``dy2`` is a view
+of an adjoint already handed to a ``bwd``.
 
 The tape keeps only what backward reads.  A tensor's ``tracked`` is its
 key in the graph: None for an untracked tensor, the tensor itself for a
@@ -100,7 +98,7 @@ _FLOAT64 = np.dtype(np.float64)
 
 
 class _Factors:
-    """A weight adjoint left unformed: ``left.T @ right``."""
+    """A leaf weight's adjoint left unformed: ``left.T @ right``."""
 
     __slots__ = ("left", "right")
 
@@ -110,7 +108,7 @@ class _Factors:
 
 
 # A factor list is flushed once it holds this many rows (7 steps at B20),
-# enough for a tall GEMM.  Only a weight with at least this many rows is
+# enough for a tall GEMM.  Only a leaf weight with this many rows or more is
 # factored, so the right rows a full list holds never take more memory than
 # the weight-sized product a step would otherwise form.
 FLUSH_ROWS = 140
@@ -243,8 +241,8 @@ def backward(loss: Tensor) -> None:
     times sum.  Sweeping a node takes its adjoint out of the map, so the
     keys left in it are the leaves; each adjoint is added to its leaf's
     ``.grad``.  Sums follow the ownership rule in the module docstring, and
-    factor lists are flushed as it says.  Each node's ``bwd`` is released
-    once swept, so a tape can be swept once; a second sweep raises
+    leaves' factor lists are flushed as it says.  Each node's ``bwd`` is
+    released once swept, so a tape can be swept once; a second sweep raises
     RuntimeError.
     """
     tape = active_tape()
@@ -254,16 +252,12 @@ def backward(loss: Tensor) -> None:
         raise ShapeError("backward: loss must be scalar, got shape %s" % (loss.shape,))
     grads: dict = {loss.tracked: np.ones_like(loss.data)}
     owned: set = set()
-    factors: dict = {}  # key -> [lefts, rights, row count]
-    inner: set = set()  # the keys in factors that are nodes
+    factors: dict = {}  # leaf -> [lefts, rights, row count]
     pop, get, ndarray = grads.pop, grads.get, np.ndarray
     for node in reversed(tape.nodes):
         bwd, node.bwd = node.bwd, None  # frees what the closure holds once swept
         if bwd is None:
             raise RuntimeError("backward: this tape was already swept")
-        if inner and node in inner:
-            inner.discard(node)
-            _flush(grads, owned, node, factors.pop(node))
         dy = pop(node, None)
         if dy is None:
             continue
@@ -272,18 +266,15 @@ def backward(loss: Tensor) -> None:
             if dp is None or parent is None:
                 continue
             if type(dp) is not ndarray:  # factors, a getitem's (key, dy), or a numpy scalar
-                if type(dp) is _Factors:
+                if type(dp) is _Factors:  # a leaf weight's
                     f = factors.get(parent)
                     if f is None:
                         f = factors[parent] = [[], [], 0]
-                        if type(parent) is _Node:
-                            inner.add(parent)
                     f[0].append(dp.left)
                     f[1].append(dp.right)
                     f[2] += dp.left.shape[0]
                     if f[2] >= FLUSH_ROWS:
                         del factors[parent]
-                        inner.discard(parent)
                         _flush(grads, owned, parent, f)
                     continue
                 if type(dp) is tuple:
@@ -306,9 +297,8 @@ def backward(loss: Tensor) -> None:
             else:
                 grads[parent] = np.asarray(acc + dp)  # a 0-d sum is a numpy scalar
                 owned.add(parent)
-    for key, f in factors.items():  # the leaves
-        if type(key) is Tensor:
-            _flush(grads, owned, key, f)
+    for key, f in factors.items():
+        _flush(grads, owned, key, f)
     for key, g in grads.items():
         if type(key) is not Tensor:
             continue
@@ -426,8 +416,8 @@ def matmul(a, b, transpose_b: bool = False) -> Tensor:
     the leading axes of a and b broadcast as in numpy, so a 2-D a is used
     against every matrix of the stack.  Each adjoint is summed back to its
     operand's shape over the axes it was broadcast along.  Without
-    transpose_b, the adjoint of a 2-D b with at least FLUSH_ROWS rows goes
-    to the sweep as factors (module docstring)."""
+    transpose_b, the adjoint of a 2-D leaf b with at least FLUSH_ROWS rows
+    goes to the sweep as factors (module docstring)."""
     a, b = as_tensor(a), as_tensor(b)
     ad, bd = a.data, b.data
     stacked = bd.ndim > 2
@@ -443,6 +433,7 @@ def matmul(a, b, transpose_b: bool = False) -> Tensor:
         out = ad @ (bt if transpose_b else bd)
     except ValueError:
         raise ShapeError("matmul: stacked shapes %s and %s do not broadcast" % (a.shape, b.shape))
+    factored = b.tracked is b and bd.shape[0] >= FLUSH_ROWS
 
     def bwd(dy):
         if stacked:
@@ -455,9 +446,9 @@ def matmul(a, b, transpose_b: bool = False) -> Tensor:
         dy2 = dy.reshape(-1, dy.shape[-1])
         if transpose_b:
             return da, dy2.T @ a2
-        if bd.shape[0] < FLUSH_ROWS:  # a small weight keeps its per-step product
-            return da, a2.T @ dy2
-        return da, _Factors(a2, dy2)  # the sweep forms a2.T @ dy2
+        if factored:
+            return da, _Factors(a2, dy2)  # the sweep forms a2.T @ dy2
+        return da, a2.T @ dy2
 
     return _apply(out, (a.tracked, b.tracked), bwd)
 
@@ -640,35 +631,24 @@ def causal_conv1d(x, weight, bias, window: int) -> Tensor:
 
     x is (S, ..., E); output position t sees x[t : t+window] flattened, so a
     left-padded input of length S yields S-window+1 causal outputs.  weight
-    is (window*E, H), bias (H,).
+    is (window*E, H), bias (H,).  It sums bias and x[k : k+t_out] @ (weight's
+    k-th E rows) in ascending k, slicing the shifts in descending k so that
+    the sweep sums x's adjoint in ascending k.
     """
     x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
     xd, wd, bd = x.data, weight.data, bias.data
     s, e = xd.shape[0], xd.shape[-1]
     t_out = s - window + 1
-    if t_out < 1:
-        raise ShapeError("causal_conv1d: input length %d shorter than window %d" % (s, window))
+    if window < 1 or t_out < 1:
+        raise ShapeError("causal_conv1d: window %d is not in [1, input length %d]" % (window, s))
     if wd.ndim != 2 or wd.shape[0] != window * e or bd.shape != (wd.shape[1],):
         raise ShapeError("causal_conv1d: weight %s bias %s incompatible with window %d x feature %d"
                          % (weight.shape, bias.shape, window, e))
-    h = wd.shape[1]
-    out = np.broadcast_to(bd, (t_out,) + xd.shape[1:-1] + (h,)).copy()
-    for k in range(window):
-        out += xd[k : k + t_out] @ wd[k * e : (k + 1) * e]
-
-    def bwd(dy):
-        dx = np.zeros_like(xd)
-        dw = np.zeros_like(wd)
-        dy_flat = dy.reshape(-1, h)
-        for k in range(window):
-            wk = wd[k * e : (k + 1) * e]
-            dx[k : k + t_out] += dy @ wk.T
-            xk = xd[k : k + t_out].reshape(-1, e)
-            dw[k * e : (k + 1) * e] = xk.T @ dy_flat
-        db = dy_flat.sum(axis=0)
-        return dx, dw, db
-
-    return _apply(out, (x.tracked, weight.tracked, bias.tracked), bwd)
+    shifts = [x[k : k + t_out] for k in range(window - 1, -1, -1)][::-1]
+    out = bias
+    for k, shift in enumerate(shifts):
+        out = out + matmul(shift, weight[k * e : (k + 1) * e])
+    return out
 
 
 def cross_entropy_logits(logits, targets) -> Tensor:
@@ -795,8 +775,9 @@ def load_checkpoint(path: str):
             if nbytes > size - fh.tell():
                 raise ValueError("%s: checkpoint truncated: parameter %r of shape %s needs %d bytes, "
                                  "%d remain" % (path, name, shape, nbytes, size - fh.tell()))
-            data = np.frombuffer(read(nbytes), dtype="<f8").reshape(shape).astype(np.float64)
-            params[name] = data
+            if name in params:
+                raise ValueError("%s: checkpoint records parameter %r twice" % (path, name))
+            params[name] = np.frombuffer(read(nbytes), dtype="<f8").reshape(shape).astype(np.float64)
         if fh.read(1):
             raise ValueError("%s: trailing bytes after the last parameter record" % path)
     return header, params

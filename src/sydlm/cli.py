@@ -179,7 +179,14 @@ def cmd_train(args, argv) -> int:
 # eval
 # ---------------------------------------------------------------------------
 
+# output biases of the distance heads, deleted as inert; a checkpoint
+# written before that still holds them, and eval ignores them
+RETIRED_PARAMS = frozenset({"enc.b_lm2", "enc.b_syd2", "b_v2"})
+
+
 def _load_model(checkpoint: str):
+    """The checkpoint's model: its records must be exactly the configured
+    model's parameters, apart from RETIRED_PARAMS."""
     header, arrays = ad.load_checkpoint(checkpoint)
     if not isinstance(header, dict) or not isinstance(header.get("config"), dict):
         raise ConfigError("%s: checkpoint header has no config object" % checkpoint)
@@ -192,6 +199,10 @@ def _load_model(checkpoint: str):
             raise ConfigError("checkpoint parameter %r has shape %s, expected %s"
                               % (name, arrays[name].shape, tensor.data.shape))
         tensor.data = arrays[name].copy()
+    for name in arrays:
+        if name not in model.params and name not in RETIRED_PARAMS:
+            raise ConfigError("%s: checkpoint holds parameter %r, which the model does not have"
+                              % (checkpoint, name))
     return model, cfg, header
 
 
@@ -215,6 +226,10 @@ def cmd_eval(args, argv) -> int:
     for i in render:
         if not 0 <= i < corpus.n_sentences:
             raise ConfigError("--render index %d out of range" % i)
+    have_gold = any(t is not None for t in corpus.gold_trees_nary)
+    for option, value in (("--wsj10-maxlen", args.wsj10_maxlen), ("--plot-csv", args.plot_csv)):
+        if value and not have_gold:
+            raise ConfigError("%s needs gold trees, and %s has none" % (option, args.corpus))
 
     metrics = {
         "manifest": _manifest(argv, cfg.seed, [args.corpus, args.checkpoint], cfg.to_dict()),
@@ -225,7 +240,6 @@ def cmd_eval(args, argv) -> int:
     }
 
     # one forward pass per sentence batch gives every stream's trees
-    have_gold = any(t is not None for t in corpus.gold_trees_nary)
     streams = {}
     if have_gold or render:
         dists = sentence_distances(model, corpus, layer=args.layer)
@@ -249,7 +263,7 @@ def cmd_eval(args, argv) -> int:
     else:
         sys.stdout.write(text)
 
-    if args.plot_csv and report is not None:
+    if args.plot_csv:
         with atomic_open(args.plot_csv, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(("height", "accuracy", "count"))

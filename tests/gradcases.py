@@ -59,7 +59,7 @@ def primitive_cases(seed: int):
         return sum((ad.tsum(ad.tanh(ad.matmul(x, t)) * c) for x, c in zip(xs, cs)), Tensor(0.0))
 
     def nonleaf_weight(t):
-        w = t * dk2  # two matmuls read w: its factors are flushed before its own node is swept
+        w = t * dk2  # two matmuls read w, a non-leaf: each keeps its product
         return ad.tsum(ad.matmul(m3k, w) * c32) + ad.tsum(ad.matmul(m2k, w) * t[:2])
 
     def concat_into_buffer(t):

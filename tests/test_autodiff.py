@@ -478,9 +478,9 @@ class TestClosuresHoldOnlyWhatTheyRead:
 
 
 class TestWeightFactors:
-    """matmul's adjoint of a weight with at least FLUSH_ROWS rows reaches the
-    sweep as factors; the sweep forms their product when a list is full,
-    when its tensor's node is swept, and at the leaves."""
+    """matmul's adjoint of a leaf weight with at least FLUSH_ROWS rows
+    reaches the sweep as factors; the sweep forms their product when a list
+    is full and at the end of the sweep."""
 
     @pytest.fixture(autouse=True)
     def _three_rows(self, monkeypatch):
@@ -539,16 +539,19 @@ class TestWeightFactors:
         assert flushed == [3, 3, 1]
         assert np.linalg.norm(w.grad - ref[w]) <= 1e-12 * np.linalg.norm(ref[w])
 
-    def test_non_leaf_weight_flushed_before_its_node(self):
+    def test_non_leaf_weight_keeps_its_product(self):
         rng = np.random.default_rng(9)
         w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         x, y, c = (Tensor(rng.normal(size=s)) for s in [(1, 3), (1, 3), (1, 4)])
         with Tape() as tape:
-            v = w * 2.0  # both matmuls read v, and v's own node is swept after them
+            v = w * 2.0  # both matmuls read v, a non-leaf with FLUSH_ROWS rows
             loss = ad.tsum(ad.matmul(x, v)) + ad.tsum(ad.matmul(y, v) * c)
+            products = [n.bwd(np.ones((1, 4)))[1] for n in tape.nodes
+                        if n.bwd.__qualname__.startswith("matmul.")]
             ref = dense_backward(tape, loss)
             backward(loss)
-        assert np.linalg.norm(w.grad - ref[w]) <= 1e-12 * np.linalg.norm(ref[w])
+        assert len(products) == 2 and all(type(p) is np.ndarray for p in products)
+        assert np.array_equal(w.grad, ref[w])
         assert np.allclose(w.grad, 2.0 * (x.data.T @ np.ones((1, 4)) + y.data.T @ c.data))
 
     def test_grad_sums_over_two_backward_calls(self):
@@ -585,11 +588,11 @@ class TestUntrackedParents:
 
 class TestSharedAdjoints:
     """The gathers share getitem's adjoint and the compositions their
-    parts'; 19 primitives keep an adjoint of their own."""
+    parts'; 18 primitives keep an adjoint of their own."""
 
     OWN_ADJOINT = {"add", "sub", "mul", "div", "matmul", "concat", "getitem", "reshape",
                    "broadcast_to", "repeat_last", "sigmoid", "tanh", "relu", "hardtanh",
-                   "softmax", "cumsum", "tsum", "causal_conv1d", "cross_entropy_logits"}
+                   "softmax", "cumsum", "tsum", "cross_entropy_logits"}
 
     @staticmethod
     def kinds(tape):
@@ -601,6 +604,7 @@ class TestSharedAdjoints:
         "neg": lambda x: -x,
         "tmean": lambda x: ad.tmean(x, axis=1),
         "dropout": lambda x: ad.dropout(x, 0.5, np.random.default_rng(0)),
+        "causal_conv1d": lambda x: ad.causal_conv1d(x, Tensor(np.ones((8, 2))), Tensor(np.zeros(2)), 2),
     }
 
     @pytest.mark.parametrize("name", list(COMPOSITES))
@@ -617,7 +621,7 @@ class TestSharedAdjoints:
             with Tape() as tape:
                 f(x)
             seen |= self.kinds(tape)
-        assert seen == self.OWN_ADJOINT and len(seen) == 19
+        assert seen == self.OWN_ADJOINT and len(seen) == 18
 
 
 class TestCollectorPause:
@@ -723,6 +727,45 @@ class TestRewrittenBackward:
         assert np.array_equal(d_h, np.matmul(np.swapaxes(gates.data, -1, -2), dy))
 
 
+def loop_conv(xd, wd, bd, window, dy):
+    """causal_conv1d as one primitive with a loop adjoint, the formula the
+    composition replaced: (out, dx, dw, db) for output adjoint dy."""
+    e, h = xd.shape[-1], wd.shape[1]
+    t_out = xd.shape[0] - window + 1
+    out = np.broadcast_to(bd, (t_out,) + xd.shape[1:-1] + (h,)).copy()
+    for k in range(window):
+        out += xd[k : k + t_out] @ wd[k * e : (k + 1) * e]
+    dx, dw = np.zeros_like(xd), np.zeros_like(wd)
+    dy_flat = dy.reshape(-1, h)
+    for k in range(window):
+        dx[k : k + t_out] += dy @ wd[k * e : (k + 1) * e].T
+        dw[k * e : (k + 1) * e] = xd[k : k + t_out].reshape(-1, e).T @ dy_flat
+    return out, dx, dw, dy_flat.sum(axis=0)
+
+
+class TestComposedConv:
+    """causal_conv1d, built from getitem, matmul and add, gives bitwise the
+    output and gradients of the loop formula it replaced."""
+
+    @pytest.mark.parametrize("window, t, b, e, h", [
+        (3, 35, 20, 24, 24),  # PRPN-SYD's encoder
+        (6, 35, 20, 16, 24),  # PRPN's parsing network
+        (2, 5, 3, ad.FLUSH_ROWS, 4),  # row blocks as tall as a factored weight
+    ], ids=["window3", "window6", "flush-rows"])
+    def test_matches_the_loop_formula(self, window, t, b, e, h):
+        rng = np.random.default_rng(window)
+        x = Tensor(rng.normal(size=(t + window - 1, b, e)), requires_grad=True)
+        w = Tensor(rng.normal(size=(window * e, h)) / np.sqrt(e), requires_grad=True)
+        bias = Tensor(rng.normal(size=(h,)), requires_grad=True)
+        dy = Tensor(rng.normal(size=(t, b, h)))
+        with Tape():
+            out = ad.causal_conv1d(x, w, bias, window)
+            backward(ad.tsum(out * dy))
+        ref = loop_conv(x.data, w.data, bias.data, window, dy.data)
+        for got, want in zip((out.data, x.grad, w.grad, bias.grad), ref):
+            assert np.array_equal(got, want)
+
+
 class TestShapeErrors:
     def test_matmul_names_shapes(self):
         with pytest.raises(ShapeError, match="matmul"):
@@ -760,6 +803,13 @@ class TestShapeErrors:
         with pytest.raises(ShapeError, match="causal_conv1d"):
             ad.causal_conv1d(Tensor(np.ones((2, 1, 3))), Tensor(np.ones((9, 2))),
                              Tensor(np.zeros(2)), 3)
+
+    def test_conv_window_below_one(self):
+        # a window of 0 with a (0, H) weight matches every other shape check
+        for window in (0, -1):
+            with pytest.raises(ShapeError, match="causal_conv1d: window"):
+                ad.causal_conv1d(Tensor(np.ones((2, 1, 3))), Tensor(np.ones((0, 2))),
+                                 Tensor(np.zeros(2)), window)
 
 
 class TestGradChecks:

@@ -573,6 +573,29 @@ class TestEvalOptions:
         assert out == "" and not metrics.exists()
         assert main(args + ["--trees", "lm"]) == 0
 
+    @pytest.mark.parametrize("option, value", [("--wsj10-maxlen", "10"), ("--plot-csv", "heights.csv")])
+    def test_gold_tree_option_without_gold_trees_fails_before_any_work(self, tmp_path, capsys,
+                                                                        option, value):
+        # both options used to pass silently: no CSV written, no short report
+        src = tmp_path / "tiny.mrg"
+        src.write_text("(S (NN aa) (NN bb) (NN aa))")
+        corpus_path = tmp_path / "c.json"
+        main(["preprocess", str(src), "--out", str(corpus_path)])
+        payload = json.loads(corpus_path.read_text())
+        payload["gold_trees_nary"] = [None]
+        corpus_path.write_text(json.dumps(payload))
+        ckpt = _zero_checkpoint(tmp_path, corpus_path)
+        capsys.readouterr()
+        metrics = tmp_path / "m.json"
+        args = ["eval", "--checkpoint", str(ckpt), "--corpus", str(corpus_path), "--out", str(metrics)]
+        if option == "--plot-csv":
+            value = str(tmp_path / value)
+        assert main(args + [option, value]) == 2
+        out, err = capsys.readouterr()
+        assert err == "data error: %s needs gold trees, and %s has none\n" % (option, corpus_path)
+        assert out == "" and not metrics.exists() and not (tmp_path / "heights.csv").exists()
+        assert main(args) == 0
+
     def test_prpn_trained_with_supervision_layer_zero_evaluates(self, tmp_path, treebank_file):
         corpus = tmp_path / "corpus.json"
         assert main(["preprocess", str(treebank_file), "--out", str(corpus)]) == 0
@@ -676,6 +699,30 @@ class TestMalformedInputs:
         corpus_path, _ = zero_eval
         self._data_error(["eval", "--checkpoint", str(tmp_path), "--corpus", str(corpus_path)],
                          capsys, str(tmp_path))
+
+    def test_checkpoint_with_a_parameter_the_model_lacks(self, tmp_path, zero_eval, capsys):
+        corpus_path, ckpt = zero_eval
+        header, params = ad.load_checkpoint(str(ckpt))
+        extra = tmp_path / "extra.bin"
+        ad.save_checkpoint(str(extra), dict(params, bogus=np.zeros(2)), header=header)
+        self._data_error(["eval", "--checkpoint", str(extra), "--corpus", str(corpus_path)],
+                         capsys, "%s: checkpoint holds parameter 'bogus'" % extra)
+
+    def test_checkpoint_recording_a_parameter_twice(self, tmp_path, zero_eval, capsys):
+        corpus_path, ckpt = zero_eval
+        header, params = ad.load_checkpoint(str(ckpt))
+
+        class Records(dict):  # save_checkpoint writes len() and items(): b_out twice
+            def __len__(self):
+                return super().__len__() + 1
+
+            def items(self):
+                return list(super().items()) + [("b_out", params["b_out"] + 1.0)]
+
+        twice = tmp_path / "twice.bin"
+        ad.save_checkpoint(str(twice), Records(params), header=header)
+        self._data_error(["eval", "--checkpoint", str(twice), "--corpus", str(corpus_path)],
+                         capsys, "%s: checkpoint records parameter 'b_out' twice" % twice)
 
     @pytest.mark.parametrize("header", [{}, {"config": 3}, {"config": {"model": [1]}}, [1, 2]],
                              ids=["no-config", "config-not-object", "model-not-object",
