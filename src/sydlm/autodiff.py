@@ -727,7 +727,7 @@ def save_checkpoint(path: str, params: dict, header: Optional[dict] = None) -> N
     magic header; the header dict (JSON) carries the run config."""
     import json
 
-    blob = json.dumps(header or {}, sort_keys=True).encode("utf-8")
+    blob = json.dumps(header or {}, sort_keys=True, allow_nan=False).encode("utf-8")
     with atomic_open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", len(blob)))
@@ -745,39 +745,42 @@ def save_checkpoint(path: str, params: dict, header: Optional[dict] = None) -> N
 
 
 def load_checkpoint(path: str):
+    """(header, {name: float64 array}) of the checkpoint at `path`; every
+    error in its bytes names the path, once."""
     import json
 
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
+    try:
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
 
-        def read(n: int) -> bytes:
-            data = fh.read(n)
-            if len(data) != n:
-                raise ValueError("%s: checkpoint truncated at byte %d" % (path, fh.tell()))
-            return data
+            def read(n: int) -> bytes:
+                data = fh.read(n)
+                if len(data) != n:
+                    raise ValueError("checkpoint truncated at byte %d" % fh.tell())
+                return data
 
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError("%s is not a checkpoint (bad magic)" % path)
-        (hlen,) = struct.unpack("<I", read(4))
-        try:
+            if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
+                raise ValueError("not a checkpoint (bad magic)")
+            (hlen,) = struct.unpack("<I", read(4))
             header = json.loads(read(hlen).decode("utf-8"))
-        except RecursionError:  # the decoder recurses once per nesting level
-            raise ValueError("%s: checkpoint header is nested too deeply" % path) from None
-        (count,) = struct.unpack("<I", read(4))
-        params = {}
-        for _ in range(count):
-            (nlen,) = struct.unpack("<H", read(2))
-            name = read(nlen).decode("utf-8")
-            (ndim,) = struct.unpack("<B", read(1))
-            shape = tuple(struct.unpack("<I", read(4))[0] for _ in range(ndim))
-            nbytes = 8 * math.prod(shape)  # a Python int: no overflow
-            if nbytes > size - fh.tell():
-                raise ValueError("%s: checkpoint truncated: parameter %r of shape %s needs %d bytes, "
-                                 "%d remain" % (path, name, shape, nbytes, size - fh.tell()))
-            if name in params:
-                raise ValueError("%s: checkpoint records parameter %r twice" % (path, name))
-            params[name] = np.frombuffer(read(nbytes), dtype="<f8").reshape(shape).astype(np.float64)
-        if fh.read(1):
-            raise ValueError("%s: trailing bytes after the last parameter record" % path)
+            (count,) = struct.unpack("<I", read(4))
+            params = {}
+            for _ in range(count):
+                (nlen,) = struct.unpack("<H", read(2))
+                name = read(nlen).decode("utf-8")
+                (ndim,) = struct.unpack("<B", read(1))
+                shape = tuple(struct.unpack("<I", read(4))[0] for _ in range(ndim))
+                nbytes = 8 * math.prod(shape)  # a Python int: no overflow
+                if nbytes > size - fh.tell():
+                    raise ValueError("checkpoint truncated: parameter %r of shape %s needs %d bytes, "
+                                     "%d remain" % (name, shape, nbytes, size - fh.tell()))
+                if name in params:
+                    raise ValueError("checkpoint records parameter %r twice" % name)
+                params[name] = np.frombuffer(read(nbytes), dtype="<f8").reshape(shape).astype(np.float64)
+            if fh.read(1):
+                raise ValueError("trailing bytes after the last parameter record")
+    except RecursionError:  # the header's decoder recurses once per nesting level
+        raise ValueError("%s: checkpoint header is nested too deeply" % path) from None
+    except ValueError as exc:
+        raise ValueError("%s: %s" % (path, exc)) from None
     return header, params

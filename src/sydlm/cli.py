@@ -19,7 +19,7 @@ from pathlib import Path
 from . import __version__
 from . import autodiff as ad
 from .atomic import atomic_open
-from .config import ConfigError, TrainConfig, _coerce, apply_setting, read_settings
+from .config import ConfigError, TrainConfig, apply_setting, read_settings
 from .corpus import Corpus, PreprocessRules, preprocess_corpus
 from .evaluation import (
     perplexity,
@@ -81,17 +81,9 @@ def _load_rules(path: str | None, mode: str | None) -> PreprocessRules:
     ``--mode`` wins over the file's mode."""
     rules = PreprocessRules()
     if path is not None:
-        types = {f.name: f.type for f in dataclasses.fields(PreprocessRules)}
-        settings = {}
-
-        def take(key: str, value: str) -> None:
-            if key not in types:
-                raise ConfigError("unknown rule %r" % key)
-            settings[key] = value.split() if key == "drop_tags" else _coerce(key, value, types[key])
-
-        read_settings(path, take)
+        read_settings(path, lambda key, value: apply_setting(rules, key, value))
         try:
-            rules = PreprocessRules(**settings)
+            rules = dataclasses.replace(rules)  # __post_init__ checks the rules read
         except ValueError as exc:
             raise ConfigError("%s: %s" % (path, exc)) from None
     return rules if mode is None else dataclasses.replace(rules, mode=mode)
@@ -126,12 +118,12 @@ def cmd_preprocess(args, argv) -> int:
 # train
 # ---------------------------------------------------------------------------
 
-def _build_model(cfg: TrainConfig, where: str = ""):
+def _build_model(cfg: TrainConfig):
     """The configured model; one too large to allocate is a data error."""
     try:
         return build_model(cfg.model, cfg.seed)
     except MemoryError as exc:
-        raise ConfigError("%smodel too large to allocate: %s" % (where, exc)) from None
+        raise ConfigError("model too large to allocate: %s" % exc) from None
 
 
 def cmd_train(args, argv) -> int:
@@ -157,7 +149,7 @@ def cmd_train(args, argv) -> int:
                          cfg.to_dict())
     with atomic_open(outdir / "log.jsonl") as fh:
         for entry in log:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
+            fh.write(json.dumps(entry, sort_keys=True, allow_nan=False) + "\n")
     ad.save_checkpoint(str(outdir / "checkpoint.bin"), best,
                        header={"manifest": manifest, "config": cfg.to_dict(),
                                "vocab_sha256": _vocab_sha256(corpus)})
@@ -185,24 +177,27 @@ RETIRED_PARAMS = frozenset({"enc.b_lm2", "enc.b_syd2", "b_v2"})
 
 
 def _load_model(checkpoint: str):
-    """The checkpoint's model: its records must be exactly the configured
-    model's parameters, apart from RETIRED_PARAMS."""
+    """The checkpoint's model, config and header: its records must be
+    exactly the configured model's parameters, apart from RETIRED_PARAMS.
+    Every error names the checkpoint."""
     header, arrays = ad.load_checkpoint(checkpoint)
-    if not isinstance(header, dict) or not isinstance(header.get("config"), dict):
-        raise ConfigError("%s: checkpoint header has no config object" % checkpoint)
-    cfg = TrainConfig.from_dict(header["config"])
-    model = _build_model(cfg, "%s: " % checkpoint)
-    for name, tensor in model.params.items():
-        if name not in arrays:
-            raise ConfigError("checkpoint is missing parameter %r" % name)
-        if arrays[name].shape != tensor.data.shape:
-            raise ConfigError("checkpoint parameter %r has shape %s, expected %s"
-                              % (name, arrays[name].shape, tensor.data.shape))
-        tensor.data = arrays[name].copy()
-    for name in arrays:
-        if name not in model.params and name not in RETIRED_PARAMS:
-            raise ConfigError("%s: checkpoint holds parameter %r, which the model does not have"
-                              % (checkpoint, name))
+    try:
+        if not isinstance(header, dict) or not isinstance(header.get("config"), dict):
+            raise ConfigError("checkpoint header has no config object")
+        cfg = TrainConfig.from_dict(header["config"])
+        model = _build_model(cfg)
+        for name, tensor in model.params.items():
+            if name not in arrays:
+                raise ConfigError("checkpoint is missing parameter %r" % name)
+            if arrays[name].shape != tensor.data.shape:
+                raise ConfigError("checkpoint parameter %r has shape %s, expected %s"
+                                  % (name, arrays[name].shape, tensor.data.shape))
+            tensor.data = arrays[name].copy()
+        for name in arrays:
+            if name not in model.params and name not in RETIRED_PARAMS:
+                raise ConfigError("checkpoint holds parameter %r, which the model does not have" % name)
+    except ValueError as exc:
+        raise ConfigError("%s: %s" % (checkpoint, exc)) from None
     return model, cfg, header
 
 

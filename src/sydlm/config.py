@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
@@ -64,12 +64,13 @@ class ModelConfig:
                     raise ConfigError("hidden size %d of layer %d not divisible by chunk_factor %d"
                                       % (hidden, layer + 1, self.chunk_factor))
         if self.model in ("prpn", "prpn-syd"):
-            if not 0 < self.prpn_temperature < math.inf:  # NaN too
-                raise ConfigError("prpn_temperature must be positive and finite, got %r" % self.prpn_temperature)
+            if not self.prpn_temperature > 0:  # NaN too
+                raise ConfigError("prpn_temperature must be positive, got %r" % self.prpn_temperature)
             if self.model == "prpn" and self.supervision_mode not in ("none",):
                 raise ConfigError("model 'prpn' has no supervised distance stream; use prpn-syd")
             if self.model == "prpn-syd" and self.supervision_mode not in ("split-head", "none"):
                 raise ConfigError("prpn-syd supports supervision_mode split-head or none")
+        _check_finite(self)
 
     def layer_hidden(self, layer: int) -> int:
         # last layer emits embedding-sized states when the decoder is tied
@@ -79,13 +80,6 @@ class ModelConfig:
 
     def layer_input(self, layer: int) -> int:
         return self.embedding_size if layer == 0 else self.layer_hidden(layer - 1)
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ModelConfig":
-        return cls(**_json_fields(cls, data, "model config"))
 
 
 @dataclass
@@ -116,8 +110,8 @@ class TrainConfig:
 
     def validate(self) -> None:
         self.model.validate()
-        if not 0 <= self.alpha < math.inf:  # NaN too
-            raise ConfigError("alpha must be >= 0 and finite, got %r" % self.alpha)
+        if not self.alpha >= 0:  # NaN too
+            raise ConfigError("alpha must be >= 0, got %r" % self.alpha)
         if self.tree_source not in TREE_SOURCES:
             raise ConfigError("tree_source must be one of %s" % (TREE_SOURCES,))
         if self.pair_mode not in PAIR_MODES:
@@ -128,14 +122,12 @@ class TrainConfig:
             raise ConfigError("bptt_length must be >= 2")
         if self.batch_size < 1 or self.epochs < 1:
             raise ConfigError("batch_size and epochs must be positive")
-        if not 0 < self.lr < math.inf:  # NaN too
-            raise ConfigError("lr must be positive and finite, got %r" % self.lr)
+        if not self.lr > 0:  # NaN too
+            raise ConfigError("lr must be positive, got %r" % self.lr)
         if not 0 < self.lr_decay <= 1:
             raise ConfigError("lr_decay must be in (0, 1], got %r" % self.lr_decay)
         if self.lr_patience < 0:
             raise ConfigError("lr_patience must be >= 0, got %d" % self.lr_patience)
-        if math.isnan(self.clip_norm):  # 0 or below means no clipping
-            raise ConfigError("clip_norm must not be NaN")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0, got %d" % self.seed)
         if self.average_from_epoch is not None:
@@ -148,60 +140,43 @@ class TrainConfig:
                      "dropout_output", "dropout_embedding"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ConfigError("%s must be in [0, 1)" % name)
+        _check_finite(self)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
-        kwargs = _json_fields(cls, data, "config")
-        return cls(model=ModelConfig.from_dict(data.get("model", {})), **kwargs)
+        """The config a checkpoint header holds, each key set from JSON.  Its
+        floats must be finite; build_model validates its model."""
+        cfg = cls()
+        for key, value in data.items():
+            if key != "model":
+                apply_setting(cfg, key, value, text=False)
+            elif isinstance(value, dict):
+                for name, setting in value.items():
+                    apply_setting(cfg.model, name, setting, text=False)
+            else:
+                raise ConfigError("model config must be an object, got %s" % type(value).__name__)
+        _check_finite(cfg)
+        return cfg
 
 
-# the JSON value types each annotated field type accepts; exact, so a bool is no int
-_JSON_TYPES = {"int": {int}, "float": {int, float}, "bool": {bool}, "str": {str},
-               "Optional[int]": {int, type(None)}}
+_BOOLS = {"true": True, "1": True, "yes": True, "on": True,
+          "false": False, "0": False, "no": False, "off": False}
 
-
-def _json_fields(cls, data: dict, what: str) -> dict:
-    """The fields of dataclass `cls` present in the JSON object `data`, each
-    checked against its annotated type; a nested ModelConfig is left out."""
-    if not isinstance(data, dict):
-        raise ConfigError("%s must be an object, got %s" % (what, type(data).__name__))
-    kwargs = {}
-    for f in dataclasses.fields(cls):
-        if f.name in data and f.type != "ModelConfig":
-            value = data[f.name]
-            if type(value) not in _JSON_TYPES[f.type]:
-                raise ConfigError("%s: %s must be %s, got %s" % (what, f.name, f.type, json.dumps(value)))
-            kwargs[f.name] = value
-    return kwargs
-
-
-_MODEL_FIELDS = {f.name: f for f in dataclasses.fields(ModelConfig)}
-_TRAIN_FIELDS = {f.name: f for f in dataclasses.fields(TrainConfig) if f.name != "model"}
-
-
-def _coerce(name: str, text: str, typ: str) -> object:
-    """Parse `text` for a field whose annotation is the string `typ`."""
-    text = text.strip()
-    if typ == "bool":
-        if text.lower() in ("true", "1", "yes", "on"):
-            return True
-        if text.lower() in ("false", "0", "no", "off"):
-            return False
-        raise ConfigError("%s expects a boolean, got %r" % (name, text))
-    if typ == "Optional[int]":
-        if text.lower() in ("none", ""):
-            return None
-        typ = "int"
-    if typ in ("int", "float"):
-        try:
-            return int(text) if typ == "int" else float(text)
-        except ValueError:
-            kind = "an integer" if typ == "int" else "a number"
-            raise ConfigError("%s expects %s, got %r" % (name, kind, text)) from None
-    return text
+# The field table: each field annotation, with the JSON value types it
+# accepts (exact, so that a bool is no int), what its text must be, and the
+# parser of its text.
+_FIELD_TYPES = {
+    "int": ({int}, "an integer", int),
+    "float": ({int, float}, "a number", float),
+    "bool": ({bool}, "a boolean", lambda text: _BOOLS[text.lower()]),
+    "str": ({str}, "a string", str),
+    "Optional[int]": ({int, type(None)}, "an integer",
+                      lambda text: None if text.lower() in ("none", "") else int(text)),
+    "frozenset": ((), "words", lambda text: frozenset(text.split())),  # drop_tags, text only
+}
 
 
 def read_settings(path: str, apply: Callable[[str, str], None]) -> None:
@@ -226,10 +201,37 @@ def read_settings(path: str, apply: Callable[[str, str], None]) -> None:
             raise ConfigError("%s: line %d: %s" % (path, lineno, exc)) from None
 
 
-def apply_setting(cfg: TrainConfig, key: str, value: str) -> None:
-    if key in _TRAIN_FIELDS:
-        setattr(cfg, key, _coerce(key, value, _TRAIN_FIELDS[key].type))
-    elif key in _MODEL_FIELDS:
-        setattr(cfg.model, key, _coerce(key, value, _MODEL_FIELDS[key].type))
-    else:
-        raise ConfigError("unknown config key %r" % key)
+def apply_setting(cfg, key: str, value, text: bool = True) -> None:
+    """Set field `key` of the config dataclass `cfg` (a TrainConfig, a
+    ModelConfig or PreprocessRules) from `value`: the text of a config or
+    rules file line or of --set, or with ``text=False`` the JSON value a
+    checkpoint header holds.  In text a TrainConfig takes its model's keys
+    as its own; a header nests them under "model"."""
+    if text and isinstance(cfg, TrainConfig) and key in _names(ModelConfig):
+        cfg = cfg.model
+    annotation = _names(cfg).get(key)
+    if annotation not in _FIELD_TYPES:
+        noun = "config key" if isinstance(cfg, (TrainConfig, ModelConfig)) else "rule"
+        raise ConfigError("unknown %s %r" % (noun, key))
+    json_types, kind, parse = _FIELD_TYPES[annotation]
+    if text:
+        try:
+            value = parse(value.strip())
+        except (KeyError, ValueError):
+            raise ConfigError("%s expects %s, got %r" % (key, kind, value.strip())) from None
+    elif type(value) not in json_types:
+        raise ConfigError("%s expects %s, got %s" % (key, kind, json.dumps(value)))
+    setattr(cfg, key, value)
+
+
+def _names(cfg) -> dict:
+    """{field name: annotation} of a config dataclass or its class."""
+    return {f.name: f.type for f in dataclasses.fields(cfg)}
+
+
+def _check_finite(cfg) -> None:
+    """The rule every float field keeps: finite as a float.  NaN, the
+    infinities and a JSON int beyond the float range fail it."""
+    for name, annotation in _names(cfg).items():
+        if annotation == "float" and not abs(getattr(cfg, name)) <= sys.float_info.max:
+            raise ConfigError("%s must be finite, got %r" % (name, getattr(cfg, name)))

@@ -131,7 +131,7 @@ def labeled_spans(tree: Tree) -> list:
 
 
 # The metrics below read each tree's `constituents` rows; structure_report
-# walks every tree once and hands the same rows to all three.
+# walks every tree once and hands the same rows to each of them.
 
 def _spans(rows: list, include_root: bool = False) -> set:
     """spans_of, from a tree's constituents rows (the root's is last)."""
@@ -195,20 +195,18 @@ def depth_and_ratio(trees: Sequence[Tree]):
     """(mean max root-to-leaf depth, pooled left/right attachment ratio):
     leaf words that are non-rightmost children of their parent over those
     that are rightmost; the ratio is None when no leaf is rightmost."""
-    depths = []
+    return _depth_and_ratio(_rows(trees))
+
+
+def _depth_and_ratio(tree_rows: list):
     left = right = 0
-    for tree in trees:
-        depths.append(tree.depth())
-        for node in tree.iter_nodes():
-            if node.is_leaf:
-                continue
-            last = len(node.children) - 1
-            for pos, ch in enumerate(node.children):
-                if ch.is_leaf:
-                    if pos == last:
-                        right += 1
-                    else:
-                        left += 1
+    for rows in tree_rows:
+        for node, _s, _e, _height in rows:
+            if not node.is_leaf:
+                *others, last = node.children
+                left += sum(child.is_leaf for child in others)
+                right += last.is_leaf
+    depths = [rows[-1][3] - 1 for rows in tree_rows]  # the root's height, counted in edges
     mean_depth = float(np.mean(depths)) if depths else 0.0
     ratio = left / right if right else None
     return mean_depth, ratio
@@ -247,10 +245,9 @@ def structure_report(pred_trees, gold_nary_trees, tags: Sequence[str] = DEFAULT_
     order, to its {"correct", "total", "accuracy"} cell.  Each tree is
     walked by `constituents` once."""
     pairs = [(p, g) for p, g in zip(pred_trees, gold_nary_trees) if g is not None]
-    preds = [p for p, _ in pairs]
-    pred_rows, gold_rows = _rows(preds), _rows(g for _, g in pairs)
+    pred_rows, gold_rows = _rows(p for p, _ in pairs), _rows(g for _, g in pairs)
     micro, macro = _unlabeled_f1(pred_rows, gold_rows)
-    mean_depth, ratio = depth_and_ratio(preds)
+    mean_depth, ratio = _depth_and_ratio(pred_rows)
     return {
         "f1_micro": micro,
         "f1_macro": macro,
@@ -259,7 +256,7 @@ def structure_report(pred_trees, gold_nary_trees, tags: Sequence[str] = DEFAULT_
         "left_right_ratio": ratio,
         "height_accuracy": {str(h): {"correct": c, "total": t, "accuracy": 100.0 * c / t}
                             for h, (c, t) in _accuracy_by_height(pred_rows, gold_rows).items()},
-        "n_sentences": len(preds),
+        "n_sentences": len(pairs),
     }
 
 

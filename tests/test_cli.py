@@ -367,6 +367,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("sets", [
         ["clip_norm=nan"], ["model=prpn-syd", "prpn_temperature=nan"], ["seed=-1"],
+        ["model=onlstm-syd", "prpn_temperature=NaN"],  # read by no ON-LSTM, yet held in its header
     ], ids=lambda sets: sets[-1])
     def test_bad_setting_is_data_error_naming_the_field(self, tmp_path, treebank_file, capsys, sets):
         corpus = tmp_path / "corpus.json"
@@ -381,7 +382,8 @@ class TestExitCodes:
         assert not (run / "checkpoint.bin").exists()
 
     @pytest.mark.parametrize("sets", [
-        ["lr=inf"], ["alpha=inf"], ["model=prpn-syd", "prpn_temperature=inf"],
+        ["lr=inf"], ["alpha=inf"], ["clip_norm=inf"], ["model=prpn-syd", "prpn_temperature=inf"],
+        ["model=onlstm-syd", "prpn_temperature=-inf"],
     ], ids=lambda sets: sets[-1])
     def test_infinite_setting_is_data_error_naming_the_field(self, tmp_path, treebank_file,
                                                              capsys, sets):
@@ -470,6 +472,12 @@ def _zero_checkpoint(tmp_path, corpus_path, **model_kw):
         p.data[:] = 0.0
     ckpt = tmp_path / "zero.bin"
     ad.save_checkpoint(str(ckpt), model.params, header={"config": cfg.to_dict()})
+    return ckpt
+
+
+def _header_only(ckpt, blob: bytes):
+    """A checkpoint at `ckpt` whose header bytes are `blob`, with no parameter."""
+    ckpt.write_bytes(ad.CHECKPOINT_MAGIC + len(blob).to_bytes(4, "little") + blob + bytes(4))
     return ckpt
 
 
@@ -662,7 +670,7 @@ class TestOldCheckpoints:
         capsys.readouterr()
         assert main(["eval", "--checkpoint", str(ckpt), "--corpus", str(corpus),
                      "--out", str(tmp_path / "metrics.json")]) == 2
-        assert capsys.readouterr().err == "data error: checkpoint is missing parameter 'layer0.W'\n"
+        assert capsys.readouterr().err == "data error: %s: checkpoint is missing parameter 'layer0.W'\n" % ckpt
         assert not (tmp_path / "metrics.json").exists()
 
 
@@ -876,11 +884,51 @@ class TestMalformedInputs:
 
     def test_checkpoint_header_nested_too_deeply(self, tmp_path, zero_eval, capsys):
         corpus_path, _ = zero_eval
-        ckpt = tmp_path / "deep.bin"
-        blob = b"[" * 100000 + b"]" * 100000
-        ckpt.write_bytes(ad.CHECKPOINT_MAGIC + len(blob).to_bytes(4, "little") + blob + bytes(4))
+        ckpt = _header_only(tmp_path / "deep.bin", b"[" * 100000 + b"]" * 100000)
         self._data_error(["eval", "--checkpoint", str(ckpt), "--corpus", str(corpus_path)],
                          capsys, "%s: checkpoint header is nested too deeply" % ckpt)
+
+    def _checkpoint_error(self, ckpt, corpus_path, capsys) -> str:
+        assert main(["eval", "--checkpoint", str(ckpt), "--corpus", str(corpus_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: %s: " % ckpt) and err.count("\n") == 1
+        return err
+
+    @pytest.mark.parametrize("blob,needle", [
+        (b'{"config": "\xff"}', "'utf-8' codec can't decode byte 0xff"),
+        (b'{"config": {"model": ', "Expecting value"),
+    ], ids=["not-utf8", "truncated-json"])
+    def test_malformed_header_names_the_checkpoint(self, tmp_path, zero_eval, capsys, blob, needle):
+        corpus_path, _ = zero_eval
+        ckpt = _header_only(tmp_path / "header.bin", blob)
+        assert needle in self._checkpoint_error(ckpt, corpus_path, capsys)
+
+    def test_parameter_name_not_utf8_names_the_checkpoint(self, tmp_path, zero_eval, capsys):
+        corpus_path, ckpt = zero_eval
+        raw = ckpt.read_bytes()
+        assert raw.count(b"b_out") == 1
+        bad = tmp_path / "name.bin"
+        bad.write_bytes(raw.replace(b"b_out", b"\xff\xfeout"))
+        assert "'utf-8' codec can't decode byte 0xff" in self._checkpoint_error(bad, corpus_path, capsys)
+
+    @pytest.mark.parametrize("section,changes,needle", [
+        ("model", {"n_layers": "1"}, 'n_layers expects an integer, got "1"'),
+        ("model", {"hidden_size": 8, "embedding_size": 8, "chunk_factor": 3},
+         "hidden size 8 of layer 1 not divisible by chunk_factor 3"),
+        ("config", {"bogus": 1}, "unknown config key 'bogus'"),
+        ("model", {"bogus": 1}, "unknown config key 'bogus'"),
+        ("config", {"n_layers": 1}, "unknown config key 'n_layers'"),
+        ("model", {"prpn_temperature": 10**400}, "prpn_temperature must be finite"),
+        ("config", {"clip_norm": float("inf")}, "clip_norm must be finite, got inf"),
+    ], ids=["wrong-json-type", "fails-validate", "unknown-key", "unknown-model-key", "model-key-outside-model",
+            "int-beyond-float-range", "infinite-train-float"])
+    def test_bad_header_config_names_the_checkpoint(self, tmp_path, zero_eval, capsys, section, changes, needle):
+        corpus_path, ckpt = zero_eval
+        header, _ = ad.load_checkpoint(str(ckpt))
+        (header["config"] if section == "config" else header["config"]["model"]).update(changes)
+        # json.dumps writes inf as Infinity, as headers written before strict JSON hold it
+        bad = _header_only(tmp_path / "config.bin", json.dumps(header).encode())
+        assert needle in self._checkpoint_error(bad, corpus_path, capsys)
 
     def test_eval_corpus_with_other_vocab_of_the_same_size(self, tmp_path, capsys):
         paths = {}
@@ -916,6 +964,10 @@ class TestMalformedInputs:
 
 
 class TestStrictJson:
+    @staticmethod
+    def reject(name):
+        raise ValueError("non-standard JSON constant %s" % name)
+
     def test_one_word_sentences_write_null_ratio(self, tmp_path, capsys):
         src = tmp_path / "words.mrg"
         src.write_text("(S (NN aa))\n(S (NN bb))\n(S (NN aa))\n")
@@ -926,9 +978,25 @@ class TestStrictJson:
         assert main(["eval", "--checkpoint", str(ckpt), "--corpus", str(corpus_path),
                      "--out", str(metrics)]) == 0
 
-        def reject(name):
-            raise ValueError("non-standard JSON constant %s" % name)
-
-        payload = json.loads(metrics.read_text(), parse_constant=reject)
+        payload = json.loads(metrics.read_text(), parse_constant=self.reject)
         assert payload["structure"]["left_right_ratio"] is None
         capsys.readouterr()
+
+    def test_checkpoint_header_and_log_of_a_run(self, tmp_path, treebank_file):
+        corpus, run = tmp_path / "corpus.json", tmp_path / "run"
+        assert main(["preprocess", str(treebank_file), "--out", str(corpus)]) == 0
+        assert main(["train", "--corpus", str(corpus), "--out", str(run)] + TRAIN_OVERRIDES) == 0
+        raw = (run / "checkpoint.bin").read_bytes()
+        size = int.from_bytes(raw[8:12], "little")
+        header = json.loads(raw[12:12 + size].decode("utf-8"), parse_constant=self.reject)
+        assert header == ad.load_checkpoint(str(run / "checkpoint.bin"))[0]
+        assert header["config"]["clip_norm"] == 0.25
+        log = [json.loads(line, parse_constant=self.reject)
+               for line in (run / "log.jsonl").read_text().splitlines()]
+        assert [entry["epoch"] for entry in log] == [1, 2]
+
+    def test_non_finite_header_writes_no_checkpoint(self, tmp_path):
+        ckpt = tmp_path / "ckpt.bin"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            ad.save_checkpoint(str(ckpt), {"w": np.zeros(2)}, header={"config": {"clip_norm": float("inf")}})
+        assert list(tmp_path.iterdir()) == []

@@ -474,13 +474,15 @@ class TestTrain:
                    dict(model="prpn-syd")):
             dataclasses.replace(cfg, **ok).validate()
 
-    def test_infinite_clip_norm_means_no_clipping(self, tiny_corpus):
-        # lr, alpha and prpn_temperature must be finite; clip_norm need not be
-        cfg = train_config(tiny_corpus, clip_norm=float("inf"))
-        cfg.validate()
+    @pytest.mark.parametrize("clip_norm", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_clip_norm_is_rejected(self, tiny_corpus, clip_norm):
+        # clip_norm 0 or below turns clipping off; no float field may be NaN or infinite
+        cfg = train_config(tiny_corpus, clip_norm=clip_norm)
+        with pytest.raises(ConfigError, match="^clip_norm must be finite, got (inf|-inf|nan)$"):
+            cfg.validate()
         p = Tensor(np.zeros(2), requires_grad=True)
-        p.grad = np.array([3e100, 4e100])
-        assert _global_clip([p], cfg.clip_norm) == 1.0
+        p.grad = np.array([3.0, 4.0])
+        assert _global_clip([p], 0.0) == _global_clip([p], -1.0) == 1.0
 
 
 class TestOptimizedTreeEquality:

@@ -8,7 +8,9 @@ best parameters' names and float64 bytes.  A last `eval` line runs
 and hashes `metrics.json`, `heights.csv` and eval's printed output.  A
 `preprocess` line hashes the corpus dump and `.dist` file that
 `sydlm preprocess` writes for a fixed PTB-style text (function tags, -NONE-
-elements, punctuation, numbers, the empty-label root and a multi-word leaf).
+elements, punctuation, numbers, the empty-label root and a multi-word leaf),
+and a `preprocess/rules` line does the same with a rules file that sets
+every rule to a value other than its default.
 Two source trees that print the same lines trained bitwise the same
 trajectories and wrote the same reports and corpora.
 
@@ -25,7 +27,7 @@ and of any gradient of one taped training step (``|a - b| / max(|b|,
 FLOOR)``, so that a value that is zero in exact arithmetic does not
 dominate), with the parameter names that only one side has.  The eval
 line says which artifacts are byte-equal and gives the largest relative
-difference of the numbers in metrics.json; the preprocess line says
+difference of the numbers in metrics.json; the preprocess lines say
 whether the corpus dump and .dist file are byte-equal.  It exits 1 when a
 difference exceeds ``--rtol``, when metrics.json differs in structure or
 in a number that is not a float, or when the preprocess artifacts differ.
@@ -80,6 +82,16 @@ PTB_TEXT = """\
    (: ;) (NP ($ $) (CD 5) (NN Dollars)) (# #))
 ( (FRAG (-NONE- *U*)) )
 """
+# every rule away from its default; a value holds no '#', which starts a comment
+PTB_RULES = """\
+lowercase = off
+drop_tags = . , -LRB- -RRB- ``
+number_pattern = [0-9]+([.,/][0-9]+)*
+number_symbol = <num>
+vocab_max_size = 12
+mode = sepsent
+"""
+PREPROCESS = [("preprocess", ""), ("preprocess/rules", PTB_RULES)]  # (line, rules file)
 EVAL_SETTINGS = ["n_layers=3", "chunk_factor=2", "supervision_layer=2", "embedding_size=8",
                  "hidden_size=12", "epochs=2", "batch_size=4", "bptt_length=10"]
 
@@ -190,11 +202,16 @@ def eval_artifacts(sydlm, trees: list) -> list:
                 printed.encode()]
 
 
-def preprocess_artifacts() -> list:
-    """The corpus dump and .dist file that preprocess writes for PTB_TEXT."""
+def preprocess_artifacts(rules: str = "") -> list:
+    """The corpus dump and .dist file that preprocess writes for PTB_TEXT,
+    with the rules file `rules` when it is not empty."""
     with scratch_dir():
         Path("ptb.mrg").write_text(PTB_TEXT)
-        run_cli("preprocess", "ptb.mrg", "--out", "corpus.json")
+        argv = ["preprocess", "ptb.mrg", "--out", "corpus.json"]
+        if rules:
+            Path("rules.txt").write_text(rules)
+            argv += ["--rules", "rules.txt"]
+        run_cli(*argv)
         return [Path("corpus.json").read_bytes(), Path("corpus.json.dist").read_bytes()]
 
 
@@ -220,7 +237,8 @@ def collect(src: str) -> dict:
     for name, fields in CONFIGS:
         log, best = trajectory(sydlm, corpus, fields)
         runs[name] = {"log": log, "params": best, "grads": step_gradients(sydlm, corpus, fields)}
-    return {"runs": runs, "eval": eval_artifacts(sydlm, trees), "preprocess": preprocess_artifacts()}
+    return {"runs": runs, "eval": eval_artifacts(sydlm, trees),
+            **{name: preprocess_artifacts(rules) for name, rules in PREPROCESS}}
 
 
 def collect_in_subprocess(src: str) -> dict:
@@ -292,9 +310,10 @@ def compare(other: str, rtol: float) -> int:
     equal = ["equal" if x == y else "differ" for x, y in zip(ours["eval"], theirs["eval"])]
     print("%-30s metrics %s (numbers %.1e)  heights %s  printed %s"
           % ("eval", equal[0], metrics, equal[1], equal[2]))
-    same_corpus = ours["preprocess"] == theirs["preprocess"]
-    equal = ["equal" if x == y else "differ" for x, y in zip(ours["preprocess"], theirs["preprocess"])]
-    print("%-30s corpus %s  dist %s" % ("preprocess", *equal))
+    same_corpus = all(ours[name] == theirs[name] for name, _rules in PREPROCESS)
+    for name, _rules in PREPROCESS:
+        equal = ["equal" if x == y else "differ" for x, y in zip(ours[name], theirs[name])]
+        print("%-30s corpus %s  dist %s" % (name, *equal))
     passed = worst <= rtol and same_corpus
     print("largest difference %.1e, rtol %.0e: %s" % (worst, rtol, "pass" if passed else "FAIL"))
     return 0 if passed else 1
@@ -316,7 +335,8 @@ def main() -> int:
         print("%-30s log %s  params %s" % (name, log_hash, param_hash))
     print("%-30s metrics %s  heights %s  printed %s"
           % ("eval", *(short_hash(blob) for blob in eval_artifacts(sydlm, trees))))
-    print("%-30s corpus %s  dist %s" % ("preprocess", *(short_hash(blob) for blob in preprocess_artifacts())))
+    for name, rules in PREPROCESS:
+        print("%-30s corpus %s  dist %s" % (name, *(short_hash(blob) for blob in preprocess_artifacts(rules))))
     return 0
 
 
