@@ -669,7 +669,8 @@ def cross_entropy_logits(logits, targets) -> Tensor:
     out = lse - ld[rows, tgt]
 
     def bwd(dy):
-        grad = z / zsum[:, None]
+        grad = z  # divided in place: the bwd runs once, and z is read no more
+        grad /= zsum[:, None]
         grad[rows, tgt] -= 1.0
         grad *= dy[:, None]
         return (grad,)

@@ -177,14 +177,16 @@ RETIRED_PARAMS = frozenset({"enc.b_lm2", "enc.b_syd2", "b_v2"})
 
 
 def _load_model(checkpoint: str):
-    """The checkpoint's model, config and header: its records must be
-    exactly the configured model's parameters, apart from RETIRED_PARAMS.
-    Every error names the checkpoint."""
+    """The checkpoint's model, config and header: its config must be one
+    that train accepts, and its records exactly the configured model's
+    parameters, apart from RETIRED_PARAMS.  Every error names the
+    checkpoint."""
     header, arrays = ad.load_checkpoint(checkpoint)
     try:
         if not isinstance(header, dict) or not isinstance(header.get("config"), dict):
             raise ConfigError("checkpoint header has no config object")
         cfg = TrainConfig.from_dict(header["config"])
+        cfg.validate()
         model = _build_model(cfg)
         for name, tensor in model.params.items():
             if name not in arrays:

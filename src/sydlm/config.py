@@ -147,8 +147,8 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
-        """The config a checkpoint header holds, each key set from JSON.  Its
-        floats must be finite; build_model validates its model."""
+        """The config a checkpoint header holds, each key set from JSON and
+        not yet validated."""
         cfg = cls()
         for key, value in data.items():
             if key != "model":
@@ -158,7 +158,6 @@ class TrainConfig:
                     apply_setting(cfg.model, name, setting, text=False)
             else:
                 raise ConfigError("model config must be an object, got %s" % type(value).__name__)
-        _check_finite(cfg)
         return cfg
 
 

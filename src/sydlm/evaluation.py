@@ -119,22 +119,13 @@ def induce_trees(
 # Span machinery
 # ---------------------------------------------------------------------------
 
-def spans_of(tree: Tree, include_root: bool = False) -> set:
-    """(start, end) half-open spans of internal nodes, single-word spans
-    dropped; the whole-sentence span only with include_root."""
-    return _spans(constituents(tree), include_root)
-
-
-def labeled_spans(tree: Tree) -> list:
-    """(label, start, end) for internal nodes of width >= 2, root included."""
-    return [(node.label, s, e) for node, s, e, _height in constituents(tree) if e - s >= 2]
-
-
 # The metrics below read each tree's `constituents` rows; structure_report
 # walks every tree once and hands the same rows to each of them.
 
 def _spans(rows: list, include_root: bool = False) -> set:
-    """spans_of, from a tree's constituents rows (the root's is last)."""
+    """(start, end) half-open spans of the internal nodes of a tree's
+    constituents rows (the root's is last), single-word spans dropped; the
+    whole-sentence span only with include_root."""
     whole = rows[-1][1:3]
     return {(s, e) for _node, s, e, _height in rows if e - s >= 2 and (include_root or (s, e) != whole)}
 
@@ -212,14 +203,10 @@ def _depth_and_ratio(tree_rows: list):
     return mean_depth, ratio
 
 
-def accuracy_by_height(pred_trees, gold_trees) -> dict:
+def _accuracy_by_height(pred_rows: list, gold_rows: list) -> dict:
     """height -> (correct, total) over predicted internal nodes, the
     whole-sentence node excluded; a node is correct when its span is a gold
     constituent."""
-    return _accuracy_by_height(_rows(pred_trees), _rows(gold_trees))
-
-
-def _accuracy_by_height(pred_rows: list, gold_rows: list) -> dict:
     buckets: dict[int, list] = {}
     for pred, gold in zip(pred_rows, gold_rows):
         gspans = _spans(gold, include_root=True)

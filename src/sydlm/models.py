@@ -17,10 +17,17 @@ from .config import ModelConfig, TrainConfig
 
 @dataclass
 class ForwardOut:
-    logits: Tensor                 # (T*B, V), time-major rows
+    tops: Tensor                   # (T*B, H) top-layer states after the output mask, time-major rows
+    decoder: tuple                 # (weight, bias, transpose_b): affine's projection of tops to logits
     d_lm: list                     # per layer, each (T*B,)
     d_syd: Optional[Tensor]        # (T*B,) or None
     state: object                  # detached numpy state to carry to the next window
+
+    @property
+    def logits(self) -> Tensor:
+        """(T*B, V) logits of every row at once, projected on each read; a
+        taped step scores them in row blocks instead (`training.lm_loss`)."""
+        return affine(self.tops, *self.decoder)
 
 
 def locked_mask(rng: Optional[np.random.Generator], train_cfg: Optional[TrainConfig],
@@ -41,7 +48,7 @@ class LanguageModel:
     order the family creates them; the names and that order are the
     checkpoint layout.  A forward draws its dropout masks from the trainer's
     generator in a fixed order: embedding rows and words (`embed`), then the
-    body's own masks, then the output mask (`decode`).
+    body's own masks, then the output mask (`output_rows`).
     """
 
     kinds: tuple = ()
@@ -88,18 +95,24 @@ class LanguageModel:
                                 (1, inputs.shape[1], self.config.embedding_size))
         return x_all * word_mask if word_mask is not None else x_all
 
-    def decode(self, tops: Tensor, rng=None, train_cfg=None) -> Tensor:
-        """Logits (T*B, V) from the (T, B, H) window of top-layer states, every
-        step times one locked (B, H) output dropout mask, flattened to
-        time-major rows for the tied or untied projection."""
+    def output_rows(self, tops: Tensor, rng=None, train_cfg=None) -> Tensor:
+        """The (T*B, H) rows the decoder projects: the (T, B, H) window of
+        top-layer states, every step times one locked (B, H) output dropout
+        mask, flattened to time-major rows.  The logits are formed from
+        them by `ForwardOut.logits`, or in row blocks by `training.lm_loss`."""
         t_len, batch, width = tops.shape
         out_mask = locked_mask(rng, train_cfg, "dropout_output", (batch, width))
         if out_mask is not None:
             tops = tops * out_mask
-        flat = ad.reshape(tops, (t_len * batch, width))
+        return ad.reshape(tops, (t_len * batch, width))
+
+    @property
+    def decoder(self) -> tuple:
+        """(weight, bias, transpose_b) of the tied or untied projection from
+        output rows to logits, as `affine` takes them."""
         if self.w_out is None:
-            return affine(flat, self.embedding, self.b_out, transpose_b=True)
-        return affine(flat, self.w_out, self.b_out)
+            return self.embedding, self.b_out, True
+        return self.w_out, self.b_out, False
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:

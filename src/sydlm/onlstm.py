@@ -247,7 +247,7 @@ class OnLstmLM(LanguageModel):
                 sup_h, sup_pre = h, pre
             x = h if mid_mask is None else h * mid_mask
 
-        logits = self.decode(x, rng, train_cfg)
+        tops = self.output_rows(x, rng, train_cfg)
         d_syd = None
         if split_head:
             d_syd = syd_head(rows(sup_pre), self.w_s, self.b_s)
@@ -255,4 +255,4 @@ class OnLstmLM(LanguageModel):
             d_syd = d_lm[sup]
         elif cfg.supervision_mode == "vanilla-multitask":
             d_syd = feed_forward(rows(sup_h), self.w_v1, self.b_v1, self.w_v2)
-        return ForwardOut(logits=logits, d_lm=d_lm, d_syd=d_syd, state=new_state)
+        return ForwardOut(tops=tops, decoder=self.decoder, d_lm=d_lm, d_syd=d_syd, state=new_state)

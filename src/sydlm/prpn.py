@@ -250,7 +250,8 @@ class PrpnLM(LanguageModel):
                 raise ad.NumericError("non-finite hidden state at step %d" % t)
             top_states.append(h)
 
-        logits = self.decode(window(top_states), rng, train_cfg)
+        tops = self.output_rows(window(top_states), rng, train_cfg)
         d_lm_flat = ad.reshape(d_all, (t_len * batch,))
         d_syd_flat = ad.reshape(d_syd_all, (t_len * batch,)) if d_syd_all is not None else None
-        return ForwardOut(logits=logits, d_lm=[d_lm_flat], d_syd=d_syd_flat, state=new_state)
+        return ForwardOut(tops=tops, decoder=self.decoder, d_lm=[d_lm_flat], d_syd=d_syd_flat,
+                          state=new_state)

@@ -22,6 +22,7 @@ from .autodiff import Tensor
 from .config import TrainConfig
 from .corpus import Corpus, Vocab
 from .distance import tree_to_distances
+from .models import ForwardOut, affine
 from .trees import random_binary_tree
 
 
@@ -29,14 +30,31 @@ from .trees import random_binary_tree
 # Losses
 # ---------------------------------------------------------------------------
 
-def lm_loss(logits: Tensor, targets: np.ndarray, weights: np.ndarray) -> Tensor:
-    """Weighted mean cross entropy per predicted token, in nats."""
-    ce = ad.cross_entropy_logits(logits, targets)
+# The logits of one block of rows of the LM loss take at most this many
+# bytes (at least one row): 157 rows at a vocabulary of 5000.
+LOSS_BLOCK_BYTES = 6 * 2**20
+
+
+def lm_loss(out: ForwardOut, targets: np.ndarray, weights: np.ndarray) -> Tensor:
+    """Weighted mean cross entropy per predicted token, in nats, of a
+    forward's output `out`.  Its rows are decoded and scored in blocks of
+    LOSS_BLOCK_BYTES of logits: each block is the projection, the cross
+    entropy and the sum of its weighted rows, and the blocks' sums are
+    added, so a step never holds every row's logits at once.  One block is
+    `out.tops` itself, unsliced."""
     w = np.asarray(weights, dtype=np.float64)
     total = w.sum()
     if total <= 0:
         raise ValueError("lm_loss: no weighted targets")
-    return ad.tsum(ce * Tensor(w)) * (1.0 / total)
+    n = out.tops.shape[0]
+    rows = max(1, LOSS_BLOCK_BYTES // (8 * out.decoder[1].shape[0]))  # the bias is (V,)
+    loss = None
+    for lo in range(0, n, rows):
+        block = out.tops if rows >= n else out.tops[lo : lo + rows]
+        ce = ad.cross_entropy_logits(affine(block, *out.decoder), targets[lo : lo + rows])
+        part = ad.tsum(ce * Tensor(w[lo : lo + rows]))
+        loss = part if loss is None else loss + part
+    return loss * (1.0 / total)
 
 
 @functools.cache
@@ -336,8 +354,7 @@ def train(model, corpus: Corpus, config: TrainConfig, valid_corpus: Optional[Cor
                     out = model.forward(batch.inputs, state, rng=rng, train_cfg=config)
                 except ad.NumericError as exc:
                     raise ad.NumericError("epoch %d step %d: %s" % (epoch, step, exc))
-                l_lm = lm_loss(out.logits, batch.targets.reshape(-1),
-                               batch.target_weight.reshape(-1))
+                l_lm = lm_loss(out, batch.targets.reshape(-1), batch.target_weight.reshape(-1))
                 l_syd = None
                 if supervised and (batch.sent_id >= 0).any():
                     l_syd = ranking_loss(out.d_syd, batch.gold_d.reshape(-1),
@@ -346,7 +363,7 @@ def train(model, corpus: Corpus, config: TrainConfig, valid_corpus: Optional[Cor
                 if not np.isfinite(loss.data):
                     raise ad.NumericError("non-finite loss at epoch %d step %d" % (epoch, step))
                 state = out.state
-                del out  # no bwd reads the logits, so they die before the sweep
+                del out  # so the output rows die once the loss's blocks are swept
                 ad.backward(loss)
             lm_sum += float(l_lm.data)
             lm_n += 1

@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 
 class TreebankError(ValueError):
@@ -48,23 +48,6 @@ class Tree:
 
     def n_leaves(self) -> int:
         return len(self.leaves())
-
-    def iter_nodes(self) -> Iterator["Tree"]:
-        """Every node in preorder: a parent, then its children's subtrees in
-        order."""
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(reversed(node.children))
-
-    def depth(self) -> int:
-        """Maximum root-to-leaf edge count."""
-        return fold(self, lambda node, depths: max(depths) + 1 if depths else 0)
-
-    def shape(self):
-        """Nested-tuple skeleton, ignoring labels and tokens."""
-        return fold(self, lambda node, shapes: tuple(shapes) if shapes else 0)
 
     def __repr__(self) -> str:
         return "Tree(%s)" % render_bracketed(self)

@@ -1,6 +1,7 @@
 """Shared fixtures: a small right-skewed PCFG for synthetic treebanks, the
-recursive tree walks the iterative ones replaced, kept as references, and
-the arrays a tape's backward closures hold."""
+tree views only tests read, the recursive tree walks the iterative ones
+replaced, kept as references, and the arrays a tape's backward closures
+hold."""
 
 import contextlib
 import random
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 
 from sydlm.corpus import PreprocessRules, preprocess_corpus
-from sydlm.trees import Tree
+from sydlm import evaluation
+from sydlm.trees import Tree, constituents, fold
 
 # expansion rules: nonterminal -> [(probability, rhs symbols)]
 RULES = {
@@ -104,6 +106,48 @@ def tiny_corpus():
 @pytest.fixture(scope="session")
 def tiny_corpus_sepsent():
     return pcfg_corpus(24, seed=11, mode="sepsent")
+
+
+# ---------------------------------------------------------------------------
+# Tree views that only tests read, over `fold` and `constituents`
+# ---------------------------------------------------------------------------
+
+def iter_nodes(tree):
+    """Every node in preorder: a parent, then its children's subtrees in
+    order."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.children))
+
+
+def tree_depth(tree) -> int:
+    """Maximum root-to-leaf edge count."""
+    return fold(tree, lambda node, depths: max(depths) + 1 if depths else 0)
+
+
+def tree_shape(tree):
+    """Nested-tuple skeleton, ignoring labels and tokens."""
+    return fold(tree, lambda node, shapes: tuple(shapes) if shapes else 0)
+
+
+def spans_of(tree, include_root: bool = False) -> set:
+    """(start, end) half-open spans of internal nodes, single-word spans
+    dropped; the whole-sentence span only with include_root."""
+    return evaluation._spans(constituents(tree), include_root)
+
+
+def labeled_spans(tree) -> list:
+    """(label, start, end) for internal nodes of width >= 2, root included."""
+    return [(node.label, s, e) for node, s, e, _height in constituents(tree) if e - s >= 2]
+
+
+def accuracy_by_height(pred_trees, gold_trees) -> dict:
+    """height -> (correct, total) over predicted internal nodes, the
+    whole-sentence node excluded; a node is correct when its span is a gold
+    constituent."""
+    return evaluation._accuracy_by_height(evaluation._rows(pred_trees), evaluation._rows(gold_trees))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from sydlm.prpn import PrpnLM
 from sydlm.training import ranking_loss, train
 from sydlm.trees import enumerate_binary_shapes, left_chain, random_binary_tree, render_bracketed, right_chain
 
-from conftest import pcfg_corpus, pcfg_treebank, repeated_corpus
+from conftest import pcfg_corpus, pcfg_treebank, repeated_corpus, tree_shape
 from gradcases import primitive_cases
 from test_evaluation import oracle_f1
 
@@ -43,7 +43,7 @@ def test_01_round_trip_exhaustive():
         for n in range(2, 9):
             for shape in enumerate_binary_shapes(n):
                 rebuilt = distances_to_tree_unbiased(tree_to_distances(shape), shape.tokens())
-                assert rebuilt.shape() == shape.shape()
+                assert tree_shape(rebuilt) == tree_shape(shape)
                 total += 1
         assert total == 1 + 2 + 5 + 14 + 42 + 132 + 429
         assert time.time() - t0 < 5.0
@@ -149,7 +149,7 @@ def test_03_ranking_loss_zero_set():
             words = ["w%d" % k for k in range(n_tokens)]
             got = distances_to_tree_unbiased(d_w.data, words)
             want = distances_to_tree_unbiased(gold, words)
-            assert got.shape() == want.shape(), case
+            assert tree_shape(got) == tree_shape(want), case
 
 
 def test_04_overfit_two_layer():

@@ -136,7 +136,7 @@ class TestBackward:
             before = live_nodes()
             with Tape() as tape:
                 out = model.forward(ids[:-1])
-                loss = (lm_loss(out.logits, ids[1:].reshape(-1), np.ones(35 * 20))
+                loss = (lm_loss(out, ids[1:].reshape(-1), np.ones(35 * 20))
                         + ranking_loss(out.d_syd, gold, np.arange(35 * 20) % 20))
                 backward(loss)
             recorded = len(tape)
@@ -152,7 +152,10 @@ def dense_backward(tape, loss):
     """Reference sweep: every adjoint is a full array summed out of place,
     a getitem's (key, dy) becomes a zero array of its parent's shape, and
     matmul's weight factors are multiplied out at once, one product per
-    read.  Returns {leaf: gradient} without touching .grad."""
+    read.  Returns {leaf: gradient} without touching .grad.  It calls each
+    bwd and leaves it in place, but a bwd runs once (cross_entropy_logits'
+    divides its exponent in place), so a tape it sweeps is swept no more:
+    a test compares it with backward's sweep of a second, equal tape."""
     grads = {loss.tracked: np.ones_like(loss.data)}
     for node in reversed(tape.nodes):
         dy = grads.pop(node, None)
@@ -190,6 +193,14 @@ def matmul_reads(tape) -> dict:
     return reads
 
 
+def owned_backward(tape, loss) -> dict:
+    """backward's sweep of the tape; returns its matmul_reads, taken first,
+    since the sweep releases the bwds they are read from."""
+    reads = matmul_reads(tape)
+    backward(loss)
+    return reads
+
+
 def assert_matches_dense(model, reads, ref):
     """A weight that several matmuls read (``reads``, from ``matmul_reads``
     before the sweep) sums their products in one stacked GEMM, in another
@@ -223,18 +234,20 @@ class TestOwnedSweep:
         monkeypatch.setattr(ad, "FLUSH_ROWS", 4)
         cfg = ModelConfig(vocab_size=12, embedding_size=8, **kind)
         model = build_model(cfg, seed=1)
-        rng = np.random.default_rng(0)
-        ids = rng.integers(0, 12, size=(steps + 1, 2))
-        with Tape() as tape:
-            out = model.forward(ids[:-1], None, rng=rng, train_cfg=TrainConfig(model=cfg))
-            d_w = out.d_syd if out.d_syd is not None else out.d_lm[0]
-            n = 2 * steps
-            loss = (lm_loss(out.logits, ids[1:].reshape(-1), np.ones(n))
-                    + ranking_loss(d_w, rng.normal(size=n), np.zeros(n, dtype=np.int64)))
-            ref = dense_backward(tape, loss)
-            reads = matmul_reads(tape)
-            backward(loss)
-        return model, reads, ref
+
+        def step(sweep):  # one equally seeded tape per sweep
+            rng = np.random.default_rng(0)
+            ids = rng.integers(0, 12, size=(steps + 1, 2))
+            with Tape() as tape:
+                out = model.forward(ids[:-1], None, rng=rng, train_cfg=TrainConfig(model=cfg))
+                d_w = out.d_syd if out.d_syd is not None else out.d_lm[0]
+                n = 2 * steps
+                loss = (lm_loss(out, ids[1:].reshape(-1), np.ones(n))
+                        + ranking_loss(d_w, rng.normal(size=n), np.zeros(n, dtype=np.int64)))
+                return sweep(tape, loss)
+
+        ref = step(dense_backward)
+        return model, step(owned_backward), ref
 
     @pytest.mark.parametrize("kind", MODEL_KINDS, ids=lambda k: k["model"])
     def test_model_step_matches_dense_reference(self, kind, monkeypatch):
@@ -288,20 +301,22 @@ class TestOwnedSweep:
         monkeypatch.setattr(ad, "FLUSH_ROWS", 4)
         cfg = ModelConfig(vocab_size=12, embedding_size=8, tie_embeddings=True, **kind)
         model = build_model(cfg, seed=2)
-        rng = np.random.default_rng(1)
-        ids = rng.integers(0, 12, size=(7, 2))
-        with Tape() as tape:
-            out = model.forward(ids[:-1], None, rng=rng,
-                                train_cfg=TrainConfig(model=cfg, dropout_embedding=0.0))
-            d_w = out.d_syd if out.d_syd is not None else out.d_lm[0]
-            loss = (lm_loss(out.logits, ids[1:].reshape(-1), np.ones(12))
-                    + ranking_loss(d_w, rng.normal(size=12), np.zeros(12, dtype=np.int64)))
-            assert any(n.parents[0] is model.embedding and n.bwd.__qualname__.startswith("getitem.")
-                       for n in tape.nodes)
-            ref = dense_backward(tape, loss)
-            reads = matmul_reads(tape)
-            backward(loss)
-        assert "embedding" not in assert_matches_dense(model, reads, ref)
+
+        def step(sweep):  # one equally seeded tape per sweep
+            rng = np.random.default_rng(1)
+            ids = rng.integers(0, 12, size=(7, 2))
+            with Tape() as tape:
+                out = model.forward(ids[:-1], None, rng=rng,
+                                    train_cfg=TrainConfig(model=cfg, dropout_embedding=0.0))
+                d_w = out.d_syd if out.d_syd is not None else out.d_lm[0]
+                loss = (lm_loss(out, ids[1:].reshape(-1), np.ones(12))
+                        + ranking_loss(d_w, rng.normal(size=12), np.zeros(12, dtype=np.int64)))
+                assert any(n.parents[0] is model.embedding and n.bwd.__qualname__.startswith("getitem.")
+                           for n in tape.nodes)
+                return sweep(tape, loss)
+
+        ref = step(dense_backward)
+        assert "embedding" not in assert_matches_dense(model, step(owned_backward), ref)
 
     def test_index_array_adjoint_is_summed_after_its_scatter(self):
         # x already holds a dense adjoint of 1.0 when the gather's two 1e-16
@@ -355,19 +370,24 @@ class TestTapeKeepsWhatBackwardReads:
         cfg = ModelConfig(vocab_size=12, embedding_size=8, **MODEL_KINDS[0])
         assert cfg.supervision_mode == "split-head" and cfg.chunk_factor == 2
         model = build_model(cfg, seed=1)
-        rng = np.random.default_rng(0)
         steps = 6
-        ids = rng.integers(0, 12, size=(steps + 1, 2))
-        with Tape() as tape:
-            out = model.forward(ids[:-1], None, rng=rng, train_cfg=TrainConfig(model=cfg))
-            assert len(made) == cfg.n_layers * steps
-            assert all(pre() is None for pre, _ in made)
-            assert all(f() is not None for _, f in made)
-            n = 2 * steps
-            loss = (lm_loss(out.logits, ids[1:].reshape(-1), np.ones(n))
-                    + ranking_loss(out.d_syd, rng.normal(size=n), np.zeros(n, dtype=np.int64)))
-            ref = dense_backward(tape, loss)
-            backward(loss)
+
+        def step(sweep):  # one equally seeded tape per sweep
+            made.clear()
+            rng = np.random.default_rng(0)
+            ids = rng.integers(0, 12, size=(steps + 1, 2))
+            with Tape() as tape:
+                out = model.forward(ids[:-1], None, rng=rng, train_cfg=TrainConfig(model=cfg))
+                assert len(made) == cfg.n_layers * steps
+                assert all(pre() is None for pre, _ in made)
+                assert all(f() is not None for _, f in made)
+                n = 2 * steps
+                loss = (lm_loss(out, ids[1:].reshape(-1), np.ones(n))
+                        + ranking_loss(out.d_syd, rng.normal(size=n), np.zeros(n, dtype=np.int64)))
+                return sweep(tape, loss)
+
+        ref = step(dense_backward)
+        step(owned_backward)
         assert ref.keys() == set(model.params.values())
         for name, p in model.params.items():
             assert p.grad.tobytes() == ref[p].tobytes(), name
@@ -394,7 +414,7 @@ class TestSweepReleasesClosures:
         ids = rng.integers(0, 12, size=(7, 2))
         with Tape() as tape:
             out = model.forward(ids[:-1], None, rng=rng, train_cfg=TrainConfig(model=cfg))
-            loss = (lm_loss(out.logits, ids[1:].reshape(-1), np.ones(12))
+            loss = (lm_loss(out, ids[1:].reshape(-1), np.ones(12))
                     + ranking_loss(out.d_syd, rng.normal(size=12), np.zeros(12, dtype=np.int64)))
             (ce,) = [n for n in tape.nodes if n.bwd.__qualname__.startswith("cross_entropy_logits.")]
             z = weakref.ref(closure_value(ce.bwd, "z"))

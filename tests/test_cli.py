@@ -460,13 +460,13 @@ def _small_model(corpus_path, **model_kw):
     return build_model(cfg.model, seed=0), cfg
 
 
-def _zero_checkpoint(tmp_path, corpus_path, **model_kw):
+def _zero_checkpoint(tmp_path, corpus_path, tree_source="gold", **model_kw):
     """Checkpoint of an all-zero ON-LSTM sized to the corpus vocabulary."""
     corpus = Corpus.load(str(corpus_path))
     fields = dict(vocab_size=len(corpus.vocab), model="onlstm-syd", n_layers=1,
                   embedding_size=4, hidden_size=4, supervision_layer=1)
     fields.update(model_kw)
-    cfg = TrainConfig(model=ModelConfig(**fields))
+    cfg = TrainConfig(model=ModelConfig(**fields), tree_source=tree_source)
     model = OnLstmLM(cfg.model, seed=0)
     for p in model.params.values():
         p.data[:] = 0.0
@@ -571,7 +571,7 @@ class TestEvalOptions:
         payload = json.loads(corpus_path.read_text())
         payload["gold_trees_nary"] = [None]
         corpus_path.write_text(json.dumps(payload))
-        ckpt = _zero_checkpoint(tmp_path, corpus_path, supervision_mode="none")
+        ckpt = _zero_checkpoint(tmp_path, corpus_path, tree_source="none", supervision_mode="none")
         capsys.readouterr()
         metrics = tmp_path / "m.json"
         args = ["eval", "--checkpoint", str(ckpt), "--corpus", str(corpus_path), "--out", str(metrics)]
@@ -929,6 +929,29 @@ class TestMalformedInputs:
         # json.dumps writes inf as Infinity, as headers written before strict JSON hold it
         bad = _header_only(tmp_path / "config.bin", json.dumps(header).encode())
         assert needle in self._checkpoint_error(bad, corpus_path, capsys)
+
+    @pytest.mark.parametrize("section,changes,needle", [
+        ("config", {"lr": 0}, "lr must be positive, got 0"),
+        ("config", {"dropout_output": 1e9}, "dropout_output must be in [0, 1)"),
+        ("model", {"supervision_mode": "none"},
+         "supervision_mode none requires tree_source none and vice versa"),
+    ], ids=["zero-lr", "huge-dropout", "unsupervised-with-gold-trees"])
+    def test_header_train_would_reject_names_the_checkpoint(self, tmp_path, zero_eval, capsys,
+                                                            section, changes, needle):
+        # a complete checkpoint, whose model eval could build and score
+        corpus_path, ckpt = zero_eval
+        header, params = ad.load_checkpoint(str(ckpt))
+        (header["config"] if section == "config" else header["config"]["model"]).update(changes)
+        if changes.get("supervision_mode") == "none":
+            del params["W_s"], params["b_s"]
+        bad = tmp_path / "rejected.bin"
+        ad.save_checkpoint(str(bad), params, header=header)
+        metrics = tmp_path / "m.json"
+        assert main(["eval", "--checkpoint", str(bad), "--corpus", str(corpus_path), "--trees", "lm",
+                     "--out", str(metrics)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: %s: " % bad) and err.count("\n") == 1
+        assert needle in err and not metrics.exists()
 
     def test_eval_corpus_with_other_vocab_of_the_same_size(self, tmp_path, capsys):
         paths = {}

@@ -19,6 +19,8 @@ from sydlm.trees import (
     render_bracketed,
 )
 
+from conftest import tree_shape
+
 
 def tree_of(text):
     return binarize_right(parse_bracketed(text, clean=False)[0])
@@ -72,7 +74,7 @@ class TestUnbiasedRecovery:
             for shape in enumerate_binary_shapes(n):
                 seq = tree_to_distances(shape)
                 rebuilt = distances_to_tree_unbiased(seq, shape.tokens())
-                assert rebuilt.shape() == shape.shape()
+                assert tree_shape(rebuilt) == tree_shape(shape)
 
     def test_order_invariance(self):
         rng = np.random.default_rng(0)
@@ -82,7 +84,7 @@ class TestUnbiasedRecovery:
             words = ["w%d" % i for i in range(n)]
             base = distances_to_tree_unbiased(vals, words)
             for fn in (lambda v: 2 * v + 1, np.exp, lambda v: v**3):
-                assert distances_to_tree_unbiased(fn(vals), words).shape() == base.shape()
+                assert tree_shape(distances_to_tree_unbiased(fn(vals), words)) == tree_shape(base)
 
     def test_heights_recomputed(self):
         # heights are those of the recovered tree ((a (b c)) d), not the distances
@@ -112,7 +114,7 @@ class TestBiasedRecovery:
         words = list("abcde")
         b = distances_to_tree_biased(vals, words)
         u = distances_to_tree_unbiased(vals, words)
-        assert b.shape() == u.shape()
+        assert tree_shape(b) == tree_shape(u)
 
     def test_differs_from_unbiased_on_flat_input(self):
         words = list("abcd")

@@ -4,16 +4,13 @@ import pytest
 from sydlm.config import ModelConfig
 from sydlm.corpus import PreprocessRules, preprocess_corpus
 from sydlm.evaluation import (
-    accuracy_by_height,
     depth_and_ratio,
     induce_trees,
-    labeled_spans,
     per_tag_accuracy,
     perplexity,
     render_parallel,
     resolve_layer,
     sentence_distances,
-    spans_of,
     structure_report,
     unlabeled_f1,
 )
@@ -28,7 +25,7 @@ from sydlm.trees import (
     right_chain,
 )
 
-from conftest import pcfg_corpus, pcfg_treebank
+from conftest import accuracy_by_height, iter_nodes, labeled_spans, pcfg_corpus, pcfg_treebank, spans_of, tree_depth
 
 
 # -- independent span oracle over nested lists --------------------------------
@@ -275,8 +272,8 @@ class TestDepthAndRatio:
         balanced = parse_bracketed(
             "(X (X (X (X a) (X b)) (X (X c) (X d))) (X (X (X e) (X f)) (X (X g) (X h))))",
             clean=False)[0]
-        assert balanced.depth() == 3  # ceil(log2 8)
-        assert tree.depth() >= 3
+        assert tree_depth(balanced) == 3  # ceil(log2 8)
+        assert tree_depth(tree) >= 3
 
 
 class TestDeepTrees:
@@ -324,7 +321,7 @@ class TestAccuracyByHeight:
         hist = accuracy_by_height(preds, golds)
         total = sum(t for _, t in hist.values())
         expected = sum(
-            sum(1 for node in p.iter_nodes() if not node.is_leaf) - 1
+            sum(1 for node in iter_nodes(p) if not node.is_leaf) - 1
             for p in preds)
         assert total == expected
 

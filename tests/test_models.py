@@ -14,7 +14,8 @@ from sydlm import autodiff as ad
 from sydlm import build_model
 from sydlm.autodiff import Tensor, grad_check
 from sydlm.config import ModelConfig, TrainConfig
-from sydlm.models import feed_forward
+from sydlm.training import lm_loss
+from sydlm.models import affine, feed_forward
 
 ONLSTM_LAYERS = ["layer0.W", "layer0.b", "layer1.W", "layer1.b"]
 ONLSTM_HEADS = {
@@ -63,13 +64,15 @@ def test_decode_locks_one_output_mask_over_the_window(tied):
     t_len, batch, width = 5, 3, cfg.layer_hidden(1)
     tops = rng.normal(size=(t_len, batch, width))
     train_cfg = TrainConfig(model=cfg, dropout_output=0.5)
-    logits = model.decode(Tensor(tops), np.random.default_rng(3), train_cfg)
+    rows = model.output_rows(Tensor(tops), np.random.default_rng(3), train_cfg)
+    logits = affine(rows, *model.decoder)
 
     # every step times the same (B, H) mask, drawn from an equally seeded generator
     mask = (np.random.default_rng(3).random((batch, width)) >= 0.5) / 0.5
     assert (mask == 0).any() and (mask != 0).any()
     proj = model.embedding.data.T if tied else model.w_out.data
     ref = np.concatenate([(tops[t] * mask) @ proj + model.b_out.data for t in range(t_len)])
+    assert rows.shape == (t_len * batch, width)
     assert logits.shape == (t_len * batch, 9)
     np.testing.assert_allclose(logits.data, ref, rtol=1e-12, atol=1e-12)
 
@@ -140,9 +143,10 @@ def test_no_product_outlives_its_sum(kind, monkeypatch):
     monkeypatch.setattr(ad, "_apply", watching)
     with ad.Tape() as tape:
         out = model.forward(ids, None, rng=rng, train_cfg=TrainConfig(model=cfg))
+        loss = lm_loss(out, rng.integers(0, 12, size=2 * T_LEN), np.ones(2 * T_LEN))  # the decoder's affine
         nodes = list(tape.nodes)
-    # out holds the forward's outputs, the logits among them, during the check
-    assert out.logits.shape == (2 * T_LEN, 12)
+    # out and loss hold the step's outputs, the output rows among them, during the check
+    assert out.tops.shape == (2 * T_LEN, 8) and loss.shape == ()
     made = {n: node_kind(n) for n in nodes}
     reads = Counter(p for n in nodes for p in n.parents)
     products = [n.parents[0] for n in nodes

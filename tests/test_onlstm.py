@@ -12,7 +12,7 @@ from sydlm.onlstm import OnLstmLM, extract_distance, onlstm_layer, onlstm_step, 
 from sydlm.training import bptt_batches, lm_loss
 from sydlm.trees import parse_bracketed
 
-from conftest import bwd_arrays, root
+from conftest import bwd_arrays, root, tree_shape
 
 
 def make_step_inputs(hidden, chunk, in_dim=5, batch=2, seed=0, bias_override=None):
@@ -256,7 +256,7 @@ class TestOrderingComposition:
         words = list("abcde")
         tree = distances_to_tree_unbiased(d, words)
         ranks = np.argsort(np.argsort(d)) + 1.0
-        assert distances_to_tree_unbiased(ranks, words).shape() == tree.shape()
+        assert tree_shape(distances_to_tree_unbiased(ranks, words)) == tree_shape(tree)
         # highest distance (slot 3) is the top split
         assert tree.children[0].n_leaves() == 4
 
@@ -377,8 +377,7 @@ class TestToyOverfit:
                     state = None
                 with Tape():
                     out = model.forward(batch.inputs, state)
-                    loss = lm_loss(out.logits, batch.targets.reshape(-1),
-                                   batch.target_weight.reshape(-1))
+                    loss = lm_loss(out, batch.targets.reshape(-1), batch.target_weight.reshape(-1))
                     backward(loss)
                 norm = np.sqrt(sum(float((p.grad ** 2).sum()) for p in params if p.grad is not None))
                 coef = min(1.0, clip / norm) if norm > clip else 1.0

@@ -74,7 +74,7 @@ try:
         with ad.Tape():
             out = model.forward(ids[:-1], None, rng=rng, train_cfg=TrainConfig(model=cfg))
             d_w = out.d_syd if out.d_syd is not None else out.d_lm[0]
-            loss = (training.lm_loss(out.logits, ids[1:].reshape(-1), np.ones(12))
+            loss = (training.lm_loss(out, ids[1:].reshape(-1), np.ones(12))
                     + training.ranking_loss(d_w, rng.normal(size=12), np.zeros(12, dtype=np.int64)))
             ad.backward(loss)
         assert all(p.grad is not None for p in model.params.values()), cfg.model

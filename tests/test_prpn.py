@@ -7,7 +7,7 @@ import pytest
 from sydlm import autodiff as ad
 from sydlm.autodiff import Tape, Tensor, backward, grad_check
 from sydlm.config import ConfigError, ModelConfig, TrainConfig
-from sydlm.models import window
+from sydlm.models import ForwardOut, window
 from sydlm.prpn import (PrpnLM, gated_attention, lstm_cell, parsing_gates, prpn_distances,
                         relatedness_alpha, window_gates)
 from sydlm.training import _pair_agreement, lm_loss, ranking_loss
@@ -266,7 +266,8 @@ class TestSydEncoder:
 def per_step_forward(model, inputs, rng=None, train_cfg=None):
     """The reading loop with parsing gates built at every step and attention
     reads as elementwise products and sums, as PrpnLM.forward ran before it
-    computed the gates once per window.  Returns (logits, d_lm, d_syd)."""
+    computed the gates once per window.  Returns (output, d_lm, d_syd), the
+    output a ForwardOut holding the rows the decoder projects."""
     cfg = model.config
     t_len, batch = inputs.shape
     rh = model.read_hidden
@@ -296,9 +297,10 @@ def per_step_forward(model, inputs, rng=None, train_cfg=None):
         mem_h.append(ad.reshape(h, (batch, 1, rh)))
         mem_c.append(ad.reshape(c, (batch, 1, rh)))
         tops.append(h)
-    logits = model.decode(window(tops), rng, train_cfg)
+    rows = model.output_rows(window(tops), rng, train_cfg)
     d_syd = None if d_syd is None else ad.reshape(d_syd, (t_len * batch,))
-    return logits, ad.reshape(d_all, (t_len * batch,)), d_syd
+    d_all = ad.reshape(d_all, (t_len * batch,))
+    return ForwardOut(rows, model.decoder, [d_all], d_syd, None), d_all, d_syd
 
 
 def taped_step(model, inputs, forward):
@@ -309,17 +311,17 @@ def taped_step(model, inputs, forward):
     cfg = TrainConfig(model=model.config)
     model.zero_grad()
     with Tape():
-        logits, d_lm, d_syd = forward(model, inputs[:-1], np.random.default_rng(6), cfg)
-        loss = lm_loss(logits, inputs[1:].reshape(-1), np.ones(mix.size)) + ad.tsum(d_lm * Tensor(mix))
+        out, d_lm, d_syd = forward(model, inputs[:-1], np.random.default_rng(6), cfg)
+        loss = lm_loss(out, inputs[1:].reshape(-1), np.ones(mix.size)) + ad.tsum(d_lm * Tensor(mix))
         if d_syd is not None:
             loss = loss + ad.tsum(d_syd * Tensor(mix[::-1].copy()))
         backward(loss)
-    return logits.data, {name: p.grad for name, p in model.params.items()}
+    return out.logits.data, {name: p.grad for name, p in model.params.items()}
 
 
 def model_forward(model, inputs, rng, train_cfg):
     out = model.forward(inputs, None, rng=rng, train_cfg=train_cfg)
-    return out.logits, out.d_lm[0], out.d_syd
+    return out, out.d_lm[0], out.d_syd
 
 
 class TestReadLoop:
@@ -351,8 +353,8 @@ class TestReadLoop:
             model = encoder_model(seed=15)
             inputs = np.random.default_rng(9).integers(0, 11, size=(t_len + 1, 2))
             with Tape() as tape:
-                logits, d_lm, d_syd = model_forward(model, inputs[:-1], None, None)
-                backward(lm_loss(logits, inputs[1:].reshape(-1), np.ones(2 * t_len))
+                out, d_lm, d_syd = model_forward(model, inputs[:-1], None, None)
+                backward(lm_loss(out, inputs[1:].reshape(-1), np.ones(2 * t_len))
                          + ad.tsum(d_syd) + ad.tsum(d_lm))
             return len(tape)
 

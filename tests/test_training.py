@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from sydlm import autodiff as ad
-from sydlm import build_model
+from sydlm import build_model, training
 from sydlm.autodiff import Tape, Tensor, backward
 from sydlm.config import ConfigError, ModelConfig, TrainConfig
 from sydlm.corpus import PreprocessRules, Vocab, preprocess_corpus
 from sydlm.distance import distances_to_tree_unbiased
 from sydlm.evaluation import perplexity
+from sydlm.models import ForwardOut
 from sydlm.onlstm import OnLstmLM
 from sydlm.training import (
     Batch,
@@ -28,19 +29,25 @@ from sydlm.training import (
 )
 from sydlm.trees import parse_bracketed
 
-from conftest import pcfg_corpus, pcfg_treebank
+from conftest import bwd_arrays, pcfg_corpus, pcfg_treebank, root, tree_shape
+
+
+def decoding_to(logits: np.ndarray) -> ForwardOut:
+    """A forward output whose rows decode to exactly `logits`: the rows are
+    the logits, projected by the identity with a zero bias."""
+    v = logits.shape[1]
+    return ForwardOut(Tensor(logits), (Tensor(np.eye(v)), Tensor(np.zeros(v)), False), [], None, None)
 
 
 class TestLmLoss:
     def test_uniform_logits(self):
-        logits = Tensor(np.zeros((5, 3)))
-        loss = lm_loss(logits, np.array([0, 1, 2, 0, 1]), np.ones(5))
+        loss = lm_loss(decoding_to(np.zeros((5, 3))), np.array([0, 1, 2, 0, 1]), np.ones(5))
         assert np.isclose(float(loss.data), np.log(3.0))
 
     def test_saturated_correct(self):
         logits = np.full((4, 3), -50.0)
         logits[np.arange(4), [2, 1, 0, 2]] = 50.0
-        loss = lm_loss(Tensor(logits), np.array([2, 1, 0, 2]), np.ones(4))
+        loss = lm_loss(decoding_to(logits), np.array([2, 1, 0, 2]), np.ones(4))
         assert float(loss.data) < 1e-8
 
     def test_hand_two_token_case(self):
@@ -50,12 +57,83 @@ class TestLmLoss:
             -np.log(np.exp(1.0) / (np.exp(1.0) + np.exp(0.0))),
             -np.log(np.exp(2.0) / (np.exp(0.5) + np.exp(2.0))),
         ])
-        assert np.isclose(float(lm_loss(Tensor(logits), targets, np.ones(2)).data), expect)
+        assert np.isclose(float(lm_loss(decoding_to(logits), targets, np.ones(2)).data), expect)
 
     def test_weighted_mask(self):
-        logits = Tensor(np.zeros((4, 2)))
-        loss = lm_loss(logits, np.array([0, 1, 0, 1]), weights=np.array([1.0, 1.0, 0.0, 0.0]))
+        loss = lm_loss(decoding_to(np.zeros((4, 2))), np.array([0, 1, 0, 1]),
+                       weights=np.array([1.0, 1.0, 0.0, 0.0]))
         assert np.isclose(float(loss.data), np.log(2.0))
+
+
+BLOCKED_KINDS = {
+    "onlstm-syd/tied": dict(model="onlstm-syd", n_layers=2, supervision_layer=2),
+    "onlstm-syd/untied": dict(model="onlstm-syd", n_layers=2, supervision_layer=2, tie_embeddings=False),
+    "prpn-syd": dict(model="prpn-syd", n_layers=1, supervision_layer=1, prpn_ff_hidden=8),
+}
+
+
+def kind_of(node) -> str:
+    return node.bwd.__qualname__.split(".", 1)[0]
+
+
+def lm_step(fields, corpus, loss_fn=lm_loss):
+    """(loss, {name: gradient}, node kinds) of one taped step of the LM loss
+    `loss_fn` on the first batch of `corpus`, output dropout on."""
+    model_cfg = ModelConfig(vocab_size=len(corpus.vocab), embedding_size=8, hidden_size=8, **fields)
+    cfg = TrainConfig(model=model_cfg, batch_size=4, bptt_length=10, dropout_output=0.3)
+    model = build_model(model_cfg, seed=3)
+    batch = next(bptt_batches(corpus, cfg.batch_size, cfg.bptt_length, "none"))
+    with Tape() as tape:
+        out = model.forward(batch.inputs, None, rng=np.random.default_rng(4), train_cfg=cfg)
+        loss = loss_fn(out, batch.targets.reshape(-1), batch.target_weight.reshape(-1))
+        kinds = [kind_of(n) for n in tape.nodes]
+        backward(loss)
+    return loss.data, {name: p.grad for name, p in model.params.items()}, kinds
+
+
+class TestBlockedLoss:
+    """lm_loss decodes and scores its rows in blocks of LOSS_BLOCK_BYTES of
+    logits.  Many blocks give one block's loss and gradients up to the
+    order of their sums; one block is the whole-matrix composition."""
+
+    CASES = [(name, fields, "concat") for name, fields in BLOCKED_KINDS.items()] + [
+        ("onlstm-syd/tied/sepsent", BLOCKED_KINDS["onlstm-syd/tied"], "sepsent")]
+
+    @pytest.mark.parametrize("name, fields, mode", CASES, ids=[c[0] for c in CASES])
+    def test_many_ragged_blocks_match_one_block(self, tiny_corpus, tiny_corpus_sepsent, monkeypatch,
+                                                name, fields, mode):
+        corpus = tiny_corpus if mode == "concat" else tiny_corpus_sepsent
+        batch = next(bptt_batches(corpus, 4, 10, "none"))
+        n, v = batch.targets.size, len(corpus.vocab)
+        assert (batch.target_weight == 0).any() == (mode == "sepsent")
+        loss_1, grads_1, kinds_1 = lm_step(fields, corpus)
+        assert kinds_1.count("cross_entropy_logits") == 1
+        # rows = (n - 1) // 3 per block: three full blocks and a ragged fourth,
+        # the budget one byte short of a block of rows + 1
+        rows = (n - 1) // 3
+        monkeypatch.setattr(training, "LOSS_BLOCK_BYTES", 8 * v * (rows + 1) - 1)
+        loss_k, grads_k, kinds_k = lm_step(fields, corpus)
+        assert kinds_k.count("cross_entropy_logits") == 4 and 1 <= n - 3 * rows < rows
+        assert abs(loss_k - loss_1) <= 1e-13 * abs(loss_1)
+        assert grads_k.keys() == grads_1.keys()
+        for key, ref in grads_1.items():
+            assert (grads_k[key] is None) == (ref is None), key
+            if ref is not None:
+                assert np.linalg.norm(grads_k[key] - ref) <= 1e-12 * np.linalg.norm(ref), key
+
+    @pytest.mark.parametrize("fields", BLOCKED_KINDS.values(), ids=BLOCKED_KINDS.keys())
+    def test_one_block_is_the_whole_matrix_composition(self, tiny_corpus, fields):
+        def whole(out, targets, weights):  # every row's logits, their cross entropy, one sum
+            w = np.asarray(weights, dtype=np.float64)
+            return ad.tsum(ad.cross_entropy_logits(out.logits, targets) * Tensor(w)) * (1.0 / w.sum())
+
+        loss, grads, kinds = lm_step(fields, tiny_corpus)
+        ref_loss, ref_grads, ref_kinds = lm_step(fields, tiny_corpus, whole)
+        assert kinds == ref_kinds
+        assert loss.tobytes() == ref_loss.tobytes()
+        for name, ref in ref_grads.items():
+            assert (grads[name] is None) == (ref is None), name
+            assert ref is None or grads[name].tobytes() == ref.tobytes(), name
 
 
 class TestRankingLoss:
@@ -412,27 +490,29 @@ class TestTrain:
     @pytest.mark.parametrize("family", [
         dict(model="onlstm-syd"), dict(model="prpn-syd", prpn_ff_hidden=8),
     ], ids=lambda f: f["model"])
-    def test_logits_die_before_the_sweep(self, tiny_corpus, monkeypatch, family):
-        # no bwd reads the logits, so train drops the forward's output first
+    def test_no_closure_holds_every_rows_logits(self, tiny_corpus, monkeypatch, family):
+        # with blocks of 13 rows, a window of 40 rows decodes in four blocks
+        # and the last window's 24 rows in two; no array the tape keeps, nor
+        # the array a view of it belongs to, holds more rows' logits than a block
         cfg = train_config(tiny_corpus, epochs=1, dropout_output=0.2)
         cfg.model = dataclasses.replace(cfg.model, **family)
+        v = cfg.model.vocab_size
+        monkeypatch.setattr(training, "LOSS_BLOCK_BYTES", 8 * v * 13)
         model = build_model(cfg.model, seed=cfg.seed)
-        logits, dead_at_sweep = [], []
-        forward, sweep = type(model).forward, ad.backward
-
-        def keeping_a_weakref(self, *args, **kwargs):
-            out = forward(self, *args, **kwargs)
-            logits[:] = [weakref.ref(out.logits.data)]
-            return out
+        params = {id(p.data) for p in model.params.values()}
+        blocks, logit_rows, sweep = [], [], ad.backward
 
         def checked(loss):
-            dead_at_sweep.append(logits[0]() is None)
+            tape = ad.active_tape()
+            blocks.append(sum(kind_of(n) == "cross_entropy_logits" for n in tape.nodes))
+            logit_rows.extend(root(a).shape[0] for _, a in bwd_arrays(tape)
+                              if root(a).shape[-1:] == (v,) and id(root(a)) not in params)
             return sweep(loss)
 
-        monkeypatch.setattr(type(model), "forward", keeping_a_weakref)
         monkeypatch.setattr(ad, "backward", checked)
         train(model, tiny_corpus, cfg)
-        assert len(dead_at_sweep) > 1 and all(dead_at_sweep)
+        assert len(blocks) > 1 and min(blocks) >= 2 and max(blocks) == 4
+        assert logit_rows and max(logit_rows) == 13
 
     def test_validation_pass_gives_both_views(self, tiny_corpus):
         cfg = train_config(tiny_corpus)
@@ -502,8 +582,8 @@ class TestOptimizedTreeEquality:
                     backward(loss)
                 d_w.data -= 1.0 * d_w.grad
             words = ["w%d" % k for k in range(n + 1)]
-            assert (distances_to_tree_unbiased(d_w.data, words).shape()
-                    == distances_to_tree_unbiased(gold, words).shape())
+            assert (tree_shape(distances_to_tree_unbiased(d_w.data, words))
+                    == tree_shape(distances_to_tree_unbiased(gold, words)))
 
 
 # the seven configurations of tools/trajectory_digest.py
@@ -534,7 +614,7 @@ class TestEveryParameterTrains:
         assert (batch.sent_id >= 0).any() == supervised
         with Tape():
             out = model.forward(batch.inputs, None, rng=np.random.default_rng(cfg.seed), train_cfg=cfg)
-            l_lm = lm_loss(out.logits, batch.targets.reshape(-1), batch.target_weight.reshape(-1))
+            l_lm = lm_loss(out, batch.targets.reshape(-1), batch.target_weight.reshape(-1))
             l_syd = None
             if supervised:
                 l_syd = ranking_loss(out.d_syd, batch.gold_d.reshape(-1), batch.sent_id.reshape(-1))

@@ -35,11 +35,14 @@ from sydlm.evaluation import bracket_words
 from conftest import (
     binarize_right_recursive,
     heights_recursive,
+    iter_nodes,
     pcfg_treebank,
     random_binary_tree_recursive,
     rebuild_recursive,
     recursion_limit,
     render_bracketed_recursive,
+    tree_depth,
+    tree_shape,
     tree_to_distances_recursive,
 )
 
@@ -252,7 +255,7 @@ class TestBinarizeRight:
     def test_already_binary_keeps_shape(self):
         tree = parse_bracketed("(S (NP (DT the) (NN cat)) (VP (VBD sat) (RB down)))")[0]
         binary = binarize_right(tree)
-        assert binary.shape() == tree.shape()
+        assert tree_shape(binary) == tree_shape(tree)
         assert constituents(binary)[-1][3] == 3
 
     def test_single_leaf(self):
@@ -283,14 +286,14 @@ class TestRandomBinaryTree:
     def test_deterministic_for_fixed_seed(self):
         a = random_binary_tree(9, 42)
         b = random_binary_tree(9, 42)
-        assert a.shape() == b.shape()
-        assert a.shape() != random_binary_tree(9, 43).shape() or True  # different seed may differ
+        assert tree_shape(a) == tree_shape(b)
+        assert tree_shape(a) != tree_shape(random_binary_tree(9, 43)) or True  # different seed may differ
 
     @pytest.mark.parametrize("base_seed", [0, 10_000])
     def test_four_leaf_shape_distribution(self, base_seed):
         # brute-force simulation oracle: uniform-split recursion is not
         # Catalan-uniform, but all 5 shapes should land within [0.1, 0.35]
-        counts = Counter(random_binary_tree(4, base_seed + i).shape() for i in range(10_000))
+        counts = Counter(tree_shape(random_binary_tree(4, base_seed + i)) for i in range(10_000))
         assert len(counts) == 5
         for shape, count in counts.items():
             assert 0.1 <= count / 10_000 <= 0.35, (shape, count)
@@ -305,7 +308,7 @@ class TestChains:
     def test_right_chain_shape(self):
         tree = right_chain(list("abcd"))
         assert render_bracketed(tree) == "(X (X a) (X (X b) (X (X c) (X d))))"
-        assert tree.depth() == 3
+        assert tree_depth(tree) == 3
 
     def test_left_chain_shape(self):
         tree = left_chain(list("abcd"))
@@ -315,7 +318,7 @@ class TestChains:
         for n, catalan in [(1, 1), (2, 1), (3, 2), (4, 5), (5, 14), (6, 42)]:
             shapes = enumerate_binary_shapes(n)
             assert len(shapes) == catalan
-            assert len({t.shape() for t in shapes}) == catalan
+            assert len({tree_shape(t) for t in shapes}) == catalan
 
 
 # The recursive walks the iterative ones replaced, kept as their reference.
@@ -376,8 +379,8 @@ class TestIterativeWalks:
             assert [(id(n), s, e) for n, s, e, _h in constituents(tree)] == \
                 [(id(n), s, e) for n, s, e in constituents_recursive(tree)]
             assert row_heights(tree) == heights_recursive(tree)
-            assert [id(n) for n in tree.iter_nodes()] == [id(n) for n in iter_nodes_recursive(tree)]
-            assert tree.depth() == depth_recursive(tree)
+            assert [id(n) for n in iter_nodes(tree)] == [id(n) for n in iter_nodes_recursive(tree)]
+            assert tree_depth(tree) == depth_recursive(tree)
             assert bracket_words(tree) == bracket_words_recursive(tree) == bracket_words_fold(tree)
             assert render_bracketed(tree) == render_bracketed_recursive(tree) == render_bracketed_fold(tree)
 
@@ -387,8 +390,8 @@ class TestIterativeWalks:
         tree = chain(words)
         nodes = constituents(tree)
         assert len(nodes) == 3999 and nodes[-1] == (tree, 0, 2000, 2000)
-        assert sum(1 for _ in tree.iter_nodes()) == 3999
-        assert tree.depth() == 1999
+        assert sum(1 for _ in iter_nodes(tree)) == 3999
+        assert tree_depth(tree) == 1999
         with recursion_limit(10_000):
             assert row_heights(tree) == heights_recursive(tree)
         text = bracket_words(tree)
@@ -511,9 +514,9 @@ class TestFiveThousandDeep:
             (tree,) = parse_bracketed(text, clean=clean)
             assert render_bracketed(tree) == text == render_bracketed_fold(tree)
             assert repr(tree) == "Tree(%s)" % text
-            assert tree.n_leaves() == n and len(tree.tokens()) == n and tree.depth() == depth
-            assert isinstance(tree.shape(), tuple)
-            assert sum(1 for _ in tree.iter_nodes()) == len(constituents(tree))
+            assert tree.n_leaves() == n and len(tree.tokens()) == n and tree_depth(tree) == depth
+            assert isinstance(tree_shape(tree), tuple)
+            assert sum(1 for _ in iter_nodes(tree)) == len(constituents(tree))
             assert render_bracketed(rebuild(tree, lambda node: False, str.upper)) == text.upper()
             assert rebuild(tree, lambda node: node.is_leaf) is None
             binary = binarize_right(tree)

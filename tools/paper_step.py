@@ -106,11 +106,13 @@ def main() -> int:
         with ad.Tape() as tape:
             t0 = time.perf_counter()
             out = model.forward(ids[:-1], None, rng=rng, train_cfg=train_cfg)
-            loss = lm_loss(out.logits, ids[1:].reshape(-1), np.ones(args.bptt * BATCH))
+            # a package whose lm_loss takes logits forms them all at once
+            loss = lm_loss(out if hasattr(out, "tops") else out.logits, ids[1:].reshape(-1),
+                           np.ones(args.bptt * BATCH))
             t1 = time.perf_counter()
             by_kind = tape_bytes(tape, params)
             nodes = len(tape)
-            del out  # as training.train does: no bwd reads the logits
+            del out  # as training.train does: what no bwd reads dies before the sweep
             t2 = time.perf_counter()
             ad.backward(loss)
             t3 = time.perf_counter()

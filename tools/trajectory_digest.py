@@ -142,7 +142,9 @@ def step_gradients(sydlm, corpus, model_fields: dict) -> dict:
     batch = next(iter(bptt_batches(corpus, cfg.batch_size, cfg.bptt_length, cfg.tree_source, cfg.seed)))
     with ad.Tape():
         out = model.forward(batch.inputs, None, rng=np.random.default_rng(cfg.seed), train_cfg=cfg)
-        l_lm = lm_loss(out.logits, batch.targets.reshape(-1), batch.target_weight.reshape(-1))
+        # a package whose lm_loss takes logits forms them all at once
+        l_lm = lm_loss(out if hasattr(out, "tops") else out.logits, batch.targets.reshape(-1),
+                       batch.target_weight.reshape(-1))
         l_syd = None
         if cfg.alpha > 0 and cfg.model.supervision_mode != "none":
             l_syd = ranking_loss(out.d_syd, batch.gold_d.reshape(-1), batch.sent_id.reshape(-1),
